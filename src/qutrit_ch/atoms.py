@@ -58,3 +58,9 @@ JOINT_INDICATOR, ALICE_INDICATOR, BOB_INDICATOR = _build_indicators()
 # the 36 joint-marginal equations as one matrix, rows in (k, l, a, b) odometer
 # order with b fastest
 MARGINAL_MATRIX = JOINT_INDICATOR.reshape(36, N_ATOMS)
+
+# all three indicator tensors stacked: row i maps strategy weights to entry i
+# of ExperimentProbabilities.vector() (36 joints, 6 alice, 6 bob singles)
+INDICATOR_MATRIX = np.vstack(
+    [MARGINAL_MATRIX, ALICE_INDICATOR.reshape(6, -1), BOB_INDICATOR.reshape(6, -1)]
+)

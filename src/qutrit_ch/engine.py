@@ -51,9 +51,14 @@ def observable_unitary(phases: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected 3 phases, got shape {phases.shape}")
     if not np.all(np.isfinite(phases)):
         raise ValueError("phases must be finite")
-    u = tritter_matrix() * np.exp(1j * phases)[None, :]
+    u = _observable_unitaries(phases[None])[0]
     u.setflags(write=False)
     return u
+
+
+def _observable_unitaries(phases: np.ndarray) -> np.ndarray:
+    """observable_unitary of each row of an (n, 3) array of finite phases."""
+    return tritter_matrix()[None] * np.exp(1j * phases)[:, None, :]
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
@@ -86,32 +91,36 @@ def _clamp01(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def joint_table(ua: np.ndarray, ub: np.ndarray, noise: float = 0.0) -> np.ndarray:
-    """Joint outcome probabilities for one pair of analyzers.
+def _born_rule(
+    ua: np.ndarray, ub: np.ndarray, noise: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Statistics of validated analyzer stacks ua (m, 3, 3) and ub (n, 3, 3).
 
-    The amplitude for coincidence (a, b) on the maximally entangled state is
-    sum_m ua[a, m] * ub[b, m] / sqrt(3); white noise mixes the resulting table
-    with the flat 1/9 background:
-
-        p[a, b] = (1 - noise) * |amp|^2 + noise / 9
+    The (m, n, 3, 3) joint tables on the maximally entangled state mixed
+    with white noise are p[a, b] = (1 - noise) * |amp|^2 + noise / 9 with
+    amp = sum_m ua[a, m] * ub[b, m] / sqrt(3). The (m, 3) and (n, 3) singles
+    are sum_m |u[a, m]|^2 / 3, which is 1/3 for every unitary; they are
+    computed rather than returned as a constant so that stays testable.
     """
+    amp = ua[:, None] @ np.swapaxes(ub, 1, 2)[None] / np.sqrt(3.0)
+    tables = (1.0 - noise) * np.abs(amp) ** 2 + noise / 9.0
+    alice = np.sum(np.abs(ua) ** 2, axis=2) / 3.0
+    bob = np.sum(np.abs(ub) ** 2, axis=2) / 3.0
+    return _clamp01(tables), _clamp01(alice), _clamp01(bob)
+
+
+def joint_table(ua: np.ndarray, ub: np.ndarray, noise: float = 0.0) -> np.ndarray:
+    """Joint outcome probabilities for one pair of analyzers."""
     ua = _require_unitary(ua, "ua")
     ub = _require_unitary(ub, "ub")
     noise = _check_noise(noise)
-    amp = ua @ ub.T / np.sqrt(3.0)
-    p = (1.0 - noise) * np.abs(amp) ** 2 + noise / 9.0
-    return _clamp01(p)
+    return _born_rule(ua[None], ub[None], noise)[0][0, 0]
 
 
 def singles(u: np.ndarray) -> np.ndarray:
-    """Single-observer outcome probabilities behind one analyzer.
-
-    The reduced state of either qutrit is maximally mixed, so the result is
-    (1/3, 1/3, 1/3) for every unitary; computed as the actual Born-rule trace
-    rather than returned as a constant so the invariance stays testable.
-    """
+    """Single-observer outcome probabilities behind one analyzer."""
     u = _require_unitary(u, "u")
-    return _clamp01(np.sum(np.abs(u) ** 2, axis=1) / 3.0)
+    return _born_rule(u[None], u[None], 0.0)[1][0]
 
 
 def _validate_relabeling(relabel) -> tuple[tuple[int, int, int], ...]:
@@ -158,7 +167,9 @@ class ExperimentProbabilities:
 
     ``tables[k-1, l-1]`` is the 3x3 joint distribution for settings (k, l);
     ``alice_singles[k-1]`` and ``bob_singles[l-1]`` are the corresponding
-    one-observer distributions.
+    one-observer distributions. ``vector()`` lists all 48 probabilities in
+    one array: the 36 joints in ``tables.ravel()`` order, then the 6 alice
+    singles, then the 6 bob singles.
     """
 
     tables: np.ndarray  # (2, 2, 3, 3)
@@ -181,32 +192,61 @@ class ExperimentProbabilities:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def vector(self) -> np.ndarray:
+        """The 48 probabilities: tables, alice singles, bob singles, raveled."""
+        return np.concatenate(
+            [self.tables.ravel(), self.alice_singles.ravel(), self.bob_singles.ravel()]
+        )
+
     def validate(self, tol: float = 1e-10) -> None:
-        """Raise ValueError unless normalization and no-signaling hold."""
+        """Raise ValueError unless the entries are finite and normalization
+        and no-signaling hold."""
+        if not np.all(np.isfinite(self.vector())):
+            raise ValueError("probabilities must be finite (found NaN or inf)")
         if self.tables.min() < 0:
             raise ValueError("negative joint probability")
-        sums = self.tables.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > tol:
+        if np.any(np.abs(self.tables.sum(axis=(2, 3)) - 1.0) > tol):
             raise ValueError("joint tables must each sum to 1")
         for s, name in ((self.alice_singles, "alice"), (self.bob_singles, "bob")):
-            if np.max(np.abs(s.sum(axis=1) - 1.0)) > tol:
+            if np.any(np.abs(s.sum(axis=1) - 1.0) > tol):
                 raise ValueError(f"{name} singles must sum to 1")
         # marginals of every table must be setting-independent and match singles
-        row = self.tables.sum(axis=3)  # (k, l, a)
-        col = self.tables.sum(axis=2)  # (k, l, b)
-        for k, l in itertools.product(range(2), range(2)):
-            if np.max(np.abs(row[k, l] - self.alice_singles[k])) > tol:
-                raise ValueError(f"no-signaling violated for table {k + 1}{l + 1} rows")
-            if np.max(np.abs(col[k, l] - self.bob_singles[l])) > tol:
-                raise ValueError(f"no-signaling violated for table {k + 1}{l + 1} columns")
+        rows = self.tables.sum(axis=3) - self.alice_singles[:, None]
+        if np.any(np.abs(rows) > tol):
+            raise ValueError("no-signaling violated: row sums differ from alice singles")
+        cols = self.tables.sum(axis=2) - self.bob_singles[None]
+        if np.any(np.abs(cols) > tol):
+            raise ValueError("no-signaling violated: column sums differ from bob singles")
 
 
-def _permute_table(table: np.ndarray, row_perm, col_perm) -> np.ndarray:
-    out = np.empty_like(table)
-    rows = np.asarray(row_perm) - 1
-    cols = np.asarray(col_perm) - 1
-    out[np.ix_(rows, cols)] = table
-    return out
+def _relabel_destinations() -> np.ndarray:
+    """Row c moves entry i of ``ExperimentProbabilities.vector()`` to position
+    row[i] under ``relabeling_at(c)``: (a, b) of table (k, l) goes to
+    (pa_k[a], pb_l[b]), and singles move the same way."""
+    # int8 throughout: every position is below 48, and the table stays small
+    images = np.array(PERMUTATIONS, dtype=np.int8) - 1
+    # image[o]: images of the permutation of observable o (A1, A2, B1, B2),
+    # varying along axis o of the 6^4 grid of relabelings
+    image = [images[axis] for axis in np.indices((6,) * 4, sparse=True)]
+    joint = np.empty((6,) * 4 + (2, 2, 3, 3), dtype=np.int8)
+    for k, l in itertools.product(range(2), range(2)):
+        rows, cols = image[k][..., :, None], image[2 + l][..., None, :]
+        joint[..., k, l, :, :] = 9 * (2 * k + l) + 3 * rows + cols
+    singles = np.empty((6,) * 4 + (4, 3), dtype=np.int8)
+    for o in range(4):
+        singles[..., o, :] = 36 + 3 * o + image[o]
+    dest = np.concatenate([joint.reshape(-1, 36), singles.reshape(-1, 12)], axis=1)
+    dest.setflags(write=False)
+    return dest
+
+
+# rows in itertools.product(PERMUTATIONS, repeat=4) order, A1 most significant
+RELABEL_DESTINATIONS = _relabel_destinations()
+
+
+def relabeling_at(row: int) -> tuple:
+    """The relabeling (pa1, pa2, pb1, pb2) of a row of RELABEL_DESTINATIONS."""
+    return tuple(PERMUTATIONS[i] for i in np.unravel_index(row, (6,) * 4))
 
 
 def apply_relabeling(exp: ExperimentProbabilities, relabel) -> ExperimentProbabilities:
@@ -215,18 +255,12 @@ def apply_relabeling(exp: ExperimentProbabilities, relabel) -> ExperimentProbabi
     With perms (pa1, pa2, pb1, pb2), entry (a, b) of table (k, l) moves to
     (pa_k[a], pb_l[b]), and singles entries move the same way.
     """
-    pa1, pa2, pb1, pb2 = _validate_relabeling(relabel)
-    pa = (pa1, pa2)
-    pb = (pb1, pb2)
-    tables = np.empty_like(exp.tables)
-    alice = np.empty_like(exp.alice_singles)
-    bob = np.empty_like(exp.bob_singles)
-    for k, l in itertools.product(range(2), range(2)):
-        tables[k, l] = _permute_table(exp.tables[k, l], pa[k], pb[l])
-    for k in range(2):
-        alice[k, np.asarray(pa[k]) - 1] = exp.alice_singles[k]
-        bob[k, np.asarray(pb[k]) - 1] = exp.bob_singles[k]
-    return ExperimentProbabilities(tables, alice, bob)
+    choice = [PERMUTATIONS.index(perm) for perm in _validate_relabeling(relabel)]
+    vec = np.empty(48)
+    vec[RELABEL_DESTINATIONS[np.ravel_multi_index(choice, (6,) * 4)]] = exp.vector()
+    return ExperimentProbabilities(
+        vec[:36].reshape(2, 2, 3, 3), vec[36:42].reshape(2, 3), vec[42:].reshape(2, 3)
+    )
 
 
 def mix_with_noise(exp: ExperimentProbabilities, noise: float) -> ExperimentProbabilities:
@@ -243,13 +277,9 @@ def experiment_probabilities(
     """Joint tables and singles for all four setting pairs, relabeled per
     ``settings.relabel``."""
     noise = _check_noise(noise)
-    ua = [observable_unitary(settings.alice[k]) for k in range(2)]
-    ub = [observable_unitary(settings.bob[l]) for l in range(2)]
-    tables = np.empty((2, 2, 3, 3))
-    for k, l in itertools.product(range(2), range(2)):
-        tables[k, l] = joint_table(ua[k], ub[l], noise)
-    alice = np.stack([singles(u) for u in ua])
-    bob = np.stack([singles(u) for u in ub])
+    ua = _observable_unitaries(settings.alice)
+    ub = _observable_unitaries(settings.bob)
+    tables, alice, bob = _born_rule(ua, ub, noise)
     exp = ExperimentProbabilities(tables, alice, bob)
     if settings.relabel == IDENTITY_RELABELING:
         return exp
@@ -268,8 +298,7 @@ def find_matching_relabeling(
     (A1 most significant), or None when no relabeling reconciles the two sets
     of joint tables within ``tol``.
     """
-    for tup in itertools.product(PERMUTATIONS, repeat=4):
-        relabeled = apply_relabeling(computed, tup)
-        if np.max(np.abs(relabeled.tables - target.tables)) <= tol:
-            return tup
-    return None
+    moved = target.tables.ravel()[RELABEL_DESTINATIONS[:, :36]]
+    gaps = np.max(np.abs(moved - computed.tables.ravel()), axis=1)
+    matches = np.flatnonzero(gaps <= tol)
+    return relabeling_at(matches[0]) if matches.size else None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import ATOMS, N_ATOMS, atom_index
+from .atoms import INDICATOR_MATRIX
 from .engine import ExperimentProbabilities
 
 # (alice_setting, bob_setting, alice_outcome, bob_outcome, sign),
@@ -46,15 +46,24 @@ SINGLE_TERMS: tuple[tuple[str, int, int, float], ...] = (
 )
 
 
+def _functional_vector(joint_terms, single_terms) -> np.ndarray:
+    """Signs of the given terms as a vector over ExperimentProbabilities.vector()."""
+    vec = np.zeros(48)
+    for k, l, a, b, sign in joint_terms:
+        vec[9 * (2 * (k - 1) + l - 1) + 3 * (a - 1) + b - 1] += sign
+    for side, k, a, sign in single_terms:
+        vec[(36 if side == "alice" else 42) + 3 * (k - 1) + a - 1] += sign
+    vec.setflags(write=False)
+    return vec
+
+
+# the functional as one sign vector: ch_lhs(exp) == CH_VECTOR @ exp.vector()
+CH_VECTOR = _functional_vector(JOINT_TERMS, SINGLE_TERMS)
+
+
 def ch_lhs(exp: ExperimentProbabilities) -> float:
     """Value of the functional on a full set of experiment probabilities."""
-    total = 0.0
-    for k, l, a, b, sign in JOINT_TERMS:
-        total += sign * exp.tables[k - 1, l - 1, a - 1, b - 1]
-    for side, k, a, sign in SINGLE_TERMS:
-        row = exp.alice_singles if side == "alice" else exp.bob_singles
-        total += sign * row[k - 1, a - 1]
-    return float(total)
+    return float(CH_VECTOR @ exp.vector())
 
 
 def deterministic_value(atom: tuple[int, int, int, int]) -> int:
@@ -80,10 +89,7 @@ def ch_coefficients() -> np.ndarray:
     or -2, which is the discrete form of the local bound: any convex mixture
     of strategies lands at or below zero.
     """
-    coeffs = np.zeros(N_ATOMS)
-    for atom in ATOMS:
-        coeffs[atom_index(atom)] = deterministic_value(atom)
-    return coeffs
+    return CH_VECTOR @ INDICATOR_MATRIX
 
 
 def ch_decomposition() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,32 +104,13 @@ def ch_decomposition() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     non-positive atom by atom; the remainder can reach +1 on its own but
     never beats the others' slack.
     """
-    first = np.zeros(N_ATOMS)
-    second = np.zeros(N_ATOMS)
-    remainder = np.zeros(N_ATOMS)
-
-    for atom in ATOMS:
-        a1, a2, b1, b2 = atom
-        alice = (a1, a2)
-        bob = (b1, b2)
-        i = atom_index(atom)
-        for k, l, a, b, sign in JOINT_TERMS[0:4]:
-            if alice[k - 1] == a and bob[l - 1] == b:
-                first[i] += sign
-        if a1 == 2:
-            first[i] -= 1.0
-        if b2 == 1:
-            first[i] -= 1.0
-        for k, l, a, b, sign in JOINT_TERMS[4:8]:
-            if alice[k - 1] == a and bob[l - 1] == b:
-                second[i] += sign
-        if a1 == 1:
-            second[i] -= 1.0
-        if b2 == 2:
-            second[i] -= 1.0
-        for k, l, a, b, sign in JOINT_TERMS[8:12]:
-            if alice[k - 1] == a and bob[l - 1] == b:
-                remainder[i] += sign
+    alice_at_1, alice_at_2, bob_at_1, bob_at_2 = SINGLE_TERMS
+    pieces = (
+        _functional_vector(JOINT_TERMS[0:4], (alice_at_2, bob_at_1)),
+        _functional_vector(JOINT_TERMS[4:8], (alice_at_1, bob_at_2)),
+        _functional_vector(JOINT_TERMS[8:12], ()),
+    )
+    first, second, remainder = (piece @ INDICATOR_MATRIX for piece in pieces)
     return first, second, remainder
 
 
@@ -135,26 +122,40 @@ class ThresholdResult:
     violated: bool
 
 
+def noise_endpoints(exp0: ExperimentProbabilities) -> np.ndarray:
+    """exp0's probability vector at noise 0 and at noise 1, as a (2, 48) array.
+
+    Uniform noise moves every joint probability linearly toward 1/9 and
+    leaves the singles alone, so a linear functional's values at these two
+    rows fix its value at every noise fraction.
+    """
+    vec = exp0.vector()
+    return np.stack([vec, np.concatenate([np.full(36, 1.0 / 9.0), vec[36:]])])
+
+
+def noise_crossing(lhs0, lhs1) -> np.ndarray:
+    """Noise fraction at which a functional that is affine in the noise,
+    lhs0 at f = 0 and lhs1 at f = 1, falls to zero.
+
+    The crossing is at lhs0 / (lhs0 - lhs1), clipped into [0, 1]; it is 0
+    where lhs0 <= 0 (no violation to destroy) and 1 where lhs0 - lhs1 <= 0
+    (the fully mixed point still violates). Takes scalars or arrays.
+    """
+    lhs0 = np.asarray(lhs0, dtype=float)
+    denom = lhs0 - np.asarray(lhs1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.clip(lhs0 / denom, 0.0, 1.0)
+    return np.where(lhs0 <= 0.0, 0.0, np.where(denom <= 0.0, 1.0, ratio))
+
+
 def analytic_threshold(exp0: ExperimentProbabilities) -> ThresholdResult:
     """Largest admixture of uniform noise that still violates the bound.
 
     Mixing the joint tables with uniform noise at fraction f moves the
     functional linearly from its noise-free value L0 to its value L1 at
     f = 1, so the crossing is at L0 / (L0 - L1). Singles are unaffected by
-    the mixing, which is why L1 is a constant of the functional itself
-    (each joint term contributes sign/9).
+    the mixing. Raises ValueError unless exp0 passes ``validate()``.
     """
-    lhs0 = ch_lhs(exp0)
-    if lhs0 <= 0.0:
-        return ThresholdResult(0.0, False)
-    joint_sign_sum = sum(term[4] for term in JOINT_TERMS)
-    singles_part = 0.0
-    for side, k, a, sign in SINGLE_TERMS:
-        row = exp0.alice_singles if side == "alice" else exp0.bob_singles
-        singles_part += sign * row[k - 1, a - 1]
-    lhs1 = joint_sign_sum / 9.0 + singles_part
-    if lhs0 - lhs1 <= 0.0:
-        # the fully mixed point still violates; no crossing inside [0, 1]
-        return ThresholdResult(1.0, True)
-    value = float(np.clip(lhs0 / (lhs0 - lhs1), 0.0, 1.0))
-    return ThresholdResult(value, True)
+    exp0.validate()
+    lhs0, lhs1 = noise_endpoints(exp0) @ CH_VECTOR
+    return ThresholdResult(float(noise_crossing(lhs0, lhs1)), bool(lhs0 > 0.0))

@@ -8,7 +8,10 @@ mixing moves every joint probability linearly toward 1/9.
 
 Single-detector probabilities never appear as constraints: they are row and
 column sums of the joint tables, so once the joints match, the singles of
-any no-signaling experiment match for free.
+any no-signaling experiment match for free. Every LP entry point first checks
+its input with ``ExperimentProbabilities.validate()``, which raises
+ValueError naming the cause: non-finite entries, bad normalization or
+signaling.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ def _feasibility(exp: ExperimentProbabilities, tol: float):
 
 def lhv_weights(exp: ExperimentProbabilities, tol: float = 1e-9) -> np.ndarray | None:
     """Strategy weights reproducing the joint tables, or None if impossible."""
+    exp.validate()
     solution = _feasibility(exp, tol)
     if solution.status != "optimal":
         return None
@@ -78,6 +82,7 @@ def min_noise_lp(
     to bisection if the solver gives up. The returned certificate always
     reproduces the noisy tables to within residual_tol.
     """
+    exp0.validate()
     t0 = exp0.tables.reshape(36)
     matrix = np.zeros((38, N_ATOMS + 2))
     matrix[:36, :N_ATOMS] = MARGINAL_MATRIX
@@ -113,6 +118,7 @@ def min_noise_bisection(
     fallback path and as a cross-check in tests. The answer is exact to
     2**-steps since feasibility is monotone in the noise fraction.
     """
+    exp0.validate()
     iterations = 0
     base = _feasibility(exp0, 1e-9)
     iterations += base.iterations

@@ -16,18 +16,18 @@ baked into the returned settings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import (
     IDENTITY_RELABELING,
-    PERMUTATIONS,
+    RELABEL_DESTINATIONS,
     PhaseSettings,
     experiment_probabilities,
+    relabeling_at,
 )
-from .inequality import JOINT_TERMS, analytic_threshold
+from .inequality import CH_VECTOR, analytic_threshold, noise_crossing, noise_endpoints
 from .lhv import min_noise_lp
 from .simplex import SimplexFailure
 
@@ -63,64 +63,17 @@ def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _inverse(perm: tuple[int, int, int]) -> tuple[int, int, int]:
-    inv = [0, 0, 0]
-    for position, image in enumerate(perm):
-        inv[image - 1] = position + 1
-    return tuple(inv)
-
-
-_SIGNS = np.array([sign for (_, _, _, _, sign) in JOINT_TERMS] + [-1.0] * 4)
-_GATHER_CACHE: tuple[list, np.ndarray] | None = None
-
-
-def _relabel_gather() -> tuple[list, np.ndarray]:
-    """Index table mapping each relabeling to the 16 probabilities it reads.
-
-    The probability vector is tables.ravel() ++ alice_singles.ravel() ++
-    bob_singles.ravel() (length 48). A relabeled table reads the original
-    at the inverse-permuted outcome, so each of the 1296 relabelings is a
-    fixed gather of 16 entries; scoring all of them is then one fancy-index
-    plus one matrix product.
-    """
-    global _GATHER_CACHE
-    if _GATHER_CACHE is None:
-        combos = list(itertools.product(PERMUTATIONS, repeat=4))
-        idx = np.empty((len(combos), 16), dtype=np.intp)
-        for c, (pa1, pa2, pb1, pb2) in enumerate(combos):
-            inv_a = (_inverse(pa1), _inverse(pa2))
-            inv_b = (_inverse(pb1), _inverse(pb2))
-            for t, (k, l, a, b, _sign) in enumerate(JOINT_TERMS):
-                idx[c, t] = (
-                    ((k - 1) * 2 + (l - 1)) * 9
-                    + (inv_a[k - 1][a - 1] - 1) * 3
-                    + (inv_b[l - 1][b - 1] - 1)
-                )
-            idx[c, 12] = 36 + inv_a[0][0] - 1
-            idx[c, 13] = 36 + inv_a[0][1] - 1
-            idx[c, 14] = 45 + inv_b[1][0] - 1
-            idx[c, 15] = 45 + inv_b[1][1] - 1
-        _GATHER_CACHE = (combos, idx)
-    return _GATHER_CACHE
+# column c is the functional read through relabeling_at(c): its dot product
+# with a probability vector is ch_lhs of the relabeled vector
+_RELABELED_CH = CH_VECTOR[np.ascontiguousarray(RELABEL_DESTINATIONS.T)]
+_RELABELED_CH.setflags(write=False)
 
 
 def _relabel_maxed_scores(exp0) -> np.ndarray:
-    """Analytic threshold of every outcome relabeling, as a length-1296 array."""
-    vec = np.concatenate(
-        [exp0.tables.ravel(), exp0.alice_singles.ravel(), exp0.bob_singles.ravel()]
-    )
-    _, idx = _relabel_gather()
-    gathered = vec[idx]
-    lhs0 = gathered @ _SIGNS
-    lhs1 = 2.0 / 3.0 - gathered[:, 12:].sum(axis=1)
-    denom = lhs0 - lhs1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = lhs0 / denom
-    return np.where(
-        lhs0 <= 0.0,
-        0.0,
-        np.where(denom <= 0.0, 1.0, np.clip(ratio, 0.0, 1.0)),
-    )
+    """Analytic threshold of every outcome relabeling, as a length-1296 array
+    in ``RELABEL_DESTINATIONS`` row order."""
+    lhs0, lhs1 = noise_endpoints(exp0) @ _RELABELED_CH
+    return noise_crossing(lhs0, lhs1)
 
 
 def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
@@ -228,7 +181,7 @@ def optimize(
         x = _pin_gauge(draw)
         try:
             value = _coordinate_ascent(score, x)
-        except (SimplexFailure, RuntimeError):
+        except SimplexFailure:
             continue
         if value > best_val:
             best_val, best_x = value, x.copy()
@@ -242,8 +195,7 @@ def optimize(
         scores = _relabel_maxed_scores(
             experiment_probabilities(PhaseSettings(alice, bob))
         )
-        combos, _ = _relabel_gather()
-        relabel = combos[int(np.argmax(scores))]
+        relabel = relabeling_at(int(np.argmax(scores)))
         best_val = float(scores.max())
     settings = PhaseSettings(alice, bob, relabel)
     return OptimizationResult(settings, float(best_val), evaluations, seed)

@@ -144,6 +144,17 @@ def test_validate_catches_bad_normalization_and_signaling():
     skewed = ExperimentProbabilities(tables, good.alice_singles, good.bob_singles)
     with pytest.raises(ValueError):
         skewed.validate()
+    # every comparison with NaN is false, so non-finite entries need their
+    # own check; a NaN or inf anywhere must be named as the cause
+    for bad in (np.nan, np.inf, -np.inf):
+        tables = good.tables.copy()
+        tables[1, 1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentProbabilities(tables, good.alice_singles, good.bob_singles).validate()
+        alice = good.alice_singles.copy()
+        alice[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentProbabilities(good.tables, alice, good.bob_singles).validate()
 
 
 def reference_like():
@@ -151,16 +162,38 @@ def reference_like():
     return random_settings(rng)
 
 
+def _reference_joint_table(ua, ub, noise):
+    # the per-pair Born rule, written out as a reference for the batched one
+    amp = ua @ ub.T / np.sqrt(3.0)
+    return np.clip((1.0 - noise) * np.abs(amp) ** 2 + noise / 9.0, 0.0, 1.0)
+
+
 def test_experiment_probabilities_match_joint_table_per_pair():
     rng = np.random.default_rng(29)
-    s = random_settings(rng)
-    noise = 0.3
-    exp = experiment_probabilities(s, noise)
-    for k, l in itertools.product(range(2), range(2)):
-        ua = observable_unitary(s.alice[k])
-        ub = observable_unitary(s.bob[l])
-        assert np.array_equal(exp.tables[k, l], joint_table(ua, ub, noise))
-    exp.validate()
+    for draw in range(200):
+        relabel = tuple(PERMUTATIONS[i] for i in rng.integers(0, 6, size=4))
+        if draw % 4 == 0:
+            relabel = IDENTITY_RELABELING
+        s = PhaseSettings(
+            rng.uniform(-10, 10, (2, 3)), rng.uniform(-10, 10, (2, 3)), relabel
+        )
+        noise = 0.0 if draw % 3 == 0 else float(rng.uniform(0, 1))
+        ua = [observable_unitary(s.alice[k]) for k in range(2)]
+        ub = [observable_unitary(s.bob[l]) for l in range(2)]
+        tables = np.empty((2, 2, 3, 3))
+        for k, l in itertools.product(range(2), range(2)):
+            tables[k, l] = joint_table(ua[k], ub[l], noise)
+            assert np.array_equal(tables[k, l], _reference_joint_table(ua[k], ub[l], noise))
+        alice = np.stack([singles(u) for u in ua])
+        bob = np.stack([singles(u) for u in ub])
+        for u, row in zip(ua + ub, np.concatenate([alice, bob])):
+            assert np.array_equal(row, np.sum(np.abs(u) ** 2, axis=1) / 3.0)
+        expected = apply_relabeling(ExperimentProbabilities(tables, alice, bob), relabel)
+        exp = experiment_probabilities(s, noise)
+        assert np.array_equal(exp.tables, expected.tables)
+        assert np.array_equal(exp.alice_singles, expected.alice_singles)
+        assert np.array_equal(exp.bob_singles, expected.bob_singles)
+        exp.validate()
 
 
 def test_mix_with_noise_endpoints_and_linearity():
@@ -198,6 +231,39 @@ def test_apply_relabeling_moves_entries_and_inverts():
     assert np.array_equal(back.tables, exp.tables)
     assert np.array_equal(back.alice_singles, exp.alice_singles)
     assert np.array_equal(back.bob_singles, exp.bob_singles)
+
+
+def _reference_relabeling(exp, relabel):
+    # the entry-moving loop that apply_relabeling replaces, kept as its reference
+    def permute(table, row_perm, col_perm):
+        out = np.empty_like(table)
+        out[np.ix_(np.asarray(row_perm) - 1, np.asarray(col_perm) - 1)] = table
+        return out
+
+    pa, pb = relabel[:2], relabel[2:]
+    tables = np.empty_like(exp.tables)
+    alice = np.empty_like(exp.alice_singles)
+    bob = np.empty_like(exp.bob_singles)
+    for k, l in itertools.product(range(2), range(2)):
+        tables[k, l] = permute(exp.tables[k, l], pa[k], pb[l])
+    for k in range(2):
+        alice[k, np.asarray(pa[k]) - 1] = exp.alice_singles[k]
+        bob[k, np.asarray(pb[k]) - 1] = exp.bob_singles[k]
+    return tables, alice, bob
+
+
+def test_apply_relabeling_matches_the_entry_moving_reference():
+    rng = np.random.default_rng(59)
+    for _ in range(3):
+        exp = ExperimentProbabilities(
+            rng.random((2, 2, 3, 3)), rng.random((2, 3)), rng.random((2, 3))
+        )
+        for relabel in itertools.product(PERMUTATIONS, repeat=4):
+            out = apply_relabeling(exp, relabel)
+            tables, alice, bob = _reference_relabeling(exp, relabel)
+            assert np.array_equal(out.tables, tables)
+            assert np.array_equal(out.alice_singles, alice)
+            assert np.array_equal(out.bob_singles, bob)
 
 
 def test_settings_relabel_field_is_applied():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qutrit_ch.atoms import ATOMS, N_ATOMS
+from qutrit_ch.atoms import ATOMS, N_ATOMS, atom_index
 from qutrit_ch.engine import (
+    PERMUTATIONS,
     ExperimentProbabilities,
+    PhaseSettings,
     experiment_probabilities,
     mix_with_noise,
 )
@@ -15,6 +18,7 @@ from qutrit_ch.inequality import (
     ch_decomposition,
     ch_lhs,
     deterministic_value,
+    noise_crossing,
 )
 from qutrit_ch.lhv import marginals_of
 from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
@@ -30,6 +34,40 @@ def test_term_lists_have_the_fixed_shape():
     assert len(SINGLE_TERMS) == 4
     assert sum(sign for *_, sign in JOINT_TERMS) == 6.0
     assert all(sign == -1.0 for *_, sign in SINGLE_TERMS)
+
+
+def _reference_lhs(exp):
+    # the term-by-term sum that the sign vector replaces, kept as its reference
+    total = 0.0
+    for k, l, a, b, sign in JOINT_TERMS:
+        total += sign * exp.tables[k - 1, l - 1, a - 1, b - 1]
+    for side, k, a, sign in SINGLE_TERMS:
+        row = exp.alice_singles if side == "alice" else exp.bob_singles
+        total += sign * row[k - 1, a - 1]
+    return total
+
+
+_phases = st.lists(st.floats(-10.0, 10.0), min_size=12, max_size=12)
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_unit, min_size=N_ATOMS, max_size=N_ATOMS), _unit)
+def test_lhs_matches_term_loop_on_local_mixtures(raw, sparsity):
+    weights = np.array(raw) * (np.array(raw) >= sparsity)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    exp = exp_from_weights(weights / weights.sum())
+    assert abs(ch_lhs(exp) - _reference_lhs(exp)) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_phases, _unit, st.lists(st.integers(0, 5), min_size=4, max_size=4))
+def test_lhs_matches_term_loop_on_quantum_settings(phases, noise, perms):
+    relabel = tuple(PERMUTATIONS[i] for i in perms)
+    phases = np.array(phases).reshape(2, 2, 3)
+    exp = experiment_probabilities(PhaseSettings(phases[0], phases[1], relabel), noise)
+    assert abs(ch_lhs(exp) - _reference_lhs(exp)) <= 1e-15
 
 
 def test_lhs_on_uniform_tables_is_minus_two_thirds():
@@ -87,6 +125,25 @@ def test_decomposition_parts_sum_to_the_functional():
     assert np.max(np.abs(first + second + remainder - total)) <= 1e-12
 
 
+def test_decomposition_matches_per_atom_recount():
+    # each piece recounted atom by atom from its terms and its singles
+    groups = (
+        (JOINT_TERMS[0:4], lambda a1, b2: -float(a1 == 2) - float(b2 == 1)),
+        (JOINT_TERMS[4:8], lambda a1, b2: -float(a1 == 1) - float(b2 == 2)),
+        (JOINT_TERMS[8:12], lambda a1, b2: 0.0),
+    )
+    for piece, (terms, singles) in zip(ch_decomposition(), groups):
+        expected = np.zeros(N_ATOMS)
+        for atom in ATOMS:
+            alice, bob = atom[:2], atom[2:]
+            value = singles(atom[0], atom[3])
+            for k, l, a, b, sign in terms:
+                if alice[k - 1] == a and bob[l - 1] == b:
+                    value += sign
+            expected[atom_index(atom)] = value
+        assert np.array_equal(piece, expected)
+
+
 def test_decomposition_parts_are_themselves_bounded():
     first, second, remainder = ch_decomposition()
     # the two two-outcome pieces never go positive on any vertex; the
@@ -122,14 +179,41 @@ def test_analytic_threshold_consistent_with_premixed_input():
 
 
 def test_analytic_threshold_degenerate_branch():
-    # singles concentrated away from the penalized outcomes keep the
-    # functional positive even on uniform tables, so no crossing exists
-    alice = np.array([[0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]])
-    bob = np.array([[1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0]])
-    exp = ExperimentProbabilities(np.full((2, 2, 3, 3), 1.0 / 9.0), alice, bob)
+    # a no-signaling box whose singles avoid the penalized outcomes: its
+    # functional, 2/9, equals its value on the fully mixed tables, so mixing
+    # in noise never removes the violation and no crossing exists
+    tables = np.array(
+        [
+            [[[0, 0, 0], [2, 0, 0], [5, 0, 2]], [[0, 0, 0], [2, 0, 0], [0, 0, 7]]],
+            [[[0, 0, 0], [0, 0, 2], [7, 0, 0]], [[0, 0, 0], [2, 0, 0], [0, 0, 7]]],
+        ]
+    ) / 9.0
+    alice = tables.sum(axis=3)[:, 0]
+    bob = tables.sum(axis=2)[0]
+    exp = ExperimentProbabilities(tables, alice, bob)
+    assert abs(ch_lhs(exp) - 2.0 / 9.0) < 1e-15
     out = analytic_threshold(exp)
     assert out.violated
     assert out.value == 1.0
+    # the crossing takes plain floats, equal endpoints included
+    assert noise_crossing(2.0 / 9.0, 2.0 / 9.0) == 1.0
+    assert noise_crossing(-0.1, -0.1) == 0.0
+
+
+def test_analytic_threshold_rejects_invalid_tables():
+    exp = experiment_probabilities(reference_settings())
+    doubled = ExperimentProbabilities(2 * exp.tables, exp.alice_singles, exp.bob_singles)
+    with pytest.raises(ValueError, match="sum to 1"):
+        analytic_threshold(doubled)
+    tables = exp.tables.copy()
+    tables[0, 1, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        analytic_threshold(ExperimentProbabilities(tables, exp.alice_singles, exp.bob_singles))
+    # singles that disagree with the tables' marginals signal
+    alice = np.array([[0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]])
+    signaling = ExperimentProbabilities(np.full((2, 2, 3, 3), 1.0 / 9.0), alice, alice)
+    with pytest.raises(ValueError, match="no-signaling"):
+        analytic_threshold(signaling)
 
 
 def test_analytic_threshold_clips_into_unit_interval():

@@ -166,3 +166,18 @@ def test_premixed_input_shifts_the_threshold_affinely():
     premix = 0.1
     f_prime = min_noise_lp(mix_with_noise(exp0, premix)).f_min
     assert abs((1 - f_prime) - (1 - f) / (1 - premix)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [min_noise_lp, min_noise_bisection, lhv_weights, lhv_feasible],
+)
+def test_invalid_tables_are_rejected_before_solving(solve):
+    exp = experiment_probabilities(reference_settings())
+    doubled = ExperimentProbabilities(2 * exp.tables, exp.alice_singles, exp.bob_singles)
+    with pytest.raises(ValueError, match="sum to 1"):
+        solve(doubled)
+    tables = exp.tables.copy()
+    tables[1, 0, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve(ExperimentProbabilities(tables, exp.alice_singles, exp.bob_singles))

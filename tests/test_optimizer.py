@@ -14,7 +14,6 @@ from qutrit_ch.inequality import analytic_threshold
 from qutrit_ch.lhv import min_noise_lp
 from qutrit_ch.optimizer import (
     OptimizationResult,
-    _relabel_gather,
     _relabel_maxed_scores,
     optimize,
     threshold_objective,
@@ -43,19 +42,22 @@ def test_analytic_objective_uses_the_settings_relabeling():
 
 
 def test_relabel_scores_match_explicit_relabelings():
-    # the gather table must agree with actually permuting the experiment
-    exp0 = experiment_probabilities(reference_settings(relabeled=False))
-    scores = _relabel_maxed_scores(exp0)
-    combos, _ = _relabel_gather()
-    assert len(combos) == 6 ** 4 == len(scores)
+    # every score must agree with actually permuting the experiment, and no
+    # relabeling may claim more noise tolerance than the LP certifies
+    combos = list(itertools.product(PERMUTATIONS, repeat=4))
     rng = np.random.default_rng(97)
-    for _ in range(12):
-        pick = tuple(int(i) for i in rng.integers(0, 6, size=4))
-        combo = tuple(PERMUTATIONS[i] for i in pick)
-        index = ((pick[0] * 6 + pick[1]) * 6 + pick[2]) * 6 + pick[3]
-        assert combos[index] == combo
-        direct = analytic_threshold(apply_relabeling(exp0, combo)).value
-        assert abs(scores[index] - direct) < 1e-12
+    cases = [reference_settings(relabeled=False)] + [
+        PhaseSettings(rng.uniform(0, 2 * np.pi, (2, 3)), rng.uniform(0, 2 * np.pi, (2, 3)))
+        for _ in range(5)
+    ]
+    for settings in cases:
+        exp0 = experiment_probabilities(settings)
+        scores = _relabel_maxed_scores(exp0)
+        assert len(combos) == 6 ** 4 == len(scores)
+        for combo, score in zip(combos, scores):
+            direct = analytic_threshold(apply_relabeling(exp0, combo)).value
+            assert abs(score - direct) < 1e-12
+        assert scores.max() <= min_noise_lp(exp0).f_min + 1e-9
 
 
 def test_relabel_maxed_score_recovers_the_lp_value_at_reference():
@@ -164,3 +166,13 @@ def test_raises_when_every_restart_fails(monkeypatch):
     monkeypatch.setattr(optimizer_module, "min_noise_lp", broken)
     with pytest.raises(RuntimeError):
         optimize(2, seed=13, method="lp")
+
+
+def test_programming_errors_in_a_restart_propagate(monkeypatch):
+    # only solver failures skip a restart; any other error is a bug to surface
+    def broken(exp0):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setattr(optimizer_module, "_relabel_maxed_scores", broken)
+    with pytest.raises(RuntimeError, match="synthetic bug"):
+        optimize(2, seed=17, method="analytic")
