@@ -264,11 +264,14 @@ def apply_relabeling(exp: ExperimentProbabilities, relabel) -> ExperimentProbabi
 
 
 def mix_with_noise(exp: ExperimentProbabilities, noise: float) -> ExperimentProbabilities:
-    """Admix a fraction ``noise`` of the flat background into every joint
-    table; singles are unaffected because the noise state is unbiased."""
+    """Admix a fraction ``noise`` of the flat background: every joint entry
+    moves toward 1/9 and every single toward 1/3, so the result is
+    no-signaling whenever ``exp`` is. Uniform singles stay uniform."""
     noise = _check_noise(noise)
     tables = (1.0 - noise) * exp.tables + noise / 9.0
-    return ExperimentProbabilities(tables, exp.alice_singles, exp.bob_singles)
+    alice = (1.0 - noise) * exp.alice_singles + noise / 3.0
+    bob = (1.0 - noise) * exp.bob_singles + noise / 3.0
+    return ExperimentProbabilities(tables, alice, bob)
 
 
 def experiment_probabilities(

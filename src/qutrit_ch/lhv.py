@@ -2,16 +2,26 @@
 
 A local model is a probability distribution over the 81 deterministic
 strategies. Whether given joint tables admit such a model is a feasibility
-LP; the least uniform-noise admixture that makes them admit one is a single
-small LP in 83 variables (81 weights, the noise fraction, one slack), because
-mixing moves every joint probability linearly toward 1/9.
+LP (25 rows, 81 weights); the least uniform-noise admixture that makes them
+admit one is a single small LP of 26 rows in 83 variables (81 weights, the
+noise fraction, one slack), because mixing moves every joint probability
+linearly toward 1/9.
 
-Single-detector probabilities never appear as constraints: they are row and
-column sums of the joint tables, so once the joints match, the singles of
-any no-signaling experiment match for free. Every LP entry point first checks
-its input with ``ExperimentProbabilities.validate()``, which raises
-ValueError naming the cause: non-finite entries, bad normalization or
-signaling.
+The rows are the 25 independent joint probabilities of the 2-setting,
+3-outcome scenario (Collins & Gisin, J. Phys. A 37, 1775 (2004)): entry
+(a, b) of table (k, l) is kept unless k = 1 and a = 2, or l = 1 and b = 2
+(0-based). The 11 dropped entries and the normalization of the weights
+follow from the kept ones by normalization and no-signaling, which every
+entry point first checks with ``ExperimentProbabilities.validate()`` (it
+raises ValueError naming the cause: non-finite entries, bad normalization
+or signaling). Single-detector probabilities are row and column sums of the
+joint tables, so they match for free as well. Every returned model is still
+checked against all 36 joint entries and a weight sum of 1.
+
+``min_noise_lp`` accepts the bound of a nearby experiment as ``start``:
+its optimal basis seeds the simplex, which skips phase 1 when that basis is
+still feasible. The optimizer passes the previous evaluation's bound this
+way within one restart.
 """
 
 from __future__ import annotations
@@ -26,6 +36,12 @@ from .simplex import LpProblem, SimplexFailure, simplex_solve
 
 BISECTION_STEPS = 40
 
+# the 25 independent rows of MARGINAL_MATRIX, see the module docstring
+_K, _L, _A, _B = np.indices((2, 2, 3, 3)).reshape(4, 36)
+INDEPENDENT_ROWS = np.flatnonzero(~(((_K == 1) & (_A == 2)) | ((_L == 1) & (_B == 2))))
+INDEPENDENT_ROWS.setflags(write=False)
+_ROW_MATRIX = MARGINAL_MATRIX[INDEPENDENT_ROWS]
+
 
 @dataclass(frozen=True)
 class NoiseBound:
@@ -33,13 +49,16 @@ class NoiseBound:
 
     ``certificate`` holds the 81 strategy weights of a local model at
     ``f_min``; ``method`` records whether the bound came from the direct
-    LP ("simplex") or from bisection over feasibility problems.
+    LP ("simplex") or from bisection over feasibility problems. ``basis``
+    is the LP's optimal basis, which can seed the next ``min_noise_lp``
+    call; it is None for bisection.
     """
 
     f_min: float
     certificate: np.ndarray
     iterations: int
     method: str
+    basis: tuple[int, ...] | None = None
 
 
 def marginals_of(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -51,18 +70,22 @@ def marginals_of(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _feasibility(exp: ExperimentProbabilities, tol: float):
-    target = np.concatenate([exp.tables.reshape(36), [1.0]])
-    matrix = np.vstack([MARGINAL_MATRIX, np.ones((1, N_ATOMS))])
-    problem = LpProblem(np.zeros(N_ATOMS), matrix, target)
+    target = exp.tables.reshape(36)[INDEPENDENT_ROWS]
+    problem = LpProblem(np.zeros(N_ATOMS), _ROW_MATRIX, target)
     return simplex_solve(problem, infeasibility_tol=tol)
 
 
 def lhv_weights(exp: ExperimentProbabilities, tol: float = 1e-9) -> np.ndarray | None:
-    """Strategy weights reproducing the joint tables, or None if impossible."""
+    """Strategy weights reproducing the joint tables, or None if impossible.
+
+    The weights are checked against all 36 joint entries and a sum of 1 to
+    within 1e-7 (or ``tol`` if larger) before they are returned.
+    """
     exp.validate()
     solution = _feasibility(exp, tol)
     if solution.status != "optimal":
         return None
+    _check_certificate(exp, 0.0, solution.x, max(tol, 1e-7))
     return solution.x
 
 
@@ -72,29 +95,37 @@ def lhv_feasible(exp: ExperimentProbabilities, tol: float = 1e-9) -> bool:
 
 
 def min_noise_lp(
-    exp0: ExperimentProbabilities, residual_tol: float = 1e-7
+    exp0: ExperimentProbabilities,
+    residual_tol: float = 1e-7,
+    start: NoiseBound | None = None,
 ) -> NoiseBound:
     """Least f so that mixing exp0's tables with uniform noise f is local.
 
-    Minimizes f subject to  M w + f (t0 - 1/9) = t0,  sum w = 1,
-    f + slack = 1,  all variables nonnegative, where M maps strategy weights
-    to joint probabilities and t0 is the noise-free table vector. Falls back
-    to bisection if the solver gives up. The returned certificate always
-    reproduces the noisy tables to within residual_tol.
+    Minimizes f subject to  M w + f (t0 - 1/9) = t0,  f + slack = 1,  all
+    variables nonnegative, where M maps strategy weights to the 25
+    independent joint probabilities and t0 holds those of the noise-free
+    tables (sum w = 1 follows from the rows of table (0, 0)). ``start``, the
+    bound of a nearby experiment, lends its optimal basis to the simplex; the
+    result is the same either way. Falls back to bisection if the solver
+    gives up. The returned certificate always reproduces all 36 noisy joint
+    entries to within residual_tol.
     """
     exp0.validate()
-    t0 = exp0.tables.reshape(36)
-    matrix = np.zeros((38, N_ATOMS + 2))
-    matrix[:36, :N_ATOMS] = MARGINAL_MATRIX
-    matrix[:36, N_ATOMS] = t0 - 1.0 / 9.0
-    matrix[36, :N_ATOMS] = 1.0
-    matrix[37, N_ATOMS] = 1.0
-    matrix[37, N_ATOMS + 1] = 1.0
-    rhs = np.concatenate([t0, [1.0, 1.0]])
+    t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
+    n_rows = INDEPENDENT_ROWS.size
+    matrix = np.zeros((n_rows + 1, N_ATOMS + 2))
+    matrix[:n_rows, :N_ATOMS] = _ROW_MATRIX
+    matrix[:n_rows, N_ATOMS] = t0 - 1.0 / 9.0
+    matrix[n_rows, N_ATOMS] = 1.0
+    matrix[n_rows, N_ATOMS + 1] = 1.0
+    rhs = np.concatenate([t0, [1.0]])
     cost = np.zeros(N_ATOMS + 2)
     cost[N_ATOMS] = 1.0
     try:
-        solution = simplex_solve(LpProblem(cost, matrix, rhs))
+        solution = simplex_solve(
+            LpProblem(cost, matrix, rhs),
+            start=None if start is None else start.basis,
+        )
     except SimplexFailure:
         return min_noise_bisection(exp0, residual_tol=residual_tol)
     if solution.status != "optimal":
@@ -104,7 +135,7 @@ def min_noise_lp(
     f_min = float(min(max(solution.objective_value, 0.0), 1.0))
     weights = solution.x[:N_ATOMS]
     _check_certificate(exp0, f_min, weights, residual_tol)
-    return NoiseBound(f_min, weights, solution.iterations, "simplex")
+    return NoiseBound(f_min, weights, solution.iterations, "simplex", solution.basis)
 
 
 def min_noise_bisection(

@@ -159,14 +159,18 @@ def optimize(
         raise ValueError("seed must be a nonnegative integer")
 
     evaluations = 0
+    # the last LP bound of the current restart; its optimal basis seeds the
+    # next solve, since consecutive evaluations differ in one phase
+    previous = None
 
     def score(x: np.ndarray) -> float:
-        nonlocal evaluations
+        nonlocal evaluations, previous
         evaluations += 1
         settings = PhaseSettings(x[:6].reshape(2, 3), x[6:].reshape(2, 3))
         exp0 = experiment_probabilities(settings)
         if method == "lp":
-            return min_noise_lp(exp0).f_min
+            previous = min_noise_lp(exp0, start=previous)
+            return previous.f_min
         return float(_relabel_maxed_scores(exp0).max())
 
     best_val = -np.inf
@@ -179,6 +183,7 @@ def optimize(
                 [initial_phases.alice.ravel(), initial_phases.bob.ravel()]
             )
         x = _pin_gauge(draw)
+        previous = None  # keeps restarts independent of each other
         try:
             value = _coordinate_ascent(score, x)
         except SimplexFailure:

@@ -1,17 +1,24 @@
 """Dense two-phase simplex for small equality-form linear programs.
 
 Solves min c @ x subject to A x = b, x >= 0. Variable selection is Bland's
-rule with one numerical concession: among rows essentially tied in the ratio
-test, the largest pivot element wins, which avoids dividing the tableau by
-near-zero entries. Accumulated roundoff is flushed by refactorizing the
-tableau from the original data every few pivots and again whenever the
-solver believes it is optimal, so a claimed optimum is always confirmed on
-a freshly computed tableau. The intended problems are tiny (tens of rows,
-around a hundred columns); everything is dense.
+rule with two numerical concessions: the ratio test only accepts pivot
+elements above ``pivot_tol`` (1e-8 by default; elements near 1e-10 on
+degenerate rows left nearly singular bases behind), and among rows
+essentially tied in it the largest pivot element wins. Accumulated roundoff
+is flushed by refactorizing the tableau from the original data every few
+pivots and again whenever the solver believes it is optimal, so a claimed
+optimum is always confirmed on a freshly computed tableau. The intended
+problems are tiny (tens of rows, around a hundred columns); everything is
+dense.
+
+A solve can start from a given basis, such as the optimal basis of a nearby
+problem. Phase 1 is then skipped if that basis is nonsingular and primal
+feasible for the new data; otherwise the solve is the cold two-phase one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +27,7 @@ REFACTOR_EVERY = 30
 _RATIO_WINDOW = 1e-9
 _REDUNDANT_TOL = 1e-7
 _FEASIBILITY_DRIFT = 1e-7
+_START_FEASIBILITY = 1e-12
 
 
 class SimplexFailure(RuntimeError):
@@ -43,6 +51,7 @@ class LpSolution:
     x: np.ndarray | None
     objective_value: float | None
     iterations: int
+    basis: tuple[int, ...] | None = None
 
 
 def _refactorize(
@@ -103,11 +112,35 @@ def _bland_step(
     return True
 
 
+def _feasible_start(
+    matrix: np.ndarray, rhs: np.ndarray, start: Sequence[int]
+) -> list[int] | None:
+    """``start`` as a basis if it is one column per row, nonsingular and
+    primal feasible (B^-1 b >= -1e-12), else None."""
+    n_rows, n_vars = matrix.shape
+    basis = [int(j) for j in start]
+    if (
+        len(basis) != n_rows
+        or len(set(basis)) != n_rows
+        or min(basis) < 0
+        or max(basis) >= n_vars
+    ):
+        return None
+    try:
+        values = np.linalg.solve(matrix[:, basis], rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(values >= -_START_FEASIBILITY):
+        return None
+    return basis
+
+
 def simplex_solve(
     problem: LpProblem,
-    pivot_tol: float = 1e-10,
+    pivot_tol: float = 1e-8,
     infeasibility_tol: float = 1e-9,
     max_iterations: int | None = None,
+    start: Sequence[int] | None = None,
 ) -> LpSolution:
     """Solve an equality-form LP; raises SimplexFailure if uncertifiable.
 
@@ -115,6 +148,13 @@ def simplex_solve(
     basis, and running past the iteration cap (default 10 * (rows + columns))
     all raise instead of returning, since none of them carries a usable
     certificate.
+
+    ``start`` is an optional basis, one column index per row, typically the
+    ``basis`` of an earlier solution of a nearby problem. If it is
+    nonsingular and primal feasible for this problem, phase 1 is skipped and
+    phase 2 starts from it; otherwise, or if phase 2 from it fails, the solve
+    is the cold two-phase one. The returned ``basis`` (one column per row)
+    is None when phase 1 dropped redundant rows.
     """
     matrix = np.array(problem.eq_matrix, dtype=float)
     rhs = np.array(problem.eq_rhs, dtype=float)
@@ -157,6 +197,22 @@ def simplex_solve(
                 tableau = _refactorize(full, full_rhs, full_cost, basis)
                 since_refactor = 0
 
+    def optimum(basis: list[int], tableau: np.ndarray) -> LpSolution:
+        x = np.zeros(n_vars)
+        x[basis] = tableau[:-1, -1]
+        full = len(basis) == n_rows
+        return LpSolution(
+            "optimal", x, float(cost @ x), iterations, tuple(basis) if full else None
+        )
+
+    if start is not None:
+        basis = _feasible_start(matrix, rhs, start)
+        if basis is not None:
+            try:
+                return optimum(basis, run(matrix, rhs, cost, basis, n_vars))
+            except SimplexFailure:
+                pass  # pivots from a borrowed basis can go bad; solve cold
+
     # phase 1: minimize the sum of one artificial variable per row
     phase1_matrix = np.column_stack([matrix, np.eye(n_rows)])
     phase1_cost = np.concatenate([np.zeros(n_vars), np.ones(n_rows)])
@@ -190,8 +246,4 @@ def simplex_solve(
     # phase 2 on the surviving rows, original objective
     basis = [basis[i] for i in kept]
     tableau = run(matrix[kept], rhs[kept], cost, basis, n_vars)
-
-    x = np.zeros(n_vars)
-    for i, var in enumerate(basis):
-        x[var] = tableau[i, -1]
-    return LpSolution("optimal", x, float(cost @ x), iterations)
+    return optimum(basis, tableau)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
+
+import qutrit_ch.lhv as lhv_module
 
 from qutrit_ch.atoms import MARGINAL_MATRIX, N_ATOMS, atom_index
 from qutrit_ch.engine import (
@@ -12,6 +15,7 @@ from qutrit_ch.engine import (
     mix_with_noise,
 )
 from qutrit_ch.lhv import (
+    INDEPENDENT_ROWS,
     NoiseBound,
     lhv_feasible,
     lhv_weights,
@@ -20,6 +24,7 @@ from qutrit_ch.lhv import (
     min_noise_lp,
 )
 from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
+from qutrit_ch.simplex import LpSolution
 
 
 def random_settings(rng):
@@ -181,3 +186,127 @@ def test_invalid_tables_are_rejected_before_solving(solve):
     tables[1, 0, 0, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         solve(ExperimentProbabilities(tables, exp.alice_singles, exp.bob_singles))
+
+
+def local_experiment(weights):
+    tables, alice, bob = marginals_of(weights)
+    return ExperimentProbabilities(tables, alice, bob)
+
+
+def test_independent_rows_span_every_joint_equation():
+    assert INDEPENDENT_ROWS.tolist() == (
+        list(range(11)) + [12, 13, 15, 16] + list(range(18, 24)) + [27, 28, 30, 31]
+    )
+    full = np.vstack([MARGINAL_MATRIX, np.ones((1, N_ATOMS))])
+    kept = MARGINAL_MATRIX[INDEPENDENT_ROWS]
+    assert np.linalg.matrix_rank(kept) == 25 == np.linalg.matrix_rank(full)
+    # every dropped row and the weight sum are combinations of the kept rows
+    coeffs, *_ = np.linalg.lstsq(kept.T, full.T, rcond=None)
+    assert np.max(np.abs(kept.T @ coeffs - full.T)) < 1e-12
+
+
+def test_tiny_pivot_on_a_degenerate_row_no_longer_falls_back():
+    # a ratio test that accepts pivot elements near 1e-10 made this basis
+    # nearly singular and sent the solve to bisection
+    settings = PhaseSettings(
+        alice=[[0, -1.0269848162888966, -3.832063196283936],
+               [0, 2.1149671508162617, -3.8319393225296046]],
+        bob=[[0, 2.6020871131350294, 6.974640941585192],
+             [0, -0.5468410411158257, 0.6893571747918238]],
+    )
+    exp0 = experiment_probabilities(settings)
+    bound = min_noise_lp(exp0)
+    assert bound.method == "simplex"
+    assert abs(bound.f_min - 0.30385) < 1e-4
+    assert abs(bound.f_min - min_noise_bisection(exp0).f_min) < 1e-7
+    assert abs(bound.f_min - scipy_min_noise(exp0)) < 1e-7
+
+
+def test_random_settings_solve_without_bisection():
+    # two of these draws once hit a singular basis on the 38-row program
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        alice = rng.uniform(0, 2 * np.pi, (2, 3))
+        bob = rng.uniform(0, 2 * np.pi, (2, 3))
+        bound = min_noise_lp(experiment_probabilities(PhaseSettings(alice, bob)))
+        assert bound.method == "simplex"
+
+
+def test_feasibility_just_above_zero_noise_does_not_hit_a_singular_basis():
+    # a local setting on which the 37-row feasibility program raised
+    # "basis matrix is singular"
+    settings = PhaseSettings(
+        alice=[[0.2159354844877986, 3.508777521379153, 0.35442755772124795],
+               [6.007220499175199, 0.47311941806282537, 3.7962381745600977]],
+        bob=[[0.14730651809099096, 4.128326981381122, 5.525087838833806],
+             [0.08652086690081337, 1.5819047322574824, 2.0287902224689778]],
+    )
+    assert lhv_feasible(mix_with_noise(experiment_probabilities(settings), 1e-4))
+
+
+def test_lhv_weights_reproduce_every_joint_entry_of_a_local_mixture():
+    rng = np.random.default_rng(5)
+    exp = local_experiment(rng.dirichlet(np.full(N_ATOMS, 0.3)))
+    weights = lhv_weights(exp)
+    assert weights is not None
+    tables, alice, bob = marginals_of(weights)
+    assert np.max(np.abs(tables - exp.tables)) < 1e-9
+    assert np.max(np.abs(alice - exp.alice_singles)) < 1e-9
+    assert np.max(np.abs(bob - exp.bob_singles)) < 1e-9
+    assert abs(weights.sum() - 1.0) < 1e-9
+
+
+def test_lhv_weights_are_checked_before_they_are_returned(monkeypatch):
+    # weights that match none of the tables must raise, not be returned
+    bad = np.zeros(N_ATOMS)
+    bad[0] = 1.0
+    monkeypatch.setattr(
+        lhv_module, "_feasibility", lambda exp, tol: LpSolution("optimal", bad, 0.0, 0)
+    )
+    with pytest.raises(RuntimeError, match="certificate residual"):
+        lhv_weights(experiment_probabilities(reference_settings()))
+
+
+def test_noise_keeps_a_local_mixture_with_biased_singles_local():
+    exp = local_experiment(np.random.default_rng(3).dirichlet(np.ones(N_ATOMS)))
+    mixed = mix_with_noise(exp, 0.5)
+    mixed.validate()
+    assert lhv_feasible(mixed)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(0.0, 2 * np.pi), min_size=12, max_size=12),
+    st.integers(0, 11),
+    st.floats(1e-4, 2 * np.pi / 12),
+    st.booleans(),
+)
+def test_warm_started_bound_equals_the_cold_one(phases, index, step, down):
+    phases = np.array(phases)
+    exp0 = experiment_probabilities(PhaseSettings(phases[:6].reshape(2, 3), phases[6:].reshape(2, 3)))
+    phases[index] += -step if down else step
+    exp1 = experiment_probabilities(PhaseSettings(phases[:6].reshape(2, 3), phases[6:].reshape(2, 3)))
+    warm = min_noise_lp(exp1, start=min_noise_lp(exp0))
+    cold = min_noise_lp(exp1)
+    assert warm.method == cold.method == "simplex"
+    assert abs(warm.f_min - cold.f_min) < 1e-12
+    assert abs(warm.f_min - min_noise_bisection(exp1).f_min) < 1e-8
+
+
+def test_unusable_starts_solve_cold_with_the_same_result():
+    rng = np.random.default_rng(7)
+    exp0 = experiment_probabilities(random_settings(rng))
+    cold = min_noise_lp(exp0)
+    far = min_noise_lp(experiment_probabilities(reference_settings()))
+    n_rows = len(cold.basis)
+    starts = [
+        min_noise_bisection(exp0),  # no basis at all
+        NoiseBound(0.0, cold.certificate, 0, "simplex", cold.basis[:-1]),  # wrong length
+        NoiseBound(0.0, cold.certificate, 0, "simplex", (0,) * n_rows),  # singular
+        NoiseBound(0.0, cold.certificate, 0, "simplex", tuple(range(n_rows))),  # singular
+        far,  # optimal for the reference setting, infeasible for this one
+    ]
+    for start in starts:
+        bound = min_noise_lp(exp0, start=start)
+        assert bound.f_min == cold.f_min
+        assert np.array_equal(bound.certificate, cold.certificate)

@@ -91,6 +91,19 @@ def test_optimize_is_deterministic_and_self_consistent():
     assert abs(replay - first.best_threshold) < 1e-9
 
 
+def test_lp_search_is_deterministic_with_warm_started_solves():
+    # each restart starts its chain of warm-started LPs afresh, so repeated
+    # searches take the same path to the last bit
+    first = optimize(1, seed=9, method="lp")
+    second = optimize(1, seed=9, method="lp")
+    assert first.best_threshold == second.best_threshold
+    assert first.evaluations == second.evaluations
+    assert np.array_equal(first.best_settings.alice, second.best_settings.alice)
+    assert np.array_equal(first.best_settings.bob, second.best_settings.bob)
+    replay = threshold_objective(first.best_settings, "lp")
+    assert abs(replay - first.best_threshold) < 1e-12
+
+
 def test_analytic_search_never_over_reports_the_lp_threshold():
     result = optimize(2, seed=5, method="analytic")
     lp_value = threshold_objective(result.best_settings, "lp")
@@ -144,10 +157,12 @@ def test_failed_restarts_are_skipped(monkeypatch):
     calls = {"n": 0}
 
     class _Stub:
+        basis = None
+
         def __init__(self, f):
             self.f_min = f
 
-    def flaky(exp0):
+    def flaky(exp0, start=None):
         calls["n"] += 1
         if calls["n"] == 1:
             raise SimplexFailure("synthetic failure")
@@ -160,7 +175,7 @@ def test_failed_restarts_are_skipped(monkeypatch):
 
 
 def test_raises_when_every_restart_fails(monkeypatch):
-    def broken(exp0):
+    def broken(exp0, start=None):
         raise SimplexFailure("synthetic failure")
 
     monkeypatch.setattr(optimizer_module, "min_noise_lp", broken)

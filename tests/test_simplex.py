@@ -69,6 +69,8 @@ def test_redundant_rows_are_tolerated():
     assert sol.status == "optimal"
     assert np.max(np.abs(np.asarray(a) @ sol.x - b)) < 1e-10
     assert abs(sol.objective_value + 1.0) < 1e-10
+    # a dropped row leaves no basis with one column per row to start from
+    assert sol.basis is None
 
 
 def test_degenerate_rhs_is_handled():
@@ -121,3 +123,71 @@ def test_agrees_with_reference_solver_on_random_problems():
         assert sol.x.min() > -1e-9
         solved += 1
     assert solved >= 20
+
+
+def _random_feasible_problem(seed, m=8, n=20):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n))
+    b = a @ np.abs(rng.normal(size=n))
+    c = np.abs(rng.normal(size=n))
+    return c, a, b
+
+
+def test_warm_start_on_an_unchanged_problem_takes_no_pivots():
+    for seed in range(5):
+        c, a, b = _random_feasible_problem(seed)
+        cold = solve(c, a, b)
+        assert cold.iterations > 0
+        assert len(cold.basis) == len(b)
+        warm = solve(c, a, b, start=cold.basis)
+        assert warm.iterations == 0
+        assert np.array_equal(warm.x, cold.x)
+        assert warm.basis == cold.basis
+
+
+def test_warm_start_on_a_nearby_problem_matches_the_cold_solve():
+    rng = np.random.default_rng(41)
+    c, a, b = _random_feasible_problem(41)
+    start = solve(c, a, b).basis
+    for _ in range(10):
+        moved_a = a + 1e-3 * rng.normal(size=a.shape)
+        moved_b = moved_a @ np.abs(rng.normal(size=a.shape[1]))
+        cold = solve(c, moved_a, moved_b)
+        warm = solve(c, moved_a, moved_b, start=start)
+        assert abs(warm.objective_value - cold.objective_value) < 1e-10
+        assert np.max(np.abs(moved_a @ warm.x - moved_b)) < 1e-9
+        assert warm.x.min() >= 0.0
+
+
+def test_unusable_starts_fall_back_to_the_cold_solve():
+    c, a, b = _random_feasible_problem(43)
+    cold = solve(c, a, b)
+    m, n = a.shape
+    # an infeasible basis: some basic variable comes out negative
+    infeasible = None
+    for cols in (list(range(k, k + m)) for k in range(n - m + 1)):
+        values = np.linalg.solve(a[:, cols], b)
+        if values.min() < -1e-3:
+            infeasible = cols
+            break
+    assert infeasible is not None
+    singular_a = a.copy()
+    singular_a[:, 1] = 2.0 * singular_a[:, 0]
+    starts = [
+        cold.basis[:-1],  # wrong length
+        (0,) * m,  # repeated column
+        tuple(range(n - m + 1, n + 1)),  # column out of range
+        infeasible,
+    ]
+    # columns 0 and 1 are parallel, so a basis holding both is singular
+    cases = [(a, b, start, cold) for start in starts]
+    singular_b = singular_a @ np.full(n, 0.5)
+    cases.append(
+        (singular_a, singular_b, tuple(range(m)), solve(c, singular_a, singular_b))
+    )
+    for matrix, rhs, start, reference in cases:
+        sol = solve(c, matrix, rhs, start=start)
+        assert sol.status == "optimal"
+        assert np.array_equal(sol.x, reference.x)
+        assert sol.iterations == reference.iterations
+        assert sol.basis == reference.basis
