@@ -19,9 +19,18 @@ joint tables, so they match for free as well. Every returned model is still
 checked against all 36 joint entries and a weight sum of 1.
 
 ``min_noise_lp`` accepts the bound of a nearby experiment as ``start``:
-its optimal basis seeds the simplex, which skips phase 1 when that basis is
-still feasible. The optimizer passes the previous evaluation's bound this
-way within one restart.
+its optimal basis seeds the simplex, which factorizes it once and reports
+the outcome as the bound's ``start``. It is "accepted" when the basis is
+still primal feasible (phase 2 runs from it), "repaired" when dual simplex
+pivots first restore primal feasibility, and "cold" when the LP is solved
+from scratch (no usable start, or a bisection bound). Only the noise column
+and the right-hand side depend on the experiment, and in the optimizer's
+searches every start that lost primal feasibility stayed dual feasible, so
+none was solved cold. The result does not depend on the start. The
+optimizer passes the previous evaluation's bound this way within one
+restart, through ``_min_noise_lp``, which skips the input check because its
+tables come from ``experiment_probabilities`` and are valid by
+construction.
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ class NoiseBound:
     ``f_min``; ``method`` records whether the bound came from the direct
     LP ("simplex") or from bisection over feasibility problems. ``basis``
     is the LP's optimal basis, which can seed the next ``min_noise_lp``
-    call; it is None for bisection.
+    call; it is None for bisection. ``start`` is what became of the start
+    basis: "accepted", "repaired" or "cold" (always "cold" for bisection).
     """
 
     f_min: float
@@ -59,6 +69,7 @@ class NoiseBound:
     iterations: int
     method: str
     basis: tuple[int, ...] | None = None
+    start: str = "cold"
 
 
 def marginals_of(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,6 +122,15 @@ def min_noise_lp(
     entries to within residual_tol.
     """
     exp0.validate()
+    return _min_noise_lp(exp0, residual_tol, start)
+
+
+def _min_noise_lp(
+    exp0: ExperimentProbabilities,
+    residual_tol: float = 1e-7,
+    start: NoiseBound | None = None,
+) -> NoiseBound:
+    """``min_noise_lp`` for tables already known to be valid."""
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
     n_rows = INDEPENDENT_ROWS.size
     matrix = np.zeros((n_rows + 1, N_ATOMS + 2))
@@ -135,7 +155,9 @@ def min_noise_lp(
     f_min = float(min(max(solution.objective_value, 0.0), 1.0))
     weights = solution.x[:N_ATOMS]
     _check_certificate(exp0, f_min, weights, residual_tol)
-    return NoiseBound(f_min, weights, solution.iterations, "simplex", solution.basis)
+    return NoiseBound(
+        f_min, weights, solution.iterations, "simplex", solution.basis, solution.start
+    )
 
 
 def min_noise_bisection(

@@ -28,7 +28,7 @@ from .engine import (
     relabeling_at,
 )
 from .inequality import CH_VECTOR, analytic_threshold, noise_crossing, noise_endpoints
-from .lhv import min_noise_lp
+from .lhv import _min_noise_lp, min_noise_lp
 from .simplex import SimplexFailure
 
 GRID_POINTS = 12
@@ -169,7 +169,8 @@ def optimize(
         settings = PhaseSettings(x[:6].reshape(2, 3), x[6:].reshape(2, 3))
         exp0 = experiment_probabilities(settings)
         if method == "lp":
-            previous = min_noise_lp(exp0, start=previous)
+            # valid by construction, so the input check is skipped
+            previous = _min_noise_lp(exp0, start=previous)
             return previous.f_min
         return float(_relabel_maxed_scores(exp0).max())
 

@@ -6,14 +6,26 @@ elements above ``pivot_tol`` (1e-8 by default; elements near 1e-10 on
 degenerate rows left nearly singular bases behind), and among rows
 essentially tied in it the largest pivot element wins. Accumulated roundoff
 is flushed by refactorizing the tableau from the original data every few
-pivots and again whenever the solver believes it is optimal, so a claimed
-optimum is always confirmed on a freshly computed tableau. The intended
-problems are tiny (tens of rows, around a hundred columns); everything is
-dense.
+pivots and again whenever the solver believes it is optimal on a tableau
+that has been pivoted since it was computed, so a claimed optimum is always
+confirmed on a freshly computed tableau. The intended problems are tiny
+(tens of rows, around a hundred columns); everything is dense.
 
 A solve can start from a given basis, such as the optimal basis of a nearby
-problem. Phase 1 is then skipped if that basis is nonsingular and primal
-feasible for the new data; otherwise the solve is the cold two-phase one.
+problem. That basis is factorized once, and the solution reports one of
+three start outcomes:
+
+- "accepted": the basis is primal feasible for the new data, so phase 1 is
+  skipped and phase 2 runs from its tableau.
+- "repaired": the basis is primal infeasible but dual feasible (no reduced
+  cost below ``-pivot_tol``), as an optimal basis stays when only the
+  right-hand side moves. Dual simplex pivots restore primal
+  feasibility: the most negative basic value leaves, and the entering column
+  minimizes |d_j / a_rj| over a_rj < -pivot_tol, ties to the lowest index.
+  Phase 2 then refactorizes and confirms the optimum.
+- "cold": any other start (wrong shape, singular, dual infeasible, no
+  entering column, or a failure on the way) and no start at all give the
+  cold two-phase solve, with the same result as if no start were given.
 """
 
 from __future__ import annotations
@@ -45,19 +57,24 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver outcome; x and objective_value are None when infeasible."""
+    """Solver outcome; x and objective_value are None when infeasible.
+
+    ``start`` is "accepted", "repaired" or "cold": what became of the given
+    start basis (see the module docstring). Without a start it is "cold".
+    """
 
     status: str
     x: np.ndarray | None
     objective_value: float | None
     iterations: int
     basis: tuple[int, ...] | None = None
+    start: str = "cold"
 
 
-def _refactorize(
+def _tableau(
     matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int]
 ) -> np.ndarray:
-    """Rebuild the tableau as B^-1 [A | b] plus a priced-out cost row.
+    """The tableau B^-1 [A | b] plus a priced-out cost row.
 
     Computing from the original data resets all accumulated pivot roundoff;
     only the basis, which is combinatorial, is carried over.
@@ -68,12 +85,27 @@ def _refactorize(
     except np.linalg.LinAlgError:
         raise SimplexFailure("basis matrix is singular")
     bottom = np.concatenate([cost, [0.0]]) - cost[basis] @ body
-    values = body[:, -1]
-    drifted = values < 0.0
-    if np.any(values[drifted] < -_FEASIBILITY_DRIFT):
-        raise SimplexFailure("basis lost feasibility")
-    values[drifted] = 0.0
     return np.vstack([body, bottom])
+
+
+def _primal_feasible(tableau: np.ndarray, tol: float) -> bool:
+    """Whether no basic value is below -tol; if so, zeroes the negative ones."""
+    values = tableau[:-1, -1]
+    drifted = values < 0.0
+    if np.any(values[drifted] < -tol):
+        return False
+    values[drifted] = 0.0
+    return True
+
+
+def _refactorize(
+    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int]
+) -> np.ndarray:
+    """A fresh tableau for a basis that must still be primal feasible."""
+    tableau = _tableau(matrix, rhs, cost, basis)
+    if not _primal_feasible(tableau, _FEASIBILITY_DRIFT):
+        raise SimplexFailure("basis lost feasibility")
+    return tableau
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -112,12 +144,28 @@ def _bland_step(
     return True
 
 
-def _feasible_start(
-    matrix: np.ndarray, rhs: np.ndarray, start: Sequence[int]
-) -> list[int] | None:
-    """``start`` as a basis if it is one column per row, nonsingular and
-    primal feasible (B^-1 b >= -1e-12), else None."""
-    n_rows, n_vars = matrix.shape
+def _dual_step(
+    tableau: np.ndarray, basis: list[int], n_cols: int, pivot_tol: float
+) -> bool:
+    """Perform one dual simplex pivot; False once the basis is primal
+    feasible. Raises SimplexFailure if no column can enter."""
+    values = tableau[:-1, -1]
+    leaving = int(np.argmin(values))
+    if values[leaving] >= -_START_FEASIBILITY:
+        return False
+    row = tableau[leaving, :n_cols]
+    candidates = np.flatnonzero(row < -pivot_tol)
+    if candidates.size == 0:
+        raise SimplexFailure("no column can enter the dual ratio test")
+    ratios = np.abs(tableau[-1, candidates] / row[candidates])
+    entering = int(candidates[np.argmin(ratios)])
+    _pivot(tableau, leaving, entering)
+    basis[leaving] = entering
+    return True
+
+
+def _start_basis(start: Sequence[int], n_rows: int, n_vars: int) -> list[int] | None:
+    """``start`` as a list if it is one distinct in-range column per row."""
     basis = [int(j) for j in start]
     if (
         len(basis) != n_rows
@@ -125,12 +173,6 @@ def _feasible_start(
         or min(basis) < 0
         or max(basis) >= n_vars
     ):
-        return None
-    try:
-        values = np.linalg.solve(matrix[:, basis], rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(values >= -_START_FEASIBILITY):
         return None
     return basis
 
@@ -150,11 +192,13 @@ def simplex_solve(
     certificate.
 
     ``start`` is an optional basis, one column index per row, typically the
-    ``basis`` of an earlier solution of a nearby problem. If it is
-    nonsingular and primal feasible for this problem, phase 1 is skipped and
-    phase 2 starts from it; otherwise, or if phase 2 from it fails, the solve
-    is the cold two-phase one. The returned ``basis`` (one column per row)
-    is None when phase 1 dropped redundant rows.
+    ``basis`` of an earlier solution of a nearby problem. It is factorized
+    once: a primal feasible start goes straight to phase 2, a dual feasible
+    one is first repaired by dual simplex pivots, and any other start, or
+    one whose warm solve fails, gives the cold two-phase solve. The returned
+    ``start`` says which happened; ``iterations`` counts the pivots of the
+    path that produced the result. The returned ``basis`` (one column per
+    row) is None when phase 1 dropped redundant rows.
     """
     matrix = np.array(problem.eq_matrix, dtype=float)
     rhs = np.array(problem.eq_rhs, dtype=float)
@@ -175,18 +219,15 @@ def simplex_solve(
 
     iterations = 0
 
-    def run(full: np.ndarray, full_rhs: np.ndarray, full_cost: np.ndarray,
-            basis: list[int], n_cols: int) -> np.ndarray:
+    def pivot_until_done(step, factorize, tableau: np.ndarray, basis: list[int]):
+        """Pivot with ``step`` until it reports nothing left to do.
+
+        Returns the last tableau and whether it was computed from the
+        original data after the last pivot.
+        """
         nonlocal iterations
-        tableau = _refactorize(full, full_rhs, full_cost, basis)
         since_refactor = 0
-        while True:
-            if not _bland_step(tableau, basis, n_cols, pivot_tol):
-                # confirm optimality on a drift-free tableau
-                tableau = _refactorize(full, full_rhs, full_cost, basis)
-                since_refactor = 0
-                if not _bland_step(tableau, basis, n_cols, pivot_tol):
-                    return tableau
+        while step(tableau, basis):
             iterations += 1
             since_refactor += 1
             if iterations >= max_iterations:
@@ -194,24 +235,63 @@ def simplex_solve(
                     f"no certified optimum within {max_iterations} pivots"
                 )
             if since_refactor >= REFACTOR_EVERY:
-                tableau = _refactorize(full, full_rhs, full_cost, basis)
+                tableau = factorize(basis)
                 since_refactor = 0
+        return tableau, since_refactor == 0
 
-    def optimum(basis: list[int], tableau: np.ndarray) -> LpSolution:
+    def run(full: np.ndarray, full_rhs: np.ndarray, full_cost: np.ndarray,
+            basis: list[int], n_cols: int,
+            tableau: np.ndarray | None = None) -> np.ndarray:
+        def factorize(b: list[int]) -> np.ndarray:
+            return _refactorize(full, full_rhs, full_cost, b)
+
+        def step(t: np.ndarray, b: list[int]) -> bool:
+            return _bland_step(t, b, n_cols, pivot_tol)
+
+        if tableau is None:
+            tableau = factorize(basis)
+        while True:
+            tableau, fresh = pivot_until_done(step, factorize, tableau, basis)
+            if fresh:
+                return tableau
+            # confirm optimality on a drift-free tableau
+            tableau = factorize(basis)
+
+    def optimum(basis: list[int], tableau: np.ndarray, outcome: str) -> LpSolution:
         x = np.zeros(n_vars)
         x[basis] = tableau[:-1, -1]
         full = len(basis) == n_rows
         return LpSolution(
-            "optimal", x, float(cost @ x), iterations, tuple(basis) if full else None
+            "optimal", x, float(cost @ x), iterations,
+            tuple(basis) if full else None, outcome,
         )
 
+    def warm(basis: list[int]) -> LpSolution | None:
+        tableau = _tableau(matrix, rhs, cost, basis)
+        if _primal_feasible(tableau, _START_FEASIBILITY):
+            return optimum(basis, run(matrix, rhs, cost, basis, n_vars, tableau), "accepted")
+        if tableau[-1, :n_vars].min() < -pivot_tol:
+            return None  # neither primal nor dual feasible
+
+        def step(t: np.ndarray, b: list[int]) -> bool:
+            return _dual_step(t, b, n_vars, pivot_tol)
+
+        def factorize(b: list[int]) -> np.ndarray:
+            return _tableau(matrix, rhs, cost, b)
+
+        pivot_until_done(step, factorize, tableau, basis)
+        return optimum(basis, run(matrix, rhs, cost, basis, n_vars), "repaired")
+
     if start is not None:
-        basis = _feasible_start(matrix, rhs, start)
+        basis = _start_basis(start, n_rows, n_vars)
         if basis is not None:
             try:
-                return optimum(basis, run(matrix, rhs, cost, basis, n_vars))
+                solution = warm(basis)
             except SimplexFailure:
-                pass  # pivots from a borrowed basis can go bad; solve cold
+                solution = None  # pivots from a borrowed basis can go bad
+            if solution is not None:
+                return solution
+            iterations = 0
 
     # phase 1: minimize the sum of one artificial variable per row
     phase1_matrix = np.column_stack([matrix, np.eye(n_rows)])
@@ -246,4 +326,4 @@ def simplex_solve(
     # phase 2 on the surviving rows, original objective
     basis = [basis[i] for i in kept]
     tableau = run(matrix[kept], rhs[kept], cost, basis, n_vars)
-    return optimum(basis, tableau)
+    return optimum(basis, tableau, "cold")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import qutrit_ch.lhv as lhv_module
@@ -306,7 +306,70 @@ def test_unusable_starts_solve_cold_with_the_same_result():
         NoiseBound(0.0, cold.certificate, 0, "simplex", tuple(range(n_rows))),  # singular
         far,  # optimal for the reference setting, infeasible for this one
     ]
+    assert starts[0].start == "cold"  # bisection bounds never come from a start
     for start in starts:
         bound = min_noise_lp(exp0, start=start)
         assert bound.f_min == cold.f_min
         assert np.array_equal(bound.certificate, cold.certificate)
+        assert bound.start == "cold"
+
+
+def phase_settings(phases):
+    phases = np.asarray(phases, dtype=float)
+    return PhaseSettings(phases[:6].reshape(2, 3), phases[6:].reshape(2, 3))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(0.0, 2 * np.pi), min_size=12, max_size=12),
+    st.integers(0, 11),
+    st.floats(1e-3, np.pi),
+    st.booleans(),
+)
+def test_repaired_warm_start_equals_the_cold_bound(phases, index, step, down):
+    # one phase moves far enough that the previous optimal basis is no
+    # longer primal feasible; dual pivots must repair it, not a cold solve
+    phases = np.array(phases)
+    start = min_noise_lp(experiment_probabilities(phase_settings(phases)))
+    phases[index] += -step if down else step
+    exp1 = experiment_probabilities(phase_settings(phases))
+    warm = min_noise_lp(exp1, start=start)
+    assume(warm.start == "repaired")
+    cold = min_noise_lp(exp1)
+    assert warm.method == cold.method == "simplex"
+    assert cold.start == "cold"
+    assert abs(warm.f_min - cold.f_min) < 1e-12
+    assert abs(warm.f_min - min_noise_bisection(exp1).f_min) < 1e-8
+
+
+# two consecutive evaluations of optimize(20, 7, "lp") whose second LP, solved
+# cold after the start basis was rejected as primal infeasible, fell back to
+# bisection; warm-started from the first bound, the second is now repaired
+CRITERION_9_FALLBACKS = [
+    (
+        [0.0, 5.458948807996423, 1.0835988710101896, 0.0, 2.316721589924184,
+         4.224794113806221, 0.0, 1.3478078125129735, -1.6072262765580072, 0.0,
+         10.773267066952094, 1.5342820646222417],
+        [0.0, 5.458948807996423, 1.0835988710101896, 0.0, 2.316721589924184,
+         4.224794113806221, 0.0, 1.3478078125129735, -1.6072262765580072, 0.0,
+         10.773267066952094, 1.535049804349762],
+    ),
+    (
+        [0.0, -1.9378559770721526, 4.434835252767654, 0.0, 7.484572528962445,
+         4.433980633516134, 0.0, 0.8923901689341338, 7.084975321521418, 0.0,
+         1.4148809453895579, 0.8013741520288552],
+        [0.0, -1.9378559770721526, 4.434835252767654, 0.0, 7.484572528962445,
+         4.433980633516134, 0.0, 1.415988944532433, 7.084975321521418, 0.0,
+         1.4148809453895579, 0.8013741520288552],
+    ),
+]
+
+
+@pytest.mark.parametrize("previous, failing", CRITERION_9_FALLBACKS)
+def test_criterion_9_fallbacks_are_solved_by_a_repaired_warm_start(previous, failing):
+    start = min_noise_lp(experiment_probabilities(phase_settings(previous)))
+    exp1 = experiment_probabilities(phase_settings(failing))
+    warm = min_noise_lp(exp1, start=start)
+    assert warm.method == "simplex"
+    assert warm.start == "repaired"
+    assert abs(warm.f_min - min_noise_bisection(exp1).f_min) < 1e-7

@@ -168,7 +168,7 @@ def test_failed_restarts_are_skipped(monkeypatch):
             raise SimplexFailure("synthetic failure")
         return _Stub(float(_relabel_maxed_scores(exp0).max()))
 
-    monkeypatch.setattr(optimizer_module, "min_noise_lp", flaky)
+    monkeypatch.setattr(optimizer_module, "_min_noise_lp", flaky)
     result = optimize(2, seed=11, method="lp")
     assert 0.0 <= result.best_threshold <= 1.0
     assert calls["n"] > 1
@@ -178,7 +178,7 @@ def test_raises_when_every_restart_fails(monkeypatch):
     def broken(exp0, start=None):
         raise SimplexFailure("synthetic failure")
 
-    monkeypatch.setattr(optimizer_module, "min_noise_lp", broken)
+    monkeypatch.setattr(optimizer_module, "_min_noise_lp", broken)
     with pytest.raises(RuntimeError):
         optimize(2, seed=13, method="lp")
 

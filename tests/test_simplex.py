@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import qutrit_ch.simplex as simplex_module
 from qutrit_ch.simplex import LpProblem, LpSolution, SimplexFailure, simplex_solve
 
 
@@ -85,6 +86,7 @@ def test_solution_dataclass_round_trip():
     sol = LpSolution("optimal", np.zeros(2), 0.0, 3)
     assert sol.status == "optimal"
     assert sol.iterations == 3
+    assert sol.start == "cold"
 
 
 def test_shape_validation():
@@ -143,6 +145,26 @@ def test_warm_start_on_an_unchanged_problem_takes_no_pivots():
         assert warm.iterations == 0
         assert np.array_equal(warm.x, cold.x)
         assert warm.basis == cold.basis
+        assert cold.start == "cold"
+        assert warm.start == "accepted"
+
+
+def test_an_accepted_optimal_start_is_factorized_once(monkeypatch):
+    # a freshly computed tableau with no improving column needs no
+    # confirmation on a second one
+    c, a, b = _random_feasible_problem(0)
+    start = solve(c, a, b).basis
+    calls = []
+    factorize = simplex_module._tableau
+
+    def counted(*args):
+        calls.append(args)
+        return factorize(*args)
+
+    monkeypatch.setattr(simplex_module, "_tableau", counted)
+    warm = solve(c, a, b, start=start)
+    assert warm.start == "accepted"
+    assert len(calls) == 1
 
 
 def test_warm_start_on_a_nearby_problem_matches_the_cold_solve():
@@ -191,3 +213,49 @@ def test_unusable_starts_fall_back_to_the_cold_solve():
         assert np.array_equal(sol.x, reference.x)
         assert sol.iterations == reference.iterations
         assert sol.basis == reference.basis
+        assert sol.start == "cold"
+
+
+def test_a_start_that_lost_primal_feasibility_is_repaired():
+    # the optimal basis of a problem stays dual feasible when only its
+    # right-hand side moves, so dual pivots repair it
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        c, a, b = _random_feasible_problem(seed)
+        start = solve(c, a, b).basis
+        moved_b = a @ np.abs(rng.normal(size=a.shape[1]))
+        assert np.linalg.solve(a[:, list(start)], moved_b).min() < 0.0
+        cold = solve(c, a, moved_b)
+        warm = solve(c, a, moved_b, start=start)
+        assert warm.status == "optimal"
+        assert warm.start == "repaired"
+        assert abs(warm.objective_value - cold.objective_value) < 1e-12
+        assert np.max(np.abs(a @ warm.x - moved_b)) < 1e-9
+        assert warm.x.min() >= 0.0
+        assert warm.iterations < cold.iterations
+
+
+def test_a_dual_feasible_start_on_an_infeasible_problem_reports_infeasible(monkeypatch):
+    rng = np.random.default_rng(45)
+    c, a, _ = _random_feasible_problem(45)
+    a[0] = np.abs(a[0]) + 0.1
+    start = solve(c, a, a @ np.abs(rng.normal(size=a.shape[1]))).basis
+    # a positive row with a negative right-hand side: no x >= 0 fits, and
+    # with the matrix unchanged the start stays dual feasible
+    b = a @ np.abs(rng.normal(size=a.shape[1]))
+    b[0] = -1.0
+    dual_steps = []
+    step = simplex_module._dual_step
+
+    def counted(*args):
+        dual_steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(simplex_module, "_dual_step", counted)
+    warm = solve(c, a, b, start=start)
+    assert dual_steps  # the start was taken into the repair branch
+    cold = solve(c, a, b)
+    assert cold.status == warm.status == "infeasible"
+    assert warm.x is None and warm.objective_value is None
+    assert warm.iterations == cold.iterations
+    assert warm.start == cold.start == "cold"
