@@ -22,7 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import IDENTITY_RELABELING, PhaseSettings, experiment_probabilities
+from .engine import (
+    IDENTITY_RELABELING,
+    VALIDATION_TOL,
+    PhaseSettings,
+    experiment_probabilities,
+)
 from .inequality import (
     analytic_threshold,
     ch_coefficients,
@@ -31,8 +36,8 @@ from .inequality import (
     deterministic_value,
 )
 from .atoms import ATOMS
-from .lhv import min_noise_lp
-from .optimizer import optimize
+from .lhv import CERTIFICATE_TOL, min_noise_lp
+from .optimizer import COORDINATE_TOL, SWEEP_TOL, optimize
 from .presets import (
     REFERENCE_ALICE_PHASES,
     REFERENCE_BOB_PHASES,
@@ -44,6 +49,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
+
+# entrywise tolerance of verify-appendix's decomposition check
+ENTRYWISE_TOL = 1e-12
 
 
 class _UsageError(Exception):
@@ -171,7 +179,7 @@ def _cmd_probs(args):
         "alice_singles": exp.alice_singles,
         "bob_singles": exp.bob_singles,
     }
-    return EXIT_OK, digest, results, {"validation": 1e-10}
+    return EXIT_OK, digest, results, {"validation": VALIDATION_TOL}
 
 
 def _cmd_ch(args):
@@ -199,7 +207,7 @@ def _cmd_threshold(args):
         "solver": bound.method,
         "iterations": bound.iterations,
     }
-    return EXIT_OK, digest, results, {"certificate_residual": 1e-7}
+    return EXIT_OK, digest, results, {"certificate_residual": CERTIFICATE_TOL}
 
 
 def _cmd_coeffs(args):
@@ -240,7 +248,7 @@ def _cmd_verify(args):
         ),
         (
             "decomposition_sums_to_functional",
-            bool(np.max(np.abs(first + second + remainder - coeffs)) <= 1e-12),
+            bool(np.max(np.abs(first + second + remainder - coeffs)) <= ENTRYWISE_TOL),
         ),
         (
             "decomposition_parts_nonpositive",
@@ -253,7 +261,7 @@ def _cmd_verify(args):
         "all_pass": all(ok for _, ok in checks),
     }
     code = EXIT_OK if results["all_pass"] else EXIT_VERIFY
-    return code, None, results, {"entrywise": 1e-12}
+    return code, None, results, {"entrywise": ENTRYWISE_TOL}
 
 
 def _cmd_preset(args):
@@ -293,7 +301,7 @@ def _cmd_optimize(args):
             },
         },
     }
-    tolerances = {"coordinate": 1e-4, "sweep_improvement": 1e-7}
+    tolerances = {"coordinate": COORDINATE_TOL, "sweep_improvement": SWEEP_TOL}
     return EXIT_OK, None, results, tolerances
 
 

@@ -25,7 +25,19 @@ PERMUTATIONS: tuple[tuple[int, int, int], ...] = tuple(
 IDENTITY_RELABELING = ((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3))
 
 UNITARITY_TOL = 1e-9
+VALIDATION_TOL = 1e-10  # normalization and no-signaling, in validate()
+MATCH_TOL = 1e-9  # entrywise, in find_matching_relabeling()
 _CLAMP_TOL = 1e-12
+
+# outcomes behind each entry of ExperimentProbabilities.vector(): 9 per
+# joint table, 3 per observable. mix_with_noise divides by these rather than
+# multiplying by FLAT_VECTOR, so a mixed entry is exactly (1 - f) p + f / 9.
+_OUTCOME_COUNTS = np.concatenate([np.full(36, 9.0), np.full(12, 3.0)])
+_OUTCOME_COUNTS.setflags(write=False)
+# the flat box that white noise mixes in: every outcome equally likely. Every
+# outcome relabeling maps it to itself.
+FLAT_VECTOR = 1.0 / _OUTCOME_COUNTS
+FLAT_VECTOR.setflags(write=False)
 
 
 def tritter_matrix() -> np.ndarray:
@@ -198,24 +210,24 @@ class ExperimentProbabilities:
             [self.tables.ravel(), self.alice_singles.ravel(), self.bob_singles.ravel()]
         )
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Raise ValueError unless the entries are finite and normalization
-        and no-signaling hold."""
+        and no-signaling hold to within ``VALIDATION_TOL``."""
         if not np.all(np.isfinite(self.vector())):
             raise ValueError("probabilities must be finite (found NaN or inf)")
         if self.tables.min() < 0:
             raise ValueError("negative joint probability")
-        if np.any(np.abs(self.tables.sum(axis=(2, 3)) - 1.0) > tol):
+        if np.any(np.abs(self.tables.sum(axis=(2, 3)) - 1.0) > VALIDATION_TOL):
             raise ValueError("joint tables must each sum to 1")
         for s, name in ((self.alice_singles, "alice"), (self.bob_singles, "bob")):
-            if np.any(np.abs(s.sum(axis=1) - 1.0) > tol):
+            if np.any(np.abs(s.sum(axis=1) - 1.0) > VALIDATION_TOL):
                 raise ValueError(f"{name} singles must sum to 1")
         # marginals of every table must be setting-independent and match singles
         rows = self.tables.sum(axis=3) - self.alice_singles[:, None]
-        if np.any(np.abs(rows) > tol):
+        if np.any(np.abs(rows) > VALIDATION_TOL):
             raise ValueError("no-signaling violated: row sums differ from alice singles")
         cols = self.tables.sum(axis=2) - self.bob_singles[None]
-        if np.any(np.abs(cols) > tol):
+        if np.any(np.abs(cols) > VALIDATION_TOL):
             raise ValueError("no-signaling violated: column sums differ from bob singles")
 
 
@@ -264,14 +276,14 @@ def apply_relabeling(exp: ExperimentProbabilities, relabel) -> ExperimentProbabi
 
 
 def mix_with_noise(exp: ExperimentProbabilities, noise: float) -> ExperimentProbabilities:
-    """Admix a fraction ``noise`` of the flat background: every joint entry
+    """Admix a fraction ``noise`` of ``FLAT_VECTOR``: every joint entry
     moves toward 1/9 and every single toward 1/3, so the result is
     no-signaling whenever ``exp`` is. Uniform singles stay uniform."""
     noise = _check_noise(noise)
-    tables = (1.0 - noise) * exp.tables + noise / 9.0
-    alice = (1.0 - noise) * exp.alice_singles + noise / 3.0
-    bob = (1.0 - noise) * exp.bob_singles + noise / 3.0
-    return ExperimentProbabilities(tables, alice, bob)
+    vec = (1.0 - noise) * exp.vector() + noise / _OUTCOME_COUNTS
+    return ExperimentProbabilities(
+        vec[:36].reshape(2, 2, 3, 3), vec[36:42].reshape(2, 3), vec[42:].reshape(2, 3)
+    )
 
 
 def experiment_probabilities(
@@ -290,18 +302,16 @@ def experiment_probabilities(
 
 
 def find_matching_relabeling(
-    computed: ExperimentProbabilities,
-    target: ExperimentProbabilities,
-    tol: float = 1e-9,
+    computed: ExperimentProbabilities, target: ExperimentProbabilities
 ) -> tuple | None:
     """Search all 6^4 outcome relabelings for one mapping ``computed`` onto
     ``target``.
 
     Returns the first matching 4-tuple of permutations in lexicographic order
     (A1 most significant), or None when no relabeling reconciles the two sets
-    of joint tables within ``tol``.
+    of joint tables within ``MATCH_TOL``.
     """
     moved = target.tables.ravel()[RELABEL_DESTINATIONS[:, :36]]
     gaps = np.max(np.abs(moved - computed.tables.ravel()), axis=1)
-    matches = np.flatnonzero(gaps <= tol)
+    matches = np.flatnonzero(gaps <= MATCH_TOL)
     return relabeling_at(matches[0]) if matches.size else None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import INDICATOR_MATRIX
-from .engine import ExperimentProbabilities
+from .engine import FLAT_VECTOR, ExperimentProbabilities
 
 # (alice_setting, bob_setting, alice_outcome, bob_outcome, sign),
 # settings and outcomes 1-based
@@ -59,6 +59,8 @@ def _functional_vector(joint_terms, single_terms) -> np.ndarray:
 
 # the functional as one sign vector: ch_lhs(exp) == CH_VECTOR @ exp.vector()
 CH_VECTOR = _functional_vector(JOINT_TERMS, SINGLE_TERMS)
+# its value on the flat box, -2/3, the same under every outcome relabeling
+FLAT_LHS = float(CH_VECTOR @ FLAT_VECTOR)
 
 
 def ch_lhs(exp: ExperimentProbabilities) -> float:
@@ -122,17 +124,6 @@ class ThresholdResult:
     violated: bool
 
 
-def noise_endpoints(exp0: ExperimentProbabilities) -> np.ndarray:
-    """exp0's probability vector at noise 0 and at noise 1, as a (2, 48) array.
-
-    Uniform noise moves every joint probability linearly toward 1/9 and
-    leaves the singles alone, so a linear functional's values at these two
-    rows fix its value at every noise fraction.
-    """
-    vec = exp0.vector()
-    return np.stack([vec, np.concatenate([np.full(36, 1.0 / 9.0), vec[36:]])])
-
-
 def noise_crossing(lhs0, lhs1) -> np.ndarray:
     """Noise fraction at which a functional that is affine in the noise,
     lhs0 at f = 0 and lhs1 at f = 1, falls to zero.
@@ -151,11 +142,11 @@ def noise_crossing(lhs0, lhs1) -> np.ndarray:
 def analytic_threshold(exp0: ExperimentProbabilities) -> ThresholdResult:
     """Largest admixture of uniform noise that still violates the bound.
 
-    Mixing the joint tables with uniform noise at fraction f moves the
-    functional linearly from its noise-free value L0 to its value L1 at
-    f = 1, so the crossing is at L0 / (L0 - L1). Singles are unaffected by
-    the mixing. Raises ValueError unless exp0 passes ``validate()``.
+    Mixing with uniform noise at fraction f (``mix_with_noise``) moves the
+    functional linearly from its noise-free value L0 to ``FLAT_LHS`` at
+    f = 1, so the crossing is at L0 / (L0 - FLAT_LHS). Raises ValueError
+    unless exp0 passes ``validate()``.
     """
     exp0.validate()
-    lhs0, lhs1 = noise_endpoints(exp0) @ CH_VECTOR
-    return ThresholdResult(float(noise_crossing(lhs0, lhs1)), bool(lhs0 > 0.0))
+    lhs0 = ch_lhs(exp0)
+    return ThresholdResult(float(noise_crossing(lhs0, FLAT_LHS)), lhs0 > 0.0)

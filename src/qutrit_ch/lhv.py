@@ -16,7 +16,13 @@ entry point first checks with ``ExperimentProbabilities.validate()`` (it
 raises ValueError naming the cause: non-finite entries, bad normalization
 or signaling). Single-detector probabilities are row and column sums of the
 joint tables, so they match for free as well. Every returned model is still
-checked against all 36 joint entries and a weight sum of 1.
+checked against all 36 joint entries and a weight sum of 1, to within
+``CERTIFICATE_TOL``. Bisection halves the noise interval ``BISECTION_STEPS``
+times.
+
+The noise point is ``engine.FLAT_VECTOR``: the LP's noise column and the
+certificate check read it, and bisection mixes it in with
+``mix_with_noise``.
 
 ``min_noise_lp`` accepts the bound of a nearby experiment as ``start``:
 its optimal basis seeds the simplex, which factorizes it once and reports
@@ -40,16 +46,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import ALICE_INDICATOR, BOB_INDICATOR, JOINT_INDICATOR, MARGINAL_MATRIX, N_ATOMS
-from .engine import ExperimentProbabilities, mix_with_noise
+from .engine import FLAT_VECTOR, ExperimentProbabilities, mix_with_noise
 from .simplex import LpProblem, SimplexFailure, simplex_solve
 
 BISECTION_STEPS = 40
+CERTIFICATE_TOL = 1e-7
 
 # the 25 independent rows of MARGINAL_MATRIX, see the module docstring
 _K, _L, _A, _B = np.indices((2, 2, 3, 3)).reshape(4, 36)
 INDEPENDENT_ROWS = np.flatnonzero(~(((_K == 1) & (_A == 2)) | ((_L == 1) & (_B == 2))))
 INDEPENDENT_ROWS.setflags(write=False)
 _ROW_MATRIX = MARGINAL_MATRIX[INDEPENDENT_ROWS]
+_FLAT_ROWS = FLAT_VECTOR[INDEPENDENT_ROWS]
 
 
 @dataclass(frozen=True)
@@ -80,62 +88,58 @@ def marginals_of(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return JOINT_INDICATOR @ w, ALICE_INDICATOR @ w, BOB_INDICATOR @ w
 
 
-def _feasibility(exp: ExperimentProbabilities, tol: float):
+def _feasibility(exp: ExperimentProbabilities):
     target = exp.tables.reshape(36)[INDEPENDENT_ROWS]
-    problem = LpProblem(np.zeros(N_ATOMS), _ROW_MATRIX, target)
-    return simplex_solve(problem, infeasibility_tol=tol)
+    return simplex_solve(LpProblem(np.zeros(N_ATOMS), _ROW_MATRIX, target))
 
 
-def lhv_weights(exp: ExperimentProbabilities, tol: float = 1e-9) -> np.ndarray | None:
+def lhv_weights(exp: ExperimentProbabilities) -> np.ndarray | None:
     """Strategy weights reproducing the joint tables, or None if impossible.
 
     The weights are checked against all 36 joint entries and a sum of 1 to
-    within 1e-7 (or ``tol`` if larger) before they are returned.
+    within ``CERTIFICATE_TOL`` before they are returned.
     """
     exp.validate()
-    solution = _feasibility(exp, tol)
+    solution = _feasibility(exp)
     if solution.status != "optimal":
         return None
-    _check_certificate(exp, 0.0, solution.x, max(tol, 1e-7))
+    _check_certificate(exp, 0.0, solution.x)
     return solution.x
 
 
-def lhv_feasible(exp: ExperimentProbabilities, tol: float = 1e-9) -> bool:
+def lhv_feasible(exp: ExperimentProbabilities) -> bool:
     """Whether the joint tables admit a local realistic model."""
-    return lhv_weights(exp, tol) is not None
+    return lhv_weights(exp) is not None
 
 
 def min_noise_lp(
-    exp0: ExperimentProbabilities,
-    residual_tol: float = 1e-7,
-    start: NoiseBound | None = None,
+    exp0: ExperimentProbabilities, start: NoiseBound | None = None
 ) -> NoiseBound:
     """Least f so that mixing exp0's tables with uniform noise f is local.
 
-    Minimizes f subject to  M w + f (t0 - 1/9) = t0,  f + slack = 1,  all
+    Minimizes f subject to  M w + f (t0 - flat) = t0,  f + slack = 1,  all
     variables nonnegative, where M maps strategy weights to the 25
-    independent joint probabilities and t0 holds those of the noise-free
-    tables (sum w = 1 follows from the rows of table (0, 0)). ``start``, the
-    bound of a nearby experiment, lends its optimal basis to the simplex; the
-    result is the same either way. Falls back to bisection if the solver
-    gives up. The returned certificate always reproduces all 36 noisy joint
-    entries to within residual_tol.
+    independent joint probabilities, t0 holds those of the noise-free tables
+    and flat those of ``FLAT_VECTOR`` (sum w = 1 follows from the rows of
+    table (0, 0)). ``start``, the bound of a nearby experiment, lends its
+    optimal basis to the simplex; the result is the same either way. Falls
+    back to bisection if the solver gives up. The returned certificate
+    always reproduces all 36 noisy joint entries to within
+    ``CERTIFICATE_TOL``.
     """
     exp0.validate()
-    return _min_noise_lp(exp0, residual_tol, start)
+    return _min_noise_lp(exp0, start)
 
 
 def _min_noise_lp(
-    exp0: ExperimentProbabilities,
-    residual_tol: float = 1e-7,
-    start: NoiseBound | None = None,
+    exp0: ExperimentProbabilities, start: NoiseBound | None = None
 ) -> NoiseBound:
     """``min_noise_lp`` for tables already known to be valid."""
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
     n_rows = INDEPENDENT_ROWS.size
     matrix = np.zeros((n_rows + 1, N_ATOMS + 2))
     matrix[:n_rows, :N_ATOMS] = _ROW_MATRIX
-    matrix[:n_rows, N_ATOMS] = t0 - 1.0 / 9.0
+    matrix[:n_rows, N_ATOMS] = t0 - _FLAT_ROWS
     matrix[n_rows, N_ATOMS] = 1.0
     matrix[n_rows, N_ATOMS + 1] = 1.0
     rhs = np.concatenate([t0, [1.0]])
@@ -147,67 +151,59 @@ def _min_noise_lp(
             start=None if start is None else start.basis,
         )
     except SimplexFailure:
-        return min_noise_bisection(exp0, residual_tol=residual_tol)
+        return min_noise_bisection(exp0)
     if solution.status != "optimal":
         # at f = 1 the tables are uniform, which is always local, so an
         # infeasible report means the input tables were not probabilities
         raise RuntimeError("noise minimization LP reported infeasible")
     f_min = float(min(max(solution.objective_value, 0.0), 1.0))
     weights = solution.x[:N_ATOMS]
-    _check_certificate(exp0, f_min, weights, residual_tol)
+    _check_certificate(exp0, f_min, weights)
     return NoiseBound(
         f_min, weights, solution.iterations, "simplex", solution.basis, solution.start
     )
 
 
-def min_noise_bisection(
-    exp0: ExperimentProbabilities,
-    steps: int = BISECTION_STEPS,
-    residual_tol: float = 1e-7,
-) -> NoiseBound:
+def min_noise_bisection(exp0: ExperimentProbabilities) -> NoiseBound:
     """Same bound as min_noise_lp via bisection on feasibility problems.
 
     Slower but independent of the parametric formulation; used as the
     fallback path and as a cross-check in tests. The answer is exact to
-    2**-steps since feasibility is monotone in the noise fraction.
+    2**-BISECTION_STEPS since feasibility is monotone in the noise fraction.
     """
     exp0.validate()
     iterations = 0
-    base = _feasibility(exp0, 1e-9)
+    base = _feasibility(exp0)
     iterations += base.iterations
     if base.status == "optimal":
-        _check_certificate(exp0, 0.0, base.x, residual_tol)
+        _check_certificate(exp0, 0.0, base.x)
         return NoiseBound(0.0, base.x, iterations, "bisection")
     lo, hi = 0.0, 1.0
     best: np.ndarray | None = None
-    for _ in range(steps):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        solution = _feasibility(mix_with_noise(exp0, mid), 1e-9)
+        solution = _feasibility(mix_with_noise(exp0, mid))
         iterations += solution.iterations
         if solution.status == "optimal":
             hi, best = mid, solution.x
         else:
             lo = mid
     if best is None:
-        solution = _feasibility(mix_with_noise(exp0, hi), 1e-9)
+        solution = _feasibility(mix_with_noise(exp0, hi))
         iterations += solution.iterations
         best = solution.x
-    _check_certificate(exp0, hi, best, residual_tol)
+    _check_certificate(exp0, hi, best)
     return NoiseBound(hi, best, iterations, "bisection")
 
 
 def _check_certificate(
-    exp0: ExperimentProbabilities,
-    noise: float,
-    weights: np.ndarray,
-    residual_tol: float,
+    exp0: ExperimentProbabilities, noise: float, weights: np.ndarray
 ) -> None:
-    tables, _, _ = marginals_of(weights)
-    target = (1.0 - noise) * exp0.tables + noise / 9.0
-    residual = float(np.max(np.abs(tables - target)))
+    target = (1.0 - noise) * exp0.tables.reshape(36) + noise * FLAT_VECTOR[:36]
+    residual = float(np.max(np.abs(MARGINAL_MATRIX @ weights - target)))
     residual = max(residual, abs(float(weights.sum()) - 1.0))
-    if residual > residual_tol or weights.min() < -residual_tol:
+    if residual > CERTIFICATE_TOL or weights.min() < -CERTIFICATE_TOL:
         raise RuntimeError(
             f"local model certificate residual {residual:.3e} exceeds "
-            f"{residual_tol:.1e}"
+            f"{CERTIFICATE_TOL:.1e}"
         )

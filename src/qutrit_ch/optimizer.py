@@ -27,7 +27,7 @@ from .engine import (
     experiment_probabilities,
     relabeling_at,
 )
-from .inequality import CH_VECTOR, analytic_threshold, noise_crossing, noise_endpoints
+from .inequality import CH_VECTOR, FLAT_LHS, analytic_threshold, noise_crossing
 from .lhv import _min_noise_lp, min_noise_lp
 from .simplex import SimplexFailure
 
@@ -72,8 +72,7 @@ _RELABELED_CH.setflags(write=False)
 def _relabel_maxed_scores(exp0) -> np.ndarray:
     """Analytic threshold of every outcome relabeling, as a length-1296 array
     in ``RELABEL_DESTINATIONS`` row order."""
-    lhs0, lhs1 = noise_endpoints(exp0) @ _RELABELED_CH
-    return noise_crossing(lhs0, lhs1)
+    return noise_crossing(exp0.vector() @ _RELABELED_CH, FLAT_LHS)
 
 
 def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:

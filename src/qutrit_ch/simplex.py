@@ -2,14 +2,16 @@
 
 Solves min c @ x subject to A x = b, x >= 0. Variable selection is Bland's
 rule with two numerical concessions: the ratio test only accepts pivot
-elements above ``pivot_tol`` (1e-8 by default; elements near 1e-10 on
-degenerate rows left nearly singular bases behind), and among rows
-essentially tied in it the largest pivot element wins. Accumulated roundoff
-is flushed by refactorizing the tableau from the original data every few
-pivots and again whenever the solver believes it is optimal on a tableau
-that has been pivoted since it was computed, so a claimed optimum is always
-confirmed on a freshly computed tableau. The intended problems are tiny
-(tens of rows, around a hundred columns); everything is dense.
+elements above ``PIVOT_TOL`` (elements near 1e-10 on degenerate rows left
+nearly singular bases behind), and among rows essentially tied in it the
+largest pivot element wins. Accumulated roundoff is flushed by
+refactorizing the tableau from the original data every few pivots and again
+whenever the solver believes it is optimal on a tableau that has been
+pivoted since it was computed, so a claimed optimum is always confirmed on
+a freshly computed tableau. A problem is infeasible when phase 1 cannot
+bring the sum of the artificial variables below ``INFEASIBILITY_TOL``. The
+intended problems are tiny (tens of rows, around a hundred columns);
+everything is dense.
 
 A solve can start from a given basis, such as the optimal basis of a nearby
 problem. That basis is factorized once, and the solution reports one of
@@ -18,10 +20,10 @@ three start outcomes:
 - "accepted": the basis is primal feasible for the new data, so phase 1 is
   skipped and phase 2 runs from its tableau.
 - "repaired": the basis is primal infeasible but dual feasible (no reduced
-  cost below ``-pivot_tol``), as an optimal basis stays when only the
+  cost below ``-PIVOT_TOL``), as an optimal basis stays when only the
   right-hand side moves. Dual simplex pivots restore primal
   feasibility: the most negative basic value leaves, and the entering column
-  minimizes |d_j / a_rj| over a_rj < -pivot_tol, ties to the lowest index.
+  minimizes |d_j / a_rj| over a_rj < -PIVOT_TOL, ties to the lowest index.
   Phase 2 then refactorizes and confirms the optimum.
 - "cold": any other start (wrong shape, singular, dual infeasible, no
   entering column, or a failure on the way) and no start at all give the
@@ -36,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 REFACTOR_EVERY = 30
+PIVOT_TOL = 1e-8
+INFEASIBILITY_TOL = 1e-9
 _RATIO_WINDOW = 1e-9
 _REDUNDANT_TOL = 1e-7
 _FEASIBILITY_DRIFT = 1e-7
@@ -117,17 +121,15 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row, col] = 1.0
 
 
-def _bland_step(
-    tableau: np.ndarray, basis: list[int], n_cols: int, pivot_tol: float
-) -> bool:
+def _bland_step(tableau: np.ndarray, basis: list[int], n_cols: int) -> bool:
     """Perform one pivot; False when the current tableau looks optimal."""
     reduced = tableau[-1, :n_cols]
-    improving = np.flatnonzero(reduced < -pivot_tol)
+    improving = np.flatnonzero(reduced < -PIVOT_TOL)
     if improving.size == 0:
         return False
     entering = int(improving[0])
     column = tableau[:-1, entering]
-    candidates = np.flatnonzero(column > pivot_tol)
+    candidates = np.flatnonzero(column > PIVOT_TOL)
     if candidates.size == 0:
         raise SimplexFailure("objective is unbounded below")
     ratios = tableau[:-1, -1][candidates] / column[candidates]
@@ -144,9 +146,7 @@ def _bland_step(
     return True
 
 
-def _dual_step(
-    tableau: np.ndarray, basis: list[int], n_cols: int, pivot_tol: float
-) -> bool:
+def _dual_step(tableau: np.ndarray, basis: list[int], n_cols: int) -> bool:
     """Perform one dual simplex pivot; False once the basis is primal
     feasible. Raises SimplexFailure if no column can enter."""
     values = tableau[:-1, -1]
@@ -154,7 +154,7 @@ def _dual_step(
     if values[leaving] >= -_START_FEASIBILITY:
         return False
     row = tableau[leaving, :n_cols]
-    candidates = np.flatnonzero(row < -pivot_tol)
+    candidates = np.flatnonzero(row < -PIVOT_TOL)
     if candidates.size == 0:
         raise SimplexFailure("no column can enter the dual ratio test")
     ratios = np.abs(tableau[-1, candidates] / row[candidates])
@@ -179,8 +179,6 @@ def _start_basis(start: Sequence[int], n_rows: int, n_vars: int) -> list[int] | 
 
 def simplex_solve(
     problem: LpProblem,
-    pivot_tol: float = 1e-8,
-    infeasibility_tol: float = 1e-9,
     max_iterations: int | None = None,
     start: Sequence[int] | None = None,
 ) -> LpSolution:
@@ -246,7 +244,7 @@ def simplex_solve(
             return _refactorize(full, full_rhs, full_cost, b)
 
         def step(t: np.ndarray, b: list[int]) -> bool:
-            return _bland_step(t, b, n_cols, pivot_tol)
+            return _bland_step(t, b, n_cols)
 
         if tableau is None:
             tableau = factorize(basis)
@@ -270,11 +268,11 @@ def simplex_solve(
         tableau = _tableau(matrix, rhs, cost, basis)
         if _primal_feasible(tableau, _START_FEASIBILITY):
             return optimum(basis, run(matrix, rhs, cost, basis, n_vars, tableau), "accepted")
-        if tableau[-1, :n_vars].min() < -pivot_tol:
+        if tableau[-1, :n_vars].min() < -PIVOT_TOL:
             return None  # neither primal nor dual feasible
 
         def step(t: np.ndarray, b: list[int]) -> bool:
-            return _dual_step(t, b, n_vars, pivot_tol)
+            return _dual_step(t, b, n_vars)
 
         def factorize(b: list[int]) -> np.ndarray:
             return _tableau(matrix, rhs, cost, b)
@@ -299,7 +297,7 @@ def simplex_solve(
     basis = list(range(n_vars, n_vars + n_rows))
     tableau = run(phase1_matrix, rhs, phase1_cost, basis, n_vars + n_rows)
 
-    if -tableau[-1, -1] > infeasibility_tol:
+    if -tableau[-1, -1] > INFEASIBILITY_TOL:
         return LpSolution("infeasible", None, None, iterations)
 
     # drive leftover artificials out of the basis; a row whose structural

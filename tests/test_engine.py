@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qutrit_ch.engine import (
+    FLAT_VECTOR,
     ExperimentProbabilities,
     IDENTITY_RELABELING,
     PERMUTATIONS,
+    RELABEL_DESTINATIONS,
     PhaseSettings,
     apply_relabeling,
     experiment_probabilities,
@@ -208,6 +210,17 @@ def test_mix_with_noise_endpoints_and_linearity():
     # are uniform, so they stay 1/3 up to the rounding of the mixture
     assert np.array_equal(mixed.alice_singles, (1 - f) * exp.alice_singles + f / 3.0)
     assert np.max(np.abs(mixed.alice_singles - exp.alice_singles)) < 1e-15
+
+
+def test_flat_point_is_full_noise_and_fixed_by_every_relabeling():
+    exp = experiment_probabilities(random_settings(np.random.default_rng(33)))
+    assert np.array_equal(mix_with_noise(exp, 1.0).vector(), FLAT_VECTOR)
+    assert np.array_equal(FLAT_VECTOR[:36], np.full(36, 1.0 / 9.0))
+    assert np.array_equal(FLAT_VECTOR[36:], np.full(12, 1.0 / 3.0))
+    moved = np.empty_like(FLAT_VECTOR)
+    for destinations in RELABEL_DESTINATIONS:
+        moved[destinations] = FLAT_VECTOR
+        assert np.array_equal(moved, FLAT_VECTOR)
 
 
 def test_apply_relabeling_moves_entries_and_inverts():

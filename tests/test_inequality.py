@@ -11,6 +11,7 @@ from qutrit_ch.engine import (
     mix_with_noise,
 )
 from qutrit_ch.inequality import (
+    FLAT_LHS,
     JOINT_TERMS,
     SINGLE_TERMS,
     analytic_threshold,
@@ -20,7 +21,8 @@ from qutrit_ch.inequality import (
     deterministic_value,
     noise_crossing,
 )
-from qutrit_ch.lhv import marginals_of
+from qutrit_ch.lhv import marginals_of, min_noise_lp
+from qutrit_ch.optimizer import _relabel_maxed_scores
 from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
 
 
@@ -77,6 +79,7 @@ def test_lhs_on_uniform_tables_is_minus_two_thirds():
         np.full((2, 3), 1.0 / 3.0),
     )
     assert abs(ch_lhs(uniform) + 2.0 / 3.0) < 1e-15
+    assert ch_lhs(uniform) == FLAT_LHS
 
 
 def test_lhs_is_affine_in_the_noise_fraction():
@@ -179,9 +182,11 @@ def test_analytic_threshold_consistent_with_premixed_input():
 
 
 def test_analytic_threshold_degenerate_branch():
-    # a no-signaling box whose singles avoid the penalized outcomes: its
-    # functional, 2/9, equals its value on the fully mixed tables, so mixing
-    # in noise never removes the violation and no crossing exists
+    # a no-signaling box whose singles avoid the penalized outcomes, with
+    # functional 2/9. Noise moves its singles toward 1/3 as well, so the
+    # functional falls to FLAT_LHS = -2/3 and crosses zero at
+    # (2/9) / (8/9) = 1/4: no valid box reaches the degenerate branch
+    # (crossing 1) of analytic_threshold
     tables = np.array(
         [
             [[[0, 0, 0], [2, 0, 0], [5, 0, 2]], [[0, 0, 0], [2, 0, 0], [0, 0, 7]]],
@@ -194,7 +199,9 @@ def test_analytic_threshold_degenerate_branch():
     assert abs(ch_lhs(exp) - 2.0 / 9.0) < 1e-15
     out = analytic_threshold(exp)
     assert out.violated
-    assert out.value == 1.0
+    assert abs(out.value - 0.25) < 1e-15
+    assert abs(ch_lhs(mix_with_noise(exp, out.value))) < 1e-15
+    assert abs(min_noise_lp(exp).f_min - 1.0 / 3.0) < 1e-9
     # the crossing takes plain floats, equal endpoints included
     assert noise_crossing(2.0 / 9.0, 2.0 / 9.0) == 1.0
     assert noise_crossing(-0.1, -0.1) == 0.0
@@ -220,3 +227,65 @@ def test_analytic_threshold_clips_into_unit_interval():
     exp = experiment_probabilities(reference_settings())
     out = analytic_threshold(exp)
     assert 0.0 <= out.value <= 1.0
+
+
+def _paper_with_atom_admixed():
+    # 0.9 x the paper's experiment + 0.1 x the strategy (1, 1, 1, 1): its
+    # singles are (0.4, 0.3, 0.3), far from the flat point's 1/3
+    weights = np.zeros(N_ATOMS)
+    weights[atom_index((1, 1, 1, 1))] = 1.0
+    atom = exp_from_weights(weights)
+    paper = experiment_probabilities(reference_settings())
+    return ExperimentProbabilities(
+        0.9 * paper.tables + 0.1 * atom.tables,
+        0.9 * paper.alice_singles + 0.1 * atom.alice_singles,
+        0.9 * paper.bob_singles + 0.1 * atom.bob_singles,
+    )
+
+
+def test_analytic_threshold_is_the_crossing_of_the_mixed_box_with_biased_singles():
+    # the crossing must be where the functional of mix_with_noise(exp, f)
+    # actually vanishes; an endpoint that kept the singles fixed put it at
+    # 0.1808, where the mixed functional is still +0.012
+    exp = _paper_with_atom_admixed()
+    out = analytic_threshold(exp)
+    assert out.violated
+    assert abs(out.value - 0.19538) < 1e-5
+    assert abs(ch_lhs(mix_with_noise(exp, out.value))) < 1e-12
+    lp = min_noise_lp(exp).f_min
+    assert abs(lp - 0.20282) < 1e-5
+    assert out.value < lp
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-0.5, 0.5), min_size=12, max_size=12),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.6),
+)
+def test_crossings_zero_the_mixed_functional_and_stay_below_the_lp(
+    offsets, seed, local_weight
+):
+    # a quantum box near the paper's settings, mixed with a Dirichlet
+    # mixture of strategies, whose singles are biased
+    reference = reference_settings()
+    offsets = np.array(offsets).reshape(2, 2, 3)
+    quantum = experiment_probabilities(
+        PhaseSettings(
+            reference.alice + offsets[0], reference.bob + offsets[1], reference.relabel
+        )
+    )
+    local = exp_from_weights(np.random.default_rng(seed).dirichlet(np.full(N_ATOMS, 0.3)))
+    exp = ExperimentProbabilities(
+        (1 - local_weight) * quantum.tables + local_weight * local.tables,
+        (1 - local_weight) * quantum.alice_singles + local_weight * local.alice_singles,
+        (1 - local_weight) * quantum.bob_singles + local_weight * local.bob_singles,
+    )
+    out = analytic_threshold(exp)
+    if out.violated:
+        assert abs(ch_lhs(mix_with_noise(exp, out.value))) < 1e-12
+    else:
+        assert out.value == 0.0
+    lp = min_noise_lp(exp).f_min
+    assert out.value <= lp + 1e-9
+    assert _relabel_maxed_scores(exp).max() <= lp + 1e-9

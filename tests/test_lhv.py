@@ -261,7 +261,7 @@ def test_lhv_weights_are_checked_before_they_are_returned(monkeypatch):
     bad = np.zeros(N_ATOMS)
     bad[0] = 1.0
     monkeypatch.setattr(
-        lhv_module, "_feasibility", lambda exp, tol: LpSolution("optimal", bad, 0.0, 0)
+        lhv_module, "_feasibility", lambda exp: LpSolution("optimal", bad, 0.0, 0)
     )
     with pytest.raises(RuntimeError, match="certificate residual"):
         lhv_weights(experiment_probabilities(reference_settings()))

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import qutrit_ch.optimizer as optimizer_module
+from qutrit_ch.atoms import N_ATOMS
 from qutrit_ch.engine import (
     PERMUTATIONS,
+    ExperimentProbabilities,
     PhaseSettings,
     apply_relabeling,
     experiment_probabilities,
 )
 from qutrit_ch.inequality import analytic_threshold
-from qutrit_ch.lhv import min_noise_lp
+from qutrit_ch.lhv import marginals_of, min_noise_lp
 from qutrit_ch.optimizer import (
     OptimizationResult,
     _relabel_maxed_scores,
@@ -50,8 +52,19 @@ def test_relabel_scores_match_explicit_relabelings():
         PhaseSettings(rng.uniform(0, 2 * np.pi, (2, 3)), rng.uniform(0, 2 * np.pi, (2, 3)))
         for _ in range(5)
     ]
-    for settings in cases:
-        exp0 = experiment_probabilities(settings)
+    boxes = [experiment_probabilities(settings) for settings in cases]
+    # and a box with biased singles: the reference settings mixed with a
+    # Dirichlet mixture of deterministic strategies
+    tables, alice, bob = marginals_of(rng.dirichlet(np.full(N_ATOMS, 0.3)))
+    quantum = boxes[0]
+    boxes.append(
+        ExperimentProbabilities(
+            0.8 * quantum.tables + 0.2 * tables,
+            0.8 * quantum.alice_singles + 0.2 * alice,
+            0.8 * quantum.bob_singles + 0.2 * bob,
+        )
+    )
+    for exp0 in boxes:
         scores = _relabel_maxed_scores(exp0)
         assert len(combos) == 6 ** 4 == len(scores)
         for combo, score in zip(combos, scores):
