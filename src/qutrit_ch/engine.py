@@ -40,16 +40,18 @@ FLAT_VECTOR = 1.0 / _OUTCOME_COUNTS
 FLAT_VECTOR.setflags(write=False)
 
 
+_TRITTER = CUBE_ROOT_OF_UNITY ** np.outer(np.arange(3), np.arange(3)) / np.sqrt(3.0)
+_TRITTER.setflags(write=False)
+
+
 def tritter_matrix() -> np.ndarray:
     """Transition matrix of the unbiased six-port beamsplitter.
 
     Entry (k, l) is alpha^(k-1)(l-1) / sqrt(3) with alpha the primitive cube
     root of unity, i.e. the 3x3 discrete Fourier matrix scaled to unitarity.
+    The array is read-only and built once.
     """
-    k, l = np.indices((3, 3))
-    t = CUBE_ROOT_OF_UNITY ** (k * l) / np.sqrt(3.0)
-    t.setflags(write=False)
-    return t
+    return _TRITTER
 
 
 def observable_unitary(phases: np.ndarray) -> np.ndarray:
@@ -70,7 +72,7 @@ def observable_unitary(phases: np.ndarray) -> np.ndarray:
 
 def _observable_unitaries(phases: np.ndarray) -> np.ndarray:
     """observable_unitary of each row of an (n, 3) array of finite phases."""
-    return tritter_matrix()[None] * np.exp(1j * phases)[:, None, :]
+    return _TRITTER[None] * np.exp(1j * phases)[:, None, :]
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
@@ -189,18 +191,18 @@ class ExperimentProbabilities:
     bob_singles: np.ndarray  # (2, 3)
 
     def __post_init__(self):
-        tables = np.asarray(self.tables, dtype=float)
-        alice = np.asarray(self.alice_singles, dtype=float)
-        bob = np.asarray(self.bob_singles, dtype=float)
+        # copies, so freezing never makes a caller's own array read-only
+        tables = np.array(self.tables, dtype=float)
+        alice = np.array(self.alice_singles, dtype=float)
+        bob = np.array(self.bob_singles, dtype=float)
         if tables.shape != (2, 2, 3, 3):
             raise ValueError(f"tables must have shape (2, 2, 3, 3), got {tables.shape}")
         if alice.shape != (2, 3) or bob.shape != (2, 3):
             raise ValueError("singles must have shape (2, 3) per observer")
-        # tiny negatives from floating-point cancellation are clamped away
-        tables = np.where((tables < 0) & (tables >= -_CLAMP_TOL), 0.0, tables)
-        alice = np.where((alice < 0) & (alice >= -_CLAMP_TOL), 0.0, alice)
-        bob = np.where((bob < 0) & (bob >= -_CLAMP_TOL), 0.0, bob)
         for arr, name in ((tables, "tables"), (alice, "alice_singles"), (bob, "bob_singles")):
+            # tiny negatives from floating-point cancellation are clamped away
+            if arr.min() < 0.0:
+                arr[(arr < 0.0) & (arr >= -_CLAMP_TOL)] = 0.0
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

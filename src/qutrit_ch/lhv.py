@@ -2,10 +2,11 @@
 
 A local model is a probability distribution over the 81 deterministic
 strategies. Whether given joint tables admit such a model is a feasibility
-LP (25 rows, 81 weights); the least uniform-noise admixture that makes them
-admit one is a single small LP of 26 rows in 83 variables (81 weights, the
-noise fraction, one slack), because mixing moves every joint probability
-linearly toward 1/9.
+LP (25 rows, 81 weights). The least uniform-noise admixture that makes
+them admit one is a single LP over the same 25 rows, because mixing moves
+every joint probability linearly toward 1/9. ``min_noise_lp`` writes it in
+scaled weights and g = f / (1 - f), 82 variables, so that its matrix and
+cost are constants and only the right-hand side depends on the experiment.
 
 The rows are the 25 independent joint probabilities of the 2-setting,
 3-outcome scenario (Collins & Gisin, J. Phys. A 37, 1775 (2004)): entry
@@ -20,23 +21,23 @@ checked against all 36 joint entries and a weight sum of 1, to within
 ``CERTIFICATE_TOL``. Bisection halves the noise interval ``BISECTION_STEPS``
 times.
 
-The noise point is ``engine.FLAT_VECTOR``: the LP's noise column and the
+The noise point is ``engine.FLAT_VECTOR``: the LP's g column and the
 certificate check read it, and bisection mixes it in with
 ``mix_with_noise``.
 
 ``min_noise_lp`` accepts the bound of a nearby experiment as ``start``:
-its optimal basis seeds the simplex, which factorizes it once and reports
-the outcome as the bound's ``start``. It is "accepted" when the basis is
-still primal feasible (phase 2 runs from it), "repaired" when dual simplex
-pivots first restore primal feasibility, and "cold" when the LP is solved
-from scratch (no usable start, or a bisection bound). Only the noise column
-and the right-hand side depend on the experiment, and in the optimizer's
-searches every start that lost primal feasibility stayed dual feasible, so
-none was solved cold. The result does not depend on the start. The
-optimizer passes the previous evaluation's bound this way within one
-restart, through ``_min_noise_lp``, which skips the input check because its
-tables come from ``experiment_probabilities`` and are valid by
-construction.
+its optimal basis and basis inverse seed the simplex, which reports the
+outcome as the bound's ``start``. Since the matrix and cost are the same
+for every experiment, an optimal basis stays dual feasible for all of
+them. The start is "accepted" when the basis is still primal feasible,
+which then costs a few products with the carried inverse and no
+factorization; "repaired" when dual simplex pivots on that inverse first
+restore primal feasibility; and "cold" when the LP is solved from scratch
+(no usable start, a bisection bound, or a numerical failure on the way).
+The result does not depend on the start. The optimizer passes the previous
+evaluation's bound this way within one restart, through ``_min_noise_lp``,
+which skips the input check because its tables come from
+``experiment_probabilities`` and are valid by construction.
 """
 
 from __future__ import annotations
@@ -57,7 +58,13 @@ _K, _L, _A, _B = np.indices((2, 2, 3, 3)).reshape(4, 36)
 INDEPENDENT_ROWS = np.flatnonzero(~(((_K == 1) & (_A == 2)) | ((_L == 1) & (_B == 2))))
 INDEPENDENT_ROWS.setflags(write=False)
 _ROW_MATRIX = MARGINAL_MATRIX[INDEPENDENT_ROWS]
-_FLAT_ROWS = FLAT_VECTOR[INDEPENDENT_ROWS]
+# the noise LP over (u, g), see min_noise_lp: only its right-hand side
+# depends on the experiment
+_NOISE_MATRIX = np.column_stack([_ROW_MATRIX, -FLAT_VECTOR[INDEPENDENT_ROWS]])
+_NOISE_MATRIX.setflags(write=False)
+_NOISE_COST = np.zeros(N_ATOMS + 1)
+_NOISE_COST[N_ATOMS] = 1.0
+_NOISE_COST.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,10 @@ class NoiseBound:
     ``certificate`` holds the 81 strategy weights of a local model at
     ``f_min``; ``method`` records whether the bound came from the direct
     LP ("simplex") or from bisection over feasibility problems. ``basis``
-    is the LP's optimal basis, which can seed the next ``min_noise_lp``
-    call; it is None for bisection. ``start`` is what became of the start
-    basis: "accepted", "repaired" or "cold" (always "cold" for bisection).
+    is the LP's optimal basis and ``inverse`` its read-only basis inverse;
+    together they seed the next ``min_noise_lp`` call, and both are None
+    for bisection. ``start`` is what became of the start basis:
+    "accepted", "repaired" or "cold" (always "cold" for bisection).
     """
 
     f_min: float
@@ -78,6 +86,7 @@ class NoiseBound:
     method: str
     basis: tuple[int, ...] | None = None
     start: str = "cold"
+    inverse: np.ndarray | None = None
 
 
 def marginals_of(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,15 +126,17 @@ def min_noise_lp(
 ) -> NoiseBound:
     """Least f so that mixing exp0's tables with uniform noise f is local.
 
-    Minimizes f subject to  M w + f (t0 - flat) = t0,  f + slack = 1,  all
-    variables nonnegative, where M maps strategy weights to the 25
-    independent joint probabilities, t0 holds those of the noise-free tables
-    and flat those of ``FLAT_VECTOR`` (sum w = 1 follows from the rows of
-    table (0, 0)). ``start``, the bound of a nearby experiment, lends its
-    optimal basis to the simplex; the result is the same either way. Falls
-    back to bisection if the solver gives up. The returned certificate
-    always reproduces all 36 noisy joint entries to within
-    ``CERTIFICATE_TOL``.
+    A local model w at noise f satisfies M w + f (t0 - flat) = t0, where M
+    maps strategy weights to the 25 independent joint probabilities, t0
+    holds those of the noise-free tables and flat those of ``FLAT_VECTOR``.
+    In u = w / (1 - f) and g = f / (1 - f) this reads M u - g flat = t0,
+    so the LP minimizes g over u, g >= 0 with a constant matrix, and
+    f_min = g / (1 + g) with weights u / (1 + g) (their sum of 1 follows
+    from the rows of table (0, 0)). ``start``, the bound of a nearby
+    experiment, lends its optimal basis and basis inverse to the simplex;
+    the result is the same either way. Falls back to bisection if the
+    solver gives up. The returned certificate always reproduces all 36
+    noisy joint entries to within ``CERTIFICATE_TOL``.
     """
     exp0.validate()
     return _min_noise_lp(exp0, start)
@@ -136,31 +147,25 @@ def _min_noise_lp(
 ) -> NoiseBound:
     """``min_noise_lp`` for tables already known to be valid."""
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
-    n_rows = INDEPENDENT_ROWS.size
-    matrix = np.zeros((n_rows + 1, N_ATOMS + 2))
-    matrix[:n_rows, :N_ATOMS] = _ROW_MATRIX
-    matrix[:n_rows, N_ATOMS] = t0 - _FLAT_ROWS
-    matrix[n_rows, N_ATOMS] = 1.0
-    matrix[n_rows, N_ATOMS + 1] = 1.0
-    rhs = np.concatenate([t0, [1.0]])
-    cost = np.zeros(N_ATOMS + 2)
-    cost[N_ATOMS] = 1.0
     try:
         solution = simplex_solve(
-            LpProblem(cost, matrix, rhs),
+            LpProblem(_NOISE_COST, _NOISE_MATRIX, t0),
             start=None if start is None else start.basis,
+            inverse=None if start is None else start.inverse,
         )
     except SimplexFailure:
         return min_noise_bisection(exp0)
     if solution.status != "optimal":
-        # at f = 1 the tables are uniform, which is always local, so an
-        # infeasible report means the input tables were not probabilities
+        # g = f / (1 - f) is finite for valid tables, since the flat box is
+        # interior to the local polytope, so the input was not probabilities
         raise RuntimeError("noise minimization LP reported infeasible")
-    f_min = float(min(max(solution.objective_value, 0.0), 1.0))
-    weights = solution.x[:N_ATOMS]
+    g = solution.objective_value
+    weights = solution.x[:N_ATOMS] / (1.0 + g)
+    f_min = g / (1.0 + g)
     _check_certificate(exp0, f_min, weights)
     return NoiseBound(
-        f_min, weights, solution.iterations, "simplex", solution.basis, solution.start
+        f_min, weights, solution.iterations, "simplex", solution.basis,
+        solution.start, solution.inverse,
     )
 
 

@@ -8,23 +8,33 @@ largest pivot element wins. Accumulated roundoff is flushed by
 refactorizing the tableau from the original data every few pivots and again
 whenever the solver believes it is optimal on a tableau that has been
 pivoted since it was computed, so a claimed optimum is always confirmed on
-a freshly computed tableau. A problem is infeasible when phase 1 cannot
-bring the sum of the artificial variables below ``INFEASIBILITY_TOL``. The
-intended problems are tiny (tens of rows, around a hundred columns);
-everything is dense.
+a freshly computed tableau. A factorization is the explicit inverse B^-1
+of the basis matrix, and the tableau is B^-1 times the original data. A
+problem is infeasible when phase 1 cannot bring the sum of the artificial
+variables below ``INFEASIBILITY_TOL``. The intended problems are tiny (tens
+of rows, around a hundred columns); everything is dense.
 
-A solve can start from a given basis, such as the optimal basis of a nearby
-problem. That basis is factorized once, and the solution reports one of
-three start outcomes:
+A solution carries its optimal basis and B^-1, and a solve can start from
+such a basis, for instance that of a nearby problem. A given inverse is
+used only if max |B^-1 B - I| <= ``INVERSE_TOL`` on the new matrix;
+otherwise, or when only the basis is given, the basis is factorized once.
+The basic values B^-1 b and the reduced costs c - c_B B^-1 A are then
+computed from the original data, and the solution reports one of three
+start outcomes:
 
-- "accepted": the basis is primal feasible for the new data, so phase 1 is
-  skipped and phase 2 runs from its tableau.
-- "repaired": the basis is primal infeasible but dual feasible (no reduced
-  cost below ``-PIVOT_TOL``), as an optimal basis stays when only the
-  right-hand side moves. Dual simplex pivots restore primal
-  feasibility: the most negative basic value leaves, and the entering column
-  minimizes |d_j / a_rj| over a_rj < -PIVOT_TOL, ties to the lowest index.
-  Phase 2 then refactorizes and confirms the optimum.
+- "accepted": the basis is primal feasible. If no reduced cost is below
+  ``-PIVOT_TOL`` it is optimal as it stands, and the solve costs a few
+  products with B^-1 and no factorization; otherwise phase 2 runs from it.
+- "repaired": the basis is primal infeasible but dual feasible, as an
+  optimal basis stays when only the right-hand side moves. Dual simplex
+  pivots on B^-1 restore primal feasibility: the most negative basic value
+  leaves, the entering column minimizes |d_j / a_rj| over
+  a_rj < -PIVOT_TOL (ties to the lowest index), and each pivot computes the
+  row B^-1_r A and the column B^-1 a_j and updates B^-1 by row operations.
+  The result is confirmed like a start: B^-1 is checked again (and
+  refactorized if it drifted), and the basic values and reduced costs are
+  recomputed from the original data. A basis that fails that check goes on
+  to phase 2.
 - "cold": any other start (wrong shape, singular, dual infeasible, no
   entering column, or a failure on the way) and no start at all give the
   cold two-phase solve, with the same result as if no start were given.
@@ -40,6 +50,7 @@ import numpy as np
 REFACTOR_EVERY = 30
 PIVOT_TOL = 1e-8
 INFEASIBILITY_TOL = 1e-9
+INVERSE_TOL = 1e-9  # max |B^-1 B - I| of an inverse carried into a solve
 _RATIO_WINDOW = 1e-9
 _REDUNDANT_TOL = 1e-7
 _FEASIBILITY_DRIFT = 1e-7
@@ -65,6 +76,9 @@ class LpSolution:
 
     ``start`` is "accepted", "repaired" or "cold": what became of the given
     start basis (see the module docstring). Without a start it is "cold".
+    ``inverse`` is the read-only B^-1 of ``basis`` that confirmed the
+    optimum, for the next solve's ``inverse``; both are None when phase 1
+    dropped redundant rows.
     """
 
     status: str
@@ -73,28 +87,54 @@ class LpSolution:
     iterations: int
     basis: tuple[int, ...] | None = None
     start: str = "cold"
+    inverse: np.ndarray | None = None
+
+
+def _factorize(footprint: np.ndarray) -> np.ndarray:
+    """B^-1 of the basis matrix ``footprint``."""
+    try:
+        return np.linalg.inv(footprint)
+    except np.linalg.LinAlgError:
+        raise SimplexFailure("basis matrix is singular")
+
+
+def _checked_inverse(
+    matrix: np.ndarray, basis: list[int], inverse: np.ndarray | None
+) -> np.ndarray:
+    """``inverse`` if it inverts the basis matrix to within ``INVERSE_TOL``,
+    else a fresh factorization."""
+    footprint = matrix[:, basis]
+    # NaN fails the comparison and is refactorized too
+    if inverse is not None and (
+        np.max(np.abs(inverse @ footprint - np.eye(len(basis)))) <= INVERSE_TOL
+    ):
+        return inverse
+    return _factorize(footprint)
+
+
+def _extended(inverse: np.ndarray, basic_cost: np.ndarray) -> np.ndarray:
+    """[B^-1; -c_B B^-1]: the row operations that take the rows of the
+    original data [A | b] and the cost row [c | 0] to the tableau."""
+    return np.vstack([inverse, -basic_cost @ inverse])
 
 
 def _tableau(
-    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int]
+    extended: np.ndarray, matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray
 ) -> np.ndarray:
     """The tableau B^-1 [A | b] plus a priced-out cost row.
 
     Computing from the original data resets all accumulated pivot roundoff;
     only the basis, which is combinatorial, is carried over.
     """
-    footprint = matrix[:, basis]
-    try:
-        body = np.linalg.solve(footprint, np.column_stack([matrix, rhs]))
-    except np.linalg.LinAlgError:
-        raise SimplexFailure("basis matrix is singular")
-    bottom = np.concatenate([cost, [0.0]]) - cost[basis] @ body
-    return np.vstack([body, bottom])
+    # the rhs column is the same product as in the warm start's check, so
+    # both give the same basic values to the bit
+    tableau = np.column_stack([extended @ matrix, extended @ rhs])
+    tableau[-1, :-1] += cost
+    return tableau
 
 
-def _primal_feasible(tableau: np.ndarray, tol: float) -> bool:
+def _primal_feasible(values: np.ndarray, tol: float) -> bool:
     """Whether no basic value is below -tol; if so, zeroes the negative ones."""
-    values = tableau[:-1, -1]
     drifted = values < 0.0
     if np.any(values[drifted] < -tol):
         return False
@@ -103,20 +143,27 @@ def _primal_feasible(tableau: np.ndarray, tol: float) -> bool:
 
 
 def _refactorize(
-    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int]
+    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int],
+    inverse: np.ndarray,
 ) -> np.ndarray:
     """A fresh tableau for a basis that must still be primal feasible."""
-    tableau = _tableau(matrix, rhs, cost, basis)
-    if not _primal_feasible(tableau, _FEASIBILITY_DRIFT):
+    tableau = _tableau(_extended(inverse, cost[basis]), matrix, rhs, cost)
+    if not _primal_feasible(tableau[:-1, -1], _FEASIBILITY_DRIFT):
         raise SimplexFailure("basis lost feasibility")
     return tableau
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    column = tableau[:, col].copy()
+def _eta(array: np.ndarray, row: int, column: np.ndarray) -> None:
+    """Apply to ``array`` the row operations that turn ``column``, the pivot
+    column over its rows, into the unit vector of ``row``; overwrites
+    ``column``."""
+    array[row] /= column[row]
     column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
+    array -= np.outer(column, array[row])
+
+
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    _eta(tableau, row, tableau[:, col].copy())
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
 
@@ -146,20 +193,26 @@ def _bland_step(tableau: np.ndarray, basis: list[int], n_cols: int) -> bool:
     return True
 
 
-def _dual_step(tableau: np.ndarray, basis: list[int], n_cols: int) -> bool:
-    """Perform one dual simplex pivot; False once the basis is primal
-    feasible. Raises SimplexFailure if no column can enter."""
-    values = tableau[:-1, -1]
+def _dual_step(
+    extended: np.ndarray, basis: list[int], matrix: np.ndarray,
+    rhs: np.ndarray, cost: np.ndarray,
+) -> bool:
+    """Perform one dual simplex pivot on ``_extended`` rows; False once the
+    basis is primal feasible. Raises SimplexFailure if no column can enter."""
+    values = extended[:-1] @ rhs
     leaving = int(np.argmin(values))
     if values[leaving] >= -_START_FEASIBILITY:
         return False
-    row = tableau[leaving, :n_cols]
+    row, reduced = extended[[leaving, -1]] @ matrix
+    reduced += cost
     candidates = np.flatnonzero(row < -PIVOT_TOL)
     if candidates.size == 0:
         raise SimplexFailure("no column can enter the dual ratio test")
-    ratios = np.abs(tableau[-1, candidates] / row[candidates])
+    ratios = np.abs(reduced[candidates] / row[candidates])
     entering = int(candidates[np.argmin(ratios)])
-    _pivot(tableau, leaving, entering)
+    column = extended @ matrix[:, entering]
+    column[-1] += cost[entering]
+    _eta(extended, leaving, column)
     basis[leaving] = entering
     return True
 
@@ -181,6 +234,7 @@ def simplex_solve(
     problem: LpProblem,
     max_iterations: int | None = None,
     start: Sequence[int] | None = None,
+    inverse: np.ndarray | None = None,
 ) -> LpSolution:
     """Solve an equality-form LP; raises SimplexFailure if uncertifiable.
 
@@ -190,13 +244,15 @@ def simplex_solve(
     certificate.
 
     ``start`` is an optional basis, one column index per row, typically the
-    ``basis`` of an earlier solution of a nearby problem. It is factorized
-    once: a primal feasible start goes straight to phase 2, a dual feasible
-    one is first repaired by dual simplex pivots, and any other start, or
-    one whose warm solve fails, gives the cold two-phase solve. The returned
-    ``start`` says which happened; ``iterations`` counts the pivots of the
-    path that produced the result. The returned ``basis`` (one column per
-    row) is None when phase 1 dropped redundant rows.
+    ``basis`` of an earlier solution of a nearby problem, and ``inverse``
+    that solution's ``inverse``; it is used only if it still inverts the
+    basis matrix, and ignored without a ``start``. A primal feasible start
+    is accepted, a dual feasible one is first repaired by dual simplex
+    pivots, and any other start, or one whose warm solve fails, gives the
+    cold two-phase solve. The returned ``start`` says which happened;
+    ``iterations`` counts the pivots of the path that produced the result.
+    The returned ``basis`` (one column per row) and ``inverse`` are None
+    when phase 1 dropped redundant rows.
     """
     matrix = np.array(problem.eq_matrix, dtype=float)
     rhs = np.array(problem.eq_rhs, dtype=float)
@@ -211,9 +267,14 @@ def simplex_solve(
     if max_iterations is None:
         max_iterations = 10 * (n_rows + n_vars)
 
-    flip = rhs < 0.0
-    matrix[flip] *= -1.0
-    rhs[flip] *= -1.0
+    # rows with a negative right-hand side are negated; B^-1 of the negated
+    # rows is B^-1 of the given ones with the same columns negated
+    sign = np.where(rhs < 0.0, -1.0, 1.0)
+    matrix *= sign[:, None]
+    rhs *= sign
+    if inverse is not None:
+        inverse = np.asarray(inverse, dtype=float)
+        inverse = inverse * sign if inverse.shape == (n_rows, n_rows) else None
 
     iterations = 0
 
@@ -239,52 +300,78 @@ def simplex_solve(
 
     def run(full: np.ndarray, full_rhs: np.ndarray, full_cost: np.ndarray,
             basis: list[int], n_cols: int,
-            tableau: np.ndarray | None = None) -> np.ndarray:
+            inverse: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Bland pivots from ``basis`` (B^-1 ``inverse``, if known) to an
+        optimum confirmed on a fresh tableau; returns it and its B^-1."""
         def factorize(b: list[int]) -> np.ndarray:
-            return _refactorize(full, full_rhs, full_cost, b)
+            nonlocal inverse
+            inverse = _factorize(full[:, b])
+            return _refactorize(full, full_rhs, full_cost, b, inverse)
 
         def step(t: np.ndarray, b: list[int]) -> bool:
             return _bland_step(t, b, n_cols)
 
-        if tableau is None:
+        if inverse is None:
             tableau = factorize(basis)
+        else:
+            tableau = _refactorize(full, full_rhs, full_cost, basis, inverse)
         while True:
             tableau, fresh = pivot_until_done(step, factorize, tableau, basis)
             if fresh:
-                return tableau
+                return tableau, inverse
             # confirm optimality on a drift-free tableau
             tableau = factorize(basis)
 
-    def optimum(basis: list[int], tableau: np.ndarray, outcome: str) -> LpSolution:
+    def optimum(basis: list[int], values: np.ndarray, inverse: np.ndarray,
+                outcome: str) -> LpSolution:
         x = np.zeros(n_vars)
-        x[basis] = tableau[:-1, -1]
-        full = len(basis) == n_rows
+        x[basis] = values
+        if len(basis) != n_rows:
+            return LpSolution("optimal", x, float(cost @ x), iterations, None, outcome)
+        inverse = inverse * sign
+        inverse.setflags(write=False)
         return LpSolution(
-            "optimal", x, float(cost @ x), iterations,
-            tuple(basis) if full else None, outcome,
+            "optimal", x, float(cost @ x), iterations, tuple(basis), outcome, inverse
         )
 
-    def warm(basis: list[int]) -> LpSolution | None:
-        tableau = _tableau(matrix, rhs, cost, basis)
-        if _primal_feasible(tableau, _START_FEASIBILITY):
-            return optimum(basis, run(matrix, rhs, cost, basis, n_vars, tableau), "accepted")
-        if tableau[-1, :n_vars].min() < -PIVOT_TOL:
+    def priced(basis: list[int], inverse: np.ndarray):
+        """``_extended`` rows, the basic values, and whether the reduced
+        costs show the basis dual feasible; all from the original data."""
+        extended = _extended(inverse, cost[basis])
+        reduced = extended[-1] @ matrix + cost
+        return extended, (extended @ rhs)[:-1], reduced.min() >= -PIVOT_TOL
+
+    def warm(basis: list[int], inverse: np.ndarray | None) -> LpSolution | None:
+        inverse = _checked_inverse(matrix, basis, inverse)
+        extended, values, dual_feasible = priced(basis, inverse)
+        if _primal_feasible(values, _START_FEASIBILITY):
+            outcome = "accepted"
+        elif not dual_feasible:
             return None  # neither primal nor dual feasible
+        else:
+            outcome = "repaired"
 
-        def step(t: np.ndarray, b: list[int]) -> bool:
-            return _dual_step(t, b, n_vars)
+            def step(e: np.ndarray, b: list[int]) -> bool:
+                return _dual_step(e, b, matrix, rhs, cost)
 
-        def factorize(b: list[int]) -> np.ndarray:
-            return _tableau(matrix, rhs, cost, b)
+            def factorize(b: list[int]) -> np.ndarray:
+                return _extended(_factorize(matrix[:, b]), cost[b])
 
-        pivot_until_done(step, factorize, tableau, basis)
-        return optimum(basis, run(matrix, rhs, cost, basis, n_vars), "repaired")
+            extended, _ = pivot_until_done(step, factorize, extended, basis)
+            inverse = _checked_inverse(matrix, basis, extended[:-1])
+            _, values, dual_feasible = priced(basis, inverse)
+            if not _primal_feasible(values, _FEASIBILITY_DRIFT):
+                raise SimplexFailure("basis lost feasibility")
+        if dual_feasible:
+            return optimum(basis, values, inverse, outcome)
+        tableau, inverse = run(matrix, rhs, cost, basis, n_vars, inverse)
+        return optimum(basis, tableau[:-1, -1], inverse, outcome)
 
     if start is not None:
         basis = _start_basis(start, n_rows, n_vars)
         if basis is not None:
             try:
-                solution = warm(basis)
+                solution = warm(basis, inverse)
             except SimplexFailure:
                 solution = None  # pivots from a borrowed basis can go bad
             if solution is not None:
@@ -295,7 +382,7 @@ def simplex_solve(
     phase1_matrix = np.column_stack([matrix, np.eye(n_rows)])
     phase1_cost = np.concatenate([np.zeros(n_vars), np.ones(n_rows)])
     basis = list(range(n_vars, n_vars + n_rows))
-    tableau = run(phase1_matrix, rhs, phase1_cost, basis, n_vars + n_rows)
+    tableau, _ = run(phase1_matrix, rhs, phase1_cost, basis, n_vars + n_rows)
 
     if -tableau[-1, -1] > INFEASIBILITY_TOL:
         return LpSolution("infeasible", None, None, iterations)
@@ -323,5 +410,5 @@ def simplex_solve(
 
     # phase 2 on the surviving rows, original objective
     basis = [basis[i] for i in kept]
-    tableau = run(matrix[kept], rhs[kept], cost, basis, n_vars)
-    return optimum(basis, tableau, "cold")
+    tableau, inverse = run(matrix[kept], rhs[kept], cost, basis, n_vars)
+    return optimum(basis, tableau[:-1, -1], inverse, "cold")

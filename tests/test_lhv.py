@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,7 +26,7 @@ from qutrit_ch.lhv import (
     min_noise_lp,
 )
 from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
-from qutrit_ch.simplex import LpSolution
+from qutrit_ch.simplex import INVERSE_TOL, LpSolution
 
 
 def random_settings(rng):
@@ -297,14 +299,12 @@ def test_unusable_starts_solve_cold_with_the_same_result():
     rng = np.random.default_rng(7)
     exp0 = experiment_probabilities(random_settings(rng))
     cold = min_noise_lp(exp0)
-    far = min_noise_lp(experiment_probabilities(reference_settings()))
     n_rows = len(cold.basis)
     starts = [
         min_noise_bisection(exp0),  # no basis at all
         NoiseBound(0.0, cold.certificate, 0, "simplex", cold.basis[:-1]),  # wrong length
         NoiseBound(0.0, cold.certificate, 0, "simplex", (0,) * n_rows),  # singular
         NoiseBound(0.0, cold.certificate, 0, "simplex", tuple(range(n_rows))),  # singular
-        far,  # optimal for the reference setting, infeasible for this one
     ]
     assert starts[0].start == "cold"  # bisection bounds never come from a start
     for start in starts:
@@ -312,6 +312,55 @@ def test_unusable_starts_solve_cold_with_the_same_result():
         assert bound.f_min == cold.f_min
         assert np.array_equal(bound.certificate, cold.certificate)
         assert bound.start == "cold"
+
+
+def test_distant_starts_and_bad_inverses_give_the_cold_bound():
+    rng = np.random.default_rng(7)
+    exp0 = experiment_probabilities(random_settings(rng))
+    cold = min_noise_lp(exp0)
+    # the LP's matrix and cost do not depend on the experiment, so even the
+    # reference setting's optimal basis stays dual feasible and is repaired;
+    # on this degenerate box (f_min = 0) it can end at another optimal model
+    far = min_noise_lp(experiment_probabilities(reference_settings()))
+    warm = min_noise_lp(exp0, start=far)
+    assert warm.start == "repaired"
+    assert abs(warm.f_min - cold.f_min) < 1e-12
+    # an inverse that does not invert the start basis is refactorized, so the
+    # solve is the one a bare basis gives
+    bare = min_noise_lp(exp0, start=replace(far, inverse=None))
+    bad_inverses = [
+        cold.inverse,  # of another basis
+        far.inverse + 1e-6 * rng.standard_normal(far.inverse.shape),
+        far.inverse[:-1],
+    ]
+    for inverse in bad_inverses:
+        bound = min_noise_lp(exp0, start=replace(far, inverse=inverse))
+        assert bound.f_min == bare.f_min
+        assert abs(bound.f_min - cold.f_min) < 1e-12
+        assert np.array_equal(bound.certificate, bare.certificate)
+        assert bound.iterations == bare.iterations
+        assert bound.start == "repaired"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(0.0, 2 * np.pi), min_size=12, max_size=12),
+    st.integers(0, 11),
+    st.floats(0.0, np.pi),
+    st.booleans(),
+)
+def test_a_carried_inverse_gives_the_cold_bound(phases, index, step, down):
+    phases = np.array(phases)
+    start = min_noise_lp(experiment_probabilities(phase_settings(phases)))
+    phases[index] += -step if down else step
+    exp1 = experiment_probabilities(phase_settings(phases))
+    warm = min_noise_lp(exp1, start=start)
+    # every optimal basis of the fixed-matrix LP is dual feasible
+    assert warm.start in ("accepted", "repaired")
+    footprint = lhv_module._NOISE_MATRIX[:, list(warm.basis)]
+    assert np.max(np.abs(warm.inverse @ footprint - np.eye(25))) <= INVERSE_TOL
+    assert abs(warm.f_min - min_noise_lp(exp1).f_min) < 1e-12
+    assert abs(warm.f_min - scipy_min_noise(exp1)) < 1e-9
 
 
 def phase_settings(phases):
@@ -373,3 +422,7 @@ def test_criterion_9_fallbacks_are_solved_by_a_repaired_warm_start(previous, fai
     assert warm.method == "simplex"
     assert warm.start == "repaired"
     assert abs(warm.f_min - min_noise_bisection(exp1).f_min) < 1e-7
+    # and solved cold, the simplex must not give up to bisection either
+    cold = min_noise_lp(exp1)
+    assert cold.method == "simplex"
+    assert abs(cold.f_min - warm.f_min) < 1e-12

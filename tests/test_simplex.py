@@ -151,20 +151,25 @@ def test_warm_start_on_an_unchanged_problem_takes_no_pivots():
 
 def test_an_accepted_optimal_start_is_factorized_once(monkeypatch):
     # a freshly computed tableau with no improving column needs no
-    # confirmation on a second one
+    # confirmation on a second one, and a carried inverse needs none at all
     c, a, b = _random_feasible_problem(0)
-    start = solve(c, a, b).basis
+    cold = solve(c, a, b)
     calls = []
-    factorize = simplex_module._tableau
+    factorize = simplex_module._factorize
 
     def counted(*args):
         calls.append(args)
         return factorize(*args)
 
-    monkeypatch.setattr(simplex_module, "_tableau", counted)
-    warm = solve(c, a, b, start=start)
+    monkeypatch.setattr(simplex_module, "_factorize", counted)
+    warm = solve(c, a, b, start=cold.basis)
     assert warm.start == "accepted"
     assert len(calls) == 1
+    carried = solve(c, a, b, start=cold.basis, inverse=cold.inverse)
+    assert carried.start == "accepted"
+    assert len(calls) == 1
+    assert np.array_equal(carried.inverse, cold.inverse)
+    assert np.array_equal(carried.x, cold.x)
 
 
 def test_warm_start_on_a_nearby_problem_matches_the_cold_solve():
@@ -233,6 +238,78 @@ def test_a_start_that_lost_primal_feasibility_is_repaired():
         assert np.max(np.abs(a @ warm.x - moved_b)) < 1e-9
         assert warm.x.min() >= 0.0
         assert warm.iterations < cold.iterations
+
+
+def test_a_carried_inverse_is_repaired_without_refactorizing(monkeypatch):
+    calls = []
+    factorize = simplex_module._factorize
+
+    def counted(*args):
+        calls.append(args)
+        return factorize(*args)
+
+    monkeypatch.setattr(simplex_module, "_factorize", counted)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        c, a, b = _random_feasible_problem(seed)
+        first = solve(c, a, b)
+        moved_b = a @ np.abs(rng.normal(size=a.shape[1]))
+        cold = solve(c, a, moved_b)
+        bare = solve(c, a, moved_b, start=first.basis)
+        calls.clear()
+        warm = solve(c, a, moved_b, start=first.basis, inverse=first.inverse)
+        assert warm.start == bare.start == "repaired"
+        assert not calls  # dual pivots update the carried inverse
+        assert abs(warm.objective_value - cold.objective_value) < 1e-12
+        assert np.max(np.abs(a @ warm.x - moved_b)) < 1e-9
+        assert warm.x.min() >= 0.0
+        m = len(b)
+        assert np.max(np.abs(warm.inverse @ a[:, list(warm.basis)] - np.eye(m))) <= 1e-9
+        # an inverse of another basis, or a perturbed one, is detected and
+        # refactorized: the solve is then the one a bare basis gives
+        bad_inverses = (
+            cold.inverse,  # of another basis
+            first.inverse + 1e-6,
+            np.full((m, m), np.nan),
+            first.inverse[:, :-1],
+        )
+        for inverse in bad_inverses:
+            calls.clear()
+            got = solve(c, a, moved_b, start=first.basis, inverse=inverse)
+            assert len(calls) == 1
+            assert np.array_equal(got.x, bare.x)
+            assert got.iterations == bare.iterations
+
+
+def test_drift_in_a_repaired_inverse_is_refactorized_away(monkeypatch):
+    # roundoff in the updated inverse far beyond INVERSE_TOL must not reach
+    # the result: the repaired basis is confirmed from the original data
+    calls = []
+    factorize, eta = simplex_module._factorize, simplex_module._eta
+
+    def counted(*args):
+        calls.append(args)
+        return factorize(*args)
+
+    def drifting(array, row, column):
+        eta(array, row, column)
+        array += 1e-8
+
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        c, a, b = _random_feasible_problem(seed)
+        first = solve(c, a, b)
+        moved_b = a @ np.abs(rng.normal(size=a.shape[1]))
+        cold = solve(c, a, moved_b)
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex_module, "_factorize", counted)
+            patch.setattr(simplex_module, "_eta", drifting)
+            calls.clear()
+            warm = solve(c, a, moved_b, start=first.basis, inverse=first.inverse)
+        assert warm.start == "repaired"
+        assert len(calls) == 1
+        assert abs(warm.objective_value - cold.objective_value) < 1e-12
+        assert np.max(np.abs(a @ warm.x - moved_b)) < 1e-9
 
 
 def test_a_dual_feasible_start_on_an_infeasible_problem_reports_infeasible(monkeypatch):
