@@ -40,7 +40,8 @@ FLAT_VECTOR = 1.0 / _OUTCOME_COUNTS
 FLAT_VECTOR.setflags(write=False)
 
 
-_TRITTER = CUBE_ROOT_OF_UNITY ** np.outer(np.arange(3), np.arange(3)) / np.sqrt(3.0)
+_SQRT3 = np.sqrt(3.0)
+_TRITTER = CUBE_ROOT_OF_UNITY ** np.outer(np.arange(3), np.arange(3)) / _SQRT3
 _TRITTER.setflags(write=False)
 
 
@@ -97,12 +98,16 @@ def _check_noise(noise: float) -> float:
 
 
 def _clamp01(p: np.ndarray) -> np.ndarray:
-    if p.min() < -_CLAMP_TOL or p.max() > 1.0 + _CLAMP_TOL:
+    """``p`` clipped to [0, 1] in place; raises if it strays beyond
+    ``_CLAMP_TOL``."""
+    low, high = p.min(), p.max()
+    if low < -_CLAMP_TOL or high > 1.0 + _CLAMP_TOL:
         raise RuntimeError(
-            f"probability outside [0, 1] beyond tolerance: range "
-            f"[{p.min()}, {p.max()}]"
+            f"probability outside [0, 1] beyond tolerance: range [{low}, {high}]"
         )
-    return np.clip(p, 0.0, 1.0)
+    if low < 0.0 or high > 1.0:
+        np.clip(p, 0.0, 1.0, out=p)
+    return p
 
 
 def _born_rule(
@@ -116,11 +121,18 @@ def _born_rule(
     are sum_m |u[a, m]|^2 / 3, which is 1/3 for every unitary; they are
     computed rather than returned as a constant so that stays testable.
     """
-    amp = ua[:, None] @ np.swapaxes(ub, 1, 2)[None] / np.sqrt(3.0)
+    m, n = len(ua), len(ub)
+    amp = ua[:, None] @ np.swapaxes(ub, 1, 2)[None] / _SQRT3
     tables = (1.0 - noise) * np.abs(amp) ** 2 + noise / 9.0
-    alice = np.sum(np.abs(ua) ** 2, axis=2) / 3.0
-    bob = np.sum(np.abs(ub) ** 2, axis=2) / 3.0
-    return _clamp01(tables), _clamp01(alice), _clamp01(bob)
+    singles = np.sum(np.abs(np.concatenate([ua, ub])) ** 2, axis=2) / 3.0
+    # one range check over all of them
+    p = _clamp01(np.concatenate([tables.ravel(), singles.ravel()]))
+    joints = 9 * m * n
+    return (
+        p[:joints].reshape(m, n, 3, 3),
+        p[joints : joints + 3 * m].reshape(m, 3),
+        p[joints + 3 * m :].reshape(n, 3),
+    )
 
 
 def joint_table(ua: np.ndarray, ub: np.ndarray, noise: float = 0.0) -> np.ndarray:
@@ -166,13 +178,15 @@ class PhaseSettings:
         bob = np.array(self.bob, dtype=float)
         if alice.shape != (2, 3) or bob.shape != (2, 3):
             raise ValueError("each observer needs exactly two triples of phases")
-        if not (np.all(np.isfinite(alice)) and np.all(np.isfinite(bob))):
+        if not (np.isfinite(alice).all() and np.isfinite(bob).all()):
             raise ValueError("phases must be finite")
         alice.setflags(write=False)
         bob.setflags(write=False)
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
-        object.__setattr__(self, "relabel", _validate_relabeling(self.relabel))
+        # the module constant is valid as it stands
+        if self.relabel is not IDENTITY_RELABELING:
+            object.__setattr__(self, "relabel", _validate_relabeling(self.relabel))
 
 
 @dataclass(frozen=True)
@@ -294,9 +308,8 @@ def experiment_probabilities(
     """Joint tables and singles for all four setting pairs, relabeled per
     ``settings.relabel``."""
     noise = _check_noise(noise)
-    ua = _observable_unitaries(settings.alice)
-    ub = _observable_unitaries(settings.bob)
-    tables, alice, bob = _born_rule(ua, ub, noise)
+    u = _observable_unitaries(np.concatenate([settings.alice, settings.bob]))
+    tables, alice, bob = _born_rule(u[:2], u[2:], noise)
     exp = ExperimentProbabilities(tables, alice, bob)
     if settings.relabel == IDENTITY_RELABELING:
         return exp

@@ -34,10 +34,13 @@ which then costs a few products with the carried inverse and no
 factorization; "repaired" when dual simplex pivots on that inverse first
 restore primal feasibility; and "cold" when the LP is solved from scratch
 (no usable start, a bisection bound, or a numerical failure on the way).
-The result does not depend on the start. The optimizer passes the previous
-evaluation's bound this way within one restart, through ``_min_noise_lp``,
-which skips the input check because its tables come from
-``experiment_probabilities`` and are valid by construction.
+The result does not depend on the start. If the cold solve fails too,
+``min_noise_lp`` raises SimplexFailure naming the cause; it never falls
+back to bisection silently. Within one restart the optimizer passes the
+bound of the same grid slot in the previous sweep, or else the previous
+evaluation's bound, this way through ``_min_noise_lp``, which skips the
+input check because its tables come from ``experiment_probabilities``
+and are valid by construction.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ class NoiseBound:
     """Least noise fraction admitting a local model, with its certificate.
 
     ``certificate`` holds the 81 strategy weights of a local model at
-    ``f_min``; ``method`` records whether the bound came from the direct
-    LP ("simplex") or from bisection over feasibility problems. ``basis``
+    ``f_min``; ``method`` is "simplex" for ``min_noise_lp`` and "bisection"
+    for ``min_noise_bisection`` (``min_noise_lp`` never falls back to
+    bisection: a solver failure raises SimplexFailure). ``basis``
     is the LP's optimal basis and ``inverse`` its read-only basis inverse;
     together they seed the next ``min_noise_lp`` call, and both are None
     for bisection. ``start`` is what became of the start basis:
@@ -134,9 +138,10 @@ def min_noise_lp(
     f_min = g / (1 + g) with weights u / (1 + g) (their sum of 1 follows
     from the rows of table (0, 0)). ``start``, the bound of a nearby
     experiment, lends its optimal basis and basis inverse to the simplex;
-    the result is the same either way. Falls back to bisection if the
-    solver gives up. The returned certificate always reproduces all 36
-    noisy joint entries to within ``CERTIFICATE_TOL``.
+    the result is the same either way. If the solver gives up, this raises
+    SimplexFailure naming the cause; ``min_noise_bisection`` stays the
+    independent cross-check. The returned certificate always reproduces
+    all 36 noisy joint entries to within ``CERTIFICATE_TOL``.
     """
     exp0.validate()
     return _min_noise_lp(exp0, start)
@@ -153,8 +158,8 @@ def _min_noise_lp(
             start=None if start is None else start.basis,
             inverse=None if start is None else start.inverse,
         )
-    except SimplexFailure:
-        return min_noise_bisection(exp0)
+    except SimplexFailure as exc:
+        raise SimplexFailure(f"noise minimization LP failed: {exc}") from exc
     if solution.status != "optimal":
         # g = f / (1 - f) is finite for valid tables, since the flat box is
         # interior to the local polytope, so the input was not probabilities
@@ -172,8 +177,8 @@ def _min_noise_lp(
 def min_noise_bisection(exp0: ExperimentProbabilities) -> NoiseBound:
     """Same bound as min_noise_lp via bisection on feasibility problems.
 
-    Slower but independent of the parametric formulation; used as the
-    fallback path and as a cross-check in tests. The answer is exact to
+    Slower but independent of the parametric formulation; used as a
+    cross-check in tests, demos and the benchmark. The answer is exact to
     2**-BISECTION_STEPS since feasibility is monotone in the noise fraction.
     """
     exp0.validate()
@@ -204,10 +209,11 @@ def min_noise_bisection(exp0: ExperimentProbabilities) -> NoiseBound:
 def _check_certificate(
     exp0: ExperimentProbabilities, noise: float, weights: np.ndarray
 ) -> None:
-    target = (1.0 - noise) * exp0.tables.reshape(36) + noise * FLAT_VECTOR[:36]
-    residual = float(np.max(np.abs(MARGINAL_MATRIX @ weights - target)))
-    residual = max(residual, abs(float(weights.sum()) - 1.0))
-    if residual > CERTIFICATE_TOL or weights.min() < -CERTIFICATE_TOL:
+    gap = MARGINAL_MATRIX @ weights - (1.0 - noise) * exp0.tables.ravel()
+    gap -= noise * FLAT_VECTOR[:36]
+    residual = max(np.abs(gap).max(), abs(weights.sum() - 1.0))
+    # NaN fails the comparison and raises too
+    if not residual <= CERTIFICATE_TOL or weights.min() < -CERTIFICATE_TOL:
         raise RuntimeError(
             f"local model certificate residual {residual:.3e} exceeds "
             f"{CERTIFICATE_TOL:.1e}"

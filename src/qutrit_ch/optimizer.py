@@ -12,11 +12,20 @@ noise threshold. "analytic" scores the closed-form threshold of the signed
 functional, maximized over all 6^4 outcome relabelings so that, like the LP,
 it does not depend on how outcomes are labeled; the maximizing relabeling is
 baked into the returned settings.
+
+The LP scorer warm-starts every solve from an earlier bound of the same
+restart (see ``lhv.min_noise_lp``). Grid point k of coordinate i starts from
+the bound that the same slot (i, k) produced in the previous sweep, which
+sat at nearly the same phases; the previous grid point is 30 degrees away.
+On the first sweep, and for the starting point and the golden-section
+steps, the start is the previous evaluation's bound. Slots are cleared with
+each restart, so restarts stay independent. The result does not depend on
+the start, only the cost of the solve does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +37,7 @@ from .engine import (
     relabeling_at,
 )
 from .inequality import CH_VECTOR, FLAT_LHS, analytic_threshold, noise_crossing
-from .lhv import _min_noise_lp, min_noise_lp
+from .lhv import NoiseBound, _min_noise_lp, min_noise_lp
 from .simplex import SimplexFailure
 
 GRID_POINTS = 12
@@ -41,12 +50,20 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best settings found, their score, and the search's bookkeeping."""
+    """Best settings found, their score, and the search's bookkeeping.
+
+    ``failed_restarts`` counts the restarts skipped after a SimplexFailure.
+    ``lp_starts`` counts the LP evaluations by start outcome ("accepted",
+    "repaired" or "cold", see ``lhv.NoiseBound``); it is empty for the
+    analytic method.
+    """
 
     best_settings: PhaseSettings
     best_threshold: float
     evaluations: int
     seed: int
+    failed_restarts: int = 0
+    lp_starts: dict[str, int] = field(default_factory=dict)
 
 
 def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
@@ -76,29 +93,30 @@ def _relabel_maxed_scores(exp0) -> np.ndarray:
 
 
 def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
-    """Maximize fn along one coordinate in place; returns the new best value."""
+    """Maximize fn along one coordinate in place; returns the new best value.
+
+    fn(x, slot) is told the grid slot (index, k) of the k-th grid point and
+    None for every other point.
+    """
     step = 2.0 * np.pi / GRID_POINTS
     best_val, best_pos = current, x[index]
     origin = x[index]
 
-    def consider(position: float) -> None:
-        nonlocal best_val, best_pos
+    for k in range(1, GRID_POINTS):
+        position = origin + k * step
         x[index] = position
-        value = fn(x)
+        value = fn(x, (index, k))
         if value > best_val:
             best_val, best_pos = value, position
-
-    for k in range(1, GRID_POINTS):
-        consider(origin + k * step)
     lo, hi = best_pos - step, best_pos + step
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     x[index] = c
-    fc = fn(x)
+    fc = fn(x, None)
     if fc > best_val:
         best_val, best_pos = fc, c
     x[index] = d
-    fd = fn(x)
+    fd = fn(x, None)
     if fd > best_val:
         best_val, best_pos = fd, d
     while hi - lo > COORDINATE_TOL:
@@ -106,14 +124,14 @@ def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
             x[index] = c
-            fc = fn(x)
+            fc = fn(x, None)
             if fc > best_val:
                 best_val, best_pos = fc, c
         else:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             x[index] = d
-            fd = fn(x)
+            fd = fn(x, None)
             if fd > best_val:
                 best_val, best_pos = fd, d
     x[index] = best_pos
@@ -121,7 +139,7 @@ def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
 
 
 def _coordinate_ascent(fn, x: np.ndarray) -> float:
-    current = fn(x)
+    current = fn(x, None)
     while True:
         sweep_start = current
         for index in FREE_INDICES:
@@ -148,7 +166,8 @@ def optimize(
     so results are reproducible and independent of evaluation interleaving.
     ``initial_phases`` replaces the random start of restart 0 only (the
     relabeling field of the given settings is ignored; gauge is re-pinned).
-    A restart whose solve fails is skipped. Ties keep the earliest restart.
+    A restart whose solve fails is skipped and counted in the result's
+    ``failed_restarts``. Ties keep the earliest restart.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -158,20 +177,26 @@ def optimize(
         raise ValueError("seed must be a nonnegative integer")
 
     evaluations = 0
-    # the last LP bound of the current restart; its optimal basis seeds the
-    # next solve, since consecutive evaluations differ in one phase
-    previous = None
+    failed_restarts = 0
+    lp_starts: dict[str, int] = {}
+    # the last LP bound of the current restart, and the last bound of each
+    # grid slot; one of them seeds the next solve (see the module docstring)
+    previous: NoiseBound | None = None
+    slots: dict[tuple[int, int], NoiseBound] = {}
 
-    def score(x: np.ndarray) -> float:
+    def score(x: np.ndarray, slot: tuple[int, int] | None) -> float:
         nonlocal evaluations, previous
         evaluations += 1
         settings = PhaseSettings(x[:6].reshape(2, 3), x[6:].reshape(2, 3))
         exp0 = experiment_probabilities(settings)
-        if method == "lp":
-            # valid by construction, so the input check is skipped
-            previous = _min_noise_lp(exp0, start=previous)
-            return previous.f_min
-        return float(_relabel_maxed_scores(exp0).max())
+        if method == "analytic":
+            return float(_relabel_maxed_scores(exp0).max())
+        # valid by construction, so the input check is skipped
+        previous = _min_noise_lp(exp0, start=slots.get(slot, previous))
+        if slot is not None:
+            slots[slot] = previous
+        lp_starts[previous.start] = lp_starts.get(previous.start, 0) + 1
+        return previous.f_min
 
     best_val = -np.inf
     best_x: np.ndarray | None = None
@@ -183,10 +208,13 @@ def optimize(
                 [initial_phases.alice.ravel(), initial_phases.bob.ravel()]
             )
         x = _pin_gauge(draw)
-        previous = None  # keeps restarts independent of each other
+        # keeps restarts independent of each other
+        previous = None
+        slots.clear()
         try:
             value = _coordinate_ascent(score, x)
         except SimplexFailure:
+            failed_restarts += 1
             continue
         if value > best_val:
             best_val, best_x = value, x.copy()
@@ -203,4 +231,6 @@ def optimize(
         relabel = relabeling_at(int(np.argmax(scores)))
         best_val = float(scores.max())
     settings = PhaseSettings(alice, bob, relabel)
-    return OptimizationResult(settings, float(best_val), evaluations, seed)
+    return OptimizationResult(
+        settings, float(best_val), evaluations, seed, failed_restarts, lp_starts
+    )

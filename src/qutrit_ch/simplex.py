@@ -98,18 +98,25 @@ def _factorize(footprint: np.ndarray) -> np.ndarray:
         raise SimplexFailure("basis matrix is singular")
 
 
-def _checked_inverse(
-    matrix: np.ndarray, basis: list[int], inverse: np.ndarray | None
-) -> np.ndarray:
-    """``inverse`` if it inverts the basis matrix to within ``INVERSE_TOL``,
-    else a fresh factorization."""
+def _confirmed(
+    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
+    inverse: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """B^-1 (``inverse`` if it inverts the basis matrix to within
+    ``INVERSE_TOL``, else a fresh factorization), the basic values B^-1 b,
+    and whether the reduced costs c - c_B B^-1 A show the basis dual
+    feasible; all checked against the original data."""
     footprint = matrix[:, basis]
-    # NaN fails the comparison and is refactorized too
-    if inverse is not None and (
-        np.max(np.abs(inverse @ footprint - np.eye(len(basis)))) <= INVERSE_TOL
-    ):
-        return inverse
-    return _factorize(footprint)
+    if inverse is not None:
+        gap = inverse @ footprint
+        gap.ravel()[:: len(basis) + 1] -= 1.0  # minus the identity
+        # NaN fails the comparison and is refactorized too
+        if not np.abs(gap).max() <= INVERSE_TOL:
+            inverse = None
+    if inverse is None:
+        inverse = _factorize(footprint)
+    reduced = cost - (cost[basis] @ inverse) @ matrix
+    return inverse, inverse @ rhs, bool(reduced.min() >= -PIVOT_TOL)
 
 
 def _extended(inverse: np.ndarray, basic_cost: np.ndarray) -> np.ndarray:
@@ -118,39 +125,34 @@ def _extended(inverse: np.ndarray, basic_cost: np.ndarray) -> np.ndarray:
     return np.vstack([inverse, -basic_cost @ inverse])
 
 
-def _tableau(
-    extended: np.ndarray, matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray
-) -> np.ndarray:
-    """The tableau B^-1 [A | b] plus a priced-out cost row.
-
-    Computing from the original data resets all accumulated pivot roundoff;
-    only the basis, which is combinatorial, is carried over.
-    """
-    # the rhs column is the same product as in the warm start's check, so
-    # both give the same basic values to the bit
-    tableau = np.column_stack([extended @ matrix, extended @ rhs])
-    tableau[-1, :-1] += cost
-    return tableau
-
-
 def _primal_feasible(values: np.ndarray, tol: float) -> bool:
     """Whether no basic value is below -tol; if so, zeroes the negative ones."""
-    drifted = values < 0.0
-    if np.any(values[drifted] < -tol):
-        return False
-    values[drifted] = 0.0
+    low = values.min()
+    if low < 0.0:
+        if low < -tol:
+            return False
+        values[values < 0.0] = 0.0
     return True
 
 
 def _refactorize(
-    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: list[int],
-    inverse: np.ndarray,
-) -> np.ndarray:
-    """A fresh tableau for a basis that must still be primal feasible."""
-    tableau = _tableau(_extended(inverse, cost[basis]), matrix, rhs, cost)
+    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
+    inverse: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tableau B^-1 [A | b] plus a priced-out cost row, for a basis that
+    must still be primal feasible, and B^-1 (factorized unless given).
+
+    Computing from the original data resets all accumulated pivot roundoff;
+    only the basis, which is combinatorial, is carried over.
+    """
+    if inverse is None:
+        inverse = _factorize(matrix[:, basis])
+    extended = _extended(inverse, cost[basis])
+    tableau = np.column_stack([extended @ matrix, extended @ rhs])
+    tableau[-1, :-1] += cost
     if not _primal_feasible(tableau[:-1, -1], _FEASIBILITY_DRIFT):
         raise SimplexFailure("basis lost feasibility")
-    return tableau
+    return tableau, inverse
 
 
 def _eta(array: np.ndarray, row: int, column: np.ndarray) -> None:
@@ -159,7 +161,7 @@ def _eta(array: np.ndarray, row: int, column: np.ndarray) -> None:
     ``column``."""
     array[row] /= column[row]
     column[row] = 0.0
-    array -= np.outer(column, array[row])
+    array -= column[:, None] * array[row]
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -168,7 +170,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row, col] = 1.0
 
 
-def _bland_step(tableau: np.ndarray, basis: list[int], n_cols: int) -> bool:
+def _bland_step(tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> bool:
     """Perform one pivot; False when the current tableau looks optimal."""
     reduced = tableau[-1, :n_cols]
     improving = np.flatnonzero(reduced < -PIVOT_TOL)
@@ -194,22 +196,22 @@ def _bland_step(tableau: np.ndarray, basis: list[int], n_cols: int) -> bool:
 
 
 def _dual_step(
-    extended: np.ndarray, basis: list[int], matrix: np.ndarray,
+    extended: np.ndarray, basis: np.ndarray, matrix: np.ndarray,
     rhs: np.ndarray, cost: np.ndarray,
 ) -> bool:
     """Perform one dual simplex pivot on ``_extended`` rows; False once the
     basis is primal feasible. Raises SimplexFailure if no column can enter."""
     values = extended[:-1] @ rhs
-    leaving = int(np.argmin(values))
+    leaving = int(values.argmin())
     if values[leaving] >= -_START_FEASIBILITY:
         return False
     row, reduced = extended[[leaving, -1]] @ matrix
     reduced += cost
-    candidates = np.flatnonzero(row < -PIVOT_TOL)
+    (candidates,) = (row < -PIVOT_TOL).nonzero()
     if candidates.size == 0:
         raise SimplexFailure("no column can enter the dual ratio test")
     ratios = np.abs(reduced[candidates] / row[candidates])
-    entering = int(candidates[np.argmin(ratios)])
+    entering = int(candidates[ratios.argmin()])
     column = extended @ matrix[:, entering]
     column[-1] += cost[entering]
     _eta(extended, leaving, column)
@@ -217,17 +219,91 @@ def _dual_step(
     return True
 
 
-def _start_basis(start: Sequence[int], n_rows: int, n_vars: int) -> list[int] | None:
-    """``start`` as a list if it is one distinct in-range column per row."""
-    basis = [int(j) for j in start]
+def _primal(
+    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
+    n_cols: int, inverse: np.ndarray | None, iterations: int, max_iterations: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bland pivots from ``basis`` (B^-1 ``inverse``, if known) to an optimum
+    confirmed on a fresh tableau; returns it, its B^-1 and the pivot count."""
+    tableau, inverse = _refactorize(matrix, rhs, cost, basis, inverse)
+    since_refactor = 0
+    while True:
+        if _bland_step(tableau, basis, n_cols):
+            iterations += 1
+            if iterations >= max_iterations:
+                raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
+            since_refactor += 1
+            if since_refactor < REFACTOR_EVERY:
+                continue
+        elif since_refactor == 0:
+            return tableau, inverse, iterations
+        # refactorize every REFACTOR_EVERY pivots, and confirm a claimed
+        # optimum on a drift-free tableau
+        tableau, inverse = _refactorize(matrix, rhs, cost, basis)
+        since_refactor = 0
+
+
+def _warm(
+    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, start: Sequence[int],
+    inverse: np.ndarray | None, max_iterations: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str, int] | None:
+    """The solve from a start basis: the optimal basis, its basic values,
+    B^-1, the start outcome and the pivot count; None when the start is not
+    one distinct in-range column per row, or is neither primal nor dual
+    feasible (see the module docstring)."""
+    n_rows, n_vars = matrix.shape
+    basis = np.array(start, dtype=np.intp)
     if (
-        len(basis) != n_rows
-        or len(set(basis)) != n_rows
-        or min(basis) < 0
-        or max(basis) >= n_vars
+        basis.shape != (n_rows,)
+        or len(set(basis.tolist())) != n_rows
+        or basis.min() < 0
+        or basis.max() >= n_vars
     ):
         return None
-    return basis
+    inverse, values, dual_feasible = _confirmed(matrix, rhs, cost, basis, inverse)
+    iterations = 0
+    if _primal_feasible(values, _START_FEASIBILITY):
+        outcome = "accepted"
+    elif not dual_feasible:
+        return None
+    else:
+        outcome = "repaired"
+        extended = _extended(inverse, cost[basis])
+        while _dual_step(extended, basis, matrix, rhs, cost):
+            iterations += 1
+            if iterations >= max_iterations:
+                raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
+            if iterations % REFACTOR_EVERY == 0:
+                extended = _extended(_factorize(matrix[:, basis]), cost[basis])
+        inverse, values, dual_feasible = _confirmed(
+            matrix, rhs, cost, basis, extended[:-1]
+        )
+        if not _primal_feasible(values, _FEASIBILITY_DRIFT):
+            raise SimplexFailure("basis lost feasibility")
+    if not dual_feasible:
+        tableau, inverse, iterations = _primal(
+            matrix, rhs, cost, basis, n_vars, inverse, iterations, max_iterations
+        )
+        values = tableau[:-1, -1]
+    return basis, values, inverse, outcome, iterations
+
+
+def _optimum(
+    cost: np.ndarray, basis: np.ndarray, values: np.ndarray,
+    inverse: np.ndarray | None, outcome: str, iterations: int,
+    sign: np.ndarray | None,
+) -> LpSolution:
+    """The optimal solution; without ``inverse`` it carries no basis."""
+    x = np.zeros(len(cost))
+    x[basis] = values
+    if inverse is not None:
+        if sign is not None:
+            inverse = inverse * sign
+        inverse.setflags(write=False)
+        basis = tuple(basis.tolist())
+    else:
+        basis = None
+    return LpSolution("optimal", x, float(cost @ x), iterations, basis, outcome, inverse)
 
 
 def simplex_solve(
@@ -245,17 +321,15 @@ def simplex_solve(
 
     ``start`` is an optional basis, one column index per row, typically the
     ``basis`` of an earlier solution of a nearby problem, and ``inverse``
-    that solution's ``inverse``; it is used only if it still inverts the
-    basis matrix, and ignored without a ``start``. A primal feasible start
-    is accepted, a dual feasible one is first repaired by dual simplex
-    pivots, and any other start, or one whose warm solve fails, gives the
-    cold two-phase solve. The returned ``start`` says which happened;
-    ``iterations`` counts the pivots of the path that produced the result.
-    The returned ``basis`` (one column per row) and ``inverse`` are None
-    when phase 1 dropped redundant rows.
+    that solution's ``inverse``, used only if it still inverts the basis
+    matrix. The returned ``start`` says what became of the start (see the
+    module docstring); ``iterations`` counts the pivots of the path that
+    produced the result. The returned ``basis`` and ``inverse`` are None
+    when phase 1 dropped redundant rows. An accepted optimal start hands
+    back a read-only ``inverse`` as it was given, not a copy.
     """
-    matrix = np.array(problem.eq_matrix, dtype=float)
-    rhs = np.array(problem.eq_rhs, dtype=float)
+    matrix = np.asarray(problem.eq_matrix, dtype=float)
+    rhs = np.asarray(problem.eq_rhs, dtype=float)
     cost = np.asarray(problem.objective, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("eq_matrix must be two dimensional")
@@ -268,121 +342,38 @@ def simplex_solve(
         max_iterations = 10 * (n_rows + n_vars)
 
     # rows with a negative right-hand side are negated; B^-1 of the negated
-    # rows is B^-1 of the given ones with the same columns negated
-    sign = np.where(rhs < 0.0, -1.0, 1.0)
-    matrix *= sign[:, None]
-    rhs *= sign
+    # rows is B^-1 of the given ones with the same columns negated. The
+    # given arrays are only read, never written.
+    sign = None
+    if rhs.min(initial=0.0) < 0.0:
+        sign = np.where(rhs < 0.0, -1.0, 1.0)
+        matrix = matrix * sign[:, None]
+        rhs = rhs * sign
     if inverse is not None:
         inverse = np.asarray(inverse, dtype=float)
-        inverse = inverse * sign if inverse.shape == (n_rows, n_rows) else None
-
-    iterations = 0
-
-    def pivot_until_done(step, factorize, tableau: np.ndarray, basis: list[int]):
-        """Pivot with ``step`` until it reports nothing left to do.
-
-        Returns the last tableau and whether it was computed from the
-        original data after the last pivot.
-        """
-        nonlocal iterations
-        since_refactor = 0
-        while step(tableau, basis):
-            iterations += 1
-            since_refactor += 1
-            if iterations >= max_iterations:
-                raise SimplexFailure(
-                    f"no certified optimum within {max_iterations} pivots"
-                )
-            if since_refactor >= REFACTOR_EVERY:
-                tableau = factorize(basis)
-                since_refactor = 0
-        return tableau, since_refactor == 0
-
-    def run(full: np.ndarray, full_rhs: np.ndarray, full_cost: np.ndarray,
-            basis: list[int], n_cols: int,
-            inverse: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Bland pivots from ``basis`` (B^-1 ``inverse``, if known) to an
-        optimum confirmed on a fresh tableau; returns it and its B^-1."""
-        def factorize(b: list[int]) -> np.ndarray:
-            nonlocal inverse
-            inverse = _factorize(full[:, b])
-            return _refactorize(full, full_rhs, full_cost, b, inverse)
-
-        def step(t: np.ndarray, b: list[int]) -> bool:
-            return _bland_step(t, b, n_cols)
-
-        if inverse is None:
-            tableau = factorize(basis)
-        else:
-            tableau = _refactorize(full, full_rhs, full_cost, basis, inverse)
-        while True:
-            tableau, fresh = pivot_until_done(step, factorize, tableau, basis)
-            if fresh:
-                return tableau, inverse
-            # confirm optimality on a drift-free tableau
-            tableau = factorize(basis)
-
-    def optimum(basis: list[int], values: np.ndarray, inverse: np.ndarray,
-                outcome: str) -> LpSolution:
-        x = np.zeros(n_vars)
-        x[basis] = values
-        if len(basis) != n_rows:
-            return LpSolution("optimal", x, float(cost @ x), iterations, None, outcome)
-        inverse = inverse * sign
-        inverse.setflags(write=False)
-        return LpSolution(
-            "optimal", x, float(cost @ x), iterations, tuple(basis), outcome, inverse
-        )
-
-    def priced(basis: list[int], inverse: np.ndarray):
-        """``_extended`` rows, the basic values, and whether the reduced
-        costs show the basis dual feasible; all from the original data."""
-        extended = _extended(inverse, cost[basis])
-        reduced = extended[-1] @ matrix + cost
-        return extended, (extended @ rhs)[:-1], reduced.min() >= -PIVOT_TOL
-
-    def warm(basis: list[int], inverse: np.ndarray | None) -> LpSolution | None:
-        inverse = _checked_inverse(matrix, basis, inverse)
-        extended, values, dual_feasible = priced(basis, inverse)
-        if _primal_feasible(values, _START_FEASIBILITY):
-            outcome = "accepted"
-        elif not dual_feasible:
-            return None  # neither primal nor dual feasible
-        else:
-            outcome = "repaired"
-
-            def step(e: np.ndarray, b: list[int]) -> bool:
-                return _dual_step(e, b, matrix, rhs, cost)
-
-            def factorize(b: list[int]) -> np.ndarray:
-                return _extended(_factorize(matrix[:, b]), cost[b])
-
-            extended, _ = pivot_until_done(step, factorize, extended, basis)
-            inverse = _checked_inverse(matrix, basis, extended[:-1])
-            _, values, dual_feasible = priced(basis, inverse)
-            if not _primal_feasible(values, _FEASIBILITY_DRIFT):
-                raise SimplexFailure("basis lost feasibility")
-        if dual_feasible:
-            return optimum(basis, values, inverse, outcome)
-        tableau, inverse = run(matrix, rhs, cost, basis, n_vars, inverse)
-        return optimum(basis, tableau[:-1, -1], inverse, outcome)
+        if inverse.shape != (n_rows, n_rows):
+            inverse = None
+        elif sign is not None:
+            inverse = inverse * sign
+        elif inverse.flags.writeable:
+            inverse = inverse.copy()  # the solution's inverse is frozen
 
     if start is not None:
-        basis = _start_basis(start, n_rows, n_vars)
-        if basis is not None:
-            try:
-                solution = warm(basis, inverse)
-            except SimplexFailure:
-                solution = None  # pivots from a borrowed basis can go bad
-            if solution is not None:
-                return solution
-            iterations = 0
+        try:
+            warm = _warm(matrix, rhs, cost, start, inverse, max_iterations)
+        except SimplexFailure:
+            warm = None  # pivots from a borrowed basis can go bad
+        if warm is not None:
+            return _optimum(cost, *warm, sign)
 
     # phase 1: minimize the sum of one artificial variable per row
     phase1_matrix = np.column_stack([matrix, np.eye(n_rows)])
     phase1_cost = np.concatenate([np.zeros(n_vars), np.ones(n_rows)])
-    basis = list(range(n_vars, n_vars + n_rows))
-    tableau, _ = run(phase1_matrix, rhs, phase1_cost, basis, n_vars + n_rows)
+    basis = np.arange(n_vars, n_vars + n_rows)
+    tableau, _, iterations = _primal(
+        phase1_matrix, rhs, phase1_cost, basis, n_vars + n_rows, None, 0,
+        max_iterations,
+    )
 
     if -tableau[-1, -1] > INFEASIBILITY_TOL:
         return LpSolution("infeasible", None, None, iterations)
@@ -390,15 +381,13 @@ def simplex_solve(
     # drive leftover artificials out of the basis; a row whose structural
     # entries have all been eliminated is redundant and gets dropped
     in_basis = np.zeros(n_vars, dtype=bool)
-    for var in basis:
-        if var < n_vars:
-            in_basis[var] = True
+    in_basis[basis[basis < n_vars]] = True
     kept: list[int] = []
     for i in range(n_rows):
         if basis[i] < n_vars:
             kept.append(i)
             continue
-        row = np.abs(tableau[i, :n_vars].copy())
+        row = np.abs(tableau[i, :n_vars])
         row[in_basis] = 0.0
         j = int(np.argmax(row))
         if row[j] <= _REDUNDANT_TOL:
@@ -409,6 +398,10 @@ def simplex_solve(
         kept.append(i)
 
     # phase 2 on the surviving rows, original objective
-    basis = [basis[i] for i in kept]
-    tableau, inverse = run(matrix[kept], rhs[kept], cost, basis, n_vars)
-    return optimum(basis, tableau[:-1, -1], inverse, "cold")
+    basis = basis[kept]
+    tableau, inverse, iterations = _primal(
+        matrix[kept], rhs[kept], cost, basis, n_vars, None, iterations, max_iterations
+    )
+    if len(kept) < n_rows:
+        inverse = None  # no basis with one column per row to hand on
+    return _optimum(cost, basis, tableau[:-1, -1], inverse, "cold", iterations, sign)

@@ -199,10 +199,11 @@ def test_criterion_9_optimizer_rediscovers_the_best_settings():
         f"best threshold {result.best_threshold:.6f} below target"
     )
     assert elapsed < 300.0, f"optimizer took {elapsed:.1f} s"
+    assert result.failed_restarts == 0, f"{result.failed_restarts} restarts failed"
     replay = threshold_objective(result.best_settings, method="lp")
     assert abs(replay - result.best_threshold) < 1e-9
     _report(
         "criterion 9 optimizer rediscovery",
         f"best {result.best_threshold:.10f} >= 0.3028, {result.evaluations} evaluations, "
-        f"{elapsed:.1f} s (limit 300 s)",
+        f"0 failed restarts, {elapsed:.1f} s (limit 300 s)",
     )

@@ -179,3 +179,18 @@ def test_numerical_failures_exit_two(preset_file, capsys, monkeypatch):
     code, _, err = run(capsys, ["threshold", "--settings", preset_file, "--method", "lp"])
     assert code == 2
     assert "numerical failure" in err
+
+
+def test_a_failing_simplex_exits_two_naming_the_cause(preset_file, capsys, monkeypatch):
+    # the LP no longer falls back to bisection: a solver failure reaches the
+    # command line with its cause
+    import qutrit_ch.lhv as lhv_module
+
+    def failing(*args, **kwargs):
+        raise SimplexFailure("basis matrix is singular")
+
+    monkeypatch.setattr(lhv_module, "simplex_solve", failing)
+    code, out, err = run(capsys, ["threshold", "--settings", preset_file, "--method", "lp"])
+    assert code == 2
+    assert out == ""
+    assert "noise minimization LP failed: basis matrix is singular" in err

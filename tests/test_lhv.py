@@ -26,7 +26,7 @@ from qutrit_ch.lhv import (
     min_noise_lp,
 )
 from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
-from qutrit_ch.simplex import INVERSE_TOL, LpSolution
+from qutrit_ch.simplex import INVERSE_TOL, LpSolution, SimplexFailure
 
 
 def random_settings(rng):
@@ -142,6 +142,22 @@ def test_bisection_and_direct_lp_agree():
     for _ in range(3):
         exp0 = experiment_probabilities(random_settings(rng))
         assert abs(min_noise_lp(exp0).f_min - min_noise_bisection(exp0).f_min) < 1e-8
+
+
+def test_a_solver_failure_raises_instead_of_falling_back(monkeypatch):
+    def failing(*args, **kwargs):
+        raise SimplexFailure("basis matrix is singular")
+
+    def no_bisection(exp0):
+        raise AssertionError("min_noise_lp fell back to bisection")
+
+    exp0 = experiment_probabilities(reference_settings())
+    start = min_noise_lp(exp0)
+    monkeypatch.setattr(lhv_module, "simplex_solve", failing)
+    monkeypatch.setattr(lhv_module, "min_noise_bisection", no_bisection)
+    for bound in (None, start):
+        with pytest.raises(SimplexFailure, match="LP failed: basis matrix is singular"):
+            min_noise_lp(exp0, start=bound)
 
 
 def test_threshold_is_invariant_under_outcome_relabelings():

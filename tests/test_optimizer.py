@@ -117,6 +117,32 @@ def test_lp_search_is_deterministic_with_warm_started_solves():
     assert abs(replay - first.best_threshold) < 1e-12
 
 
+# evaluations and best threshold of optimize(1, seed, "lp") from before
+# grid points started from their own slot's bound
+SLOT_START_FIXTURES = {2: (1585, 0.3038475768635756), 9: (1321, 0.30384757510115756)}
+
+
+def test_grid_slot_starts_keep_the_search_and_repair_fewer_starts():
+    repaired = 0
+    for seed, (evaluations, best) in SLOT_START_FIXTURES.items():
+        result = optimize(1, seed=seed, method="lp")
+        assert result.evaluations == evaluations
+        assert abs(result.best_threshold - best) < 1e-12
+        assert result.failed_restarts == 0
+        assert sum(result.lp_starts.values()) == evaluations
+        assert set(result.lp_starts) <= {"accepted", "repaired", "cold"}
+        repaired += result.lp_starts["repaired"]
+    # 1183 were repaired when every grid point started from the previous
+    # evaluation, 30 degrees away
+    assert repaired <= 900
+
+
+def test_analytic_search_reports_no_lp_starts():
+    result = optimize(1, seed=3, method="analytic")
+    assert result.lp_starts == {}
+    assert result.failed_restarts == 0
+
+
 def test_analytic_search_never_over_reports_the_lp_threshold():
     result = optimize(2, seed=5, method="analytic")
     lp_value = threshold_objective(result.best_settings, "lp")
@@ -171,6 +197,8 @@ def test_failed_restarts_are_skipped(monkeypatch):
 
     class _Stub:
         basis = None
+        inverse = None
+        start = "cold"
 
         def __init__(self, f):
             self.f_min = f
@@ -185,6 +213,7 @@ def test_failed_restarts_are_skipped(monkeypatch):
     result = optimize(2, seed=11, method="lp")
     assert 0.0 <= result.best_threshold <= 1.0
     assert calls["n"] > 1
+    assert result.failed_restarts == 1
 
 
 def test_raises_when_every_restart_fails(monkeypatch):

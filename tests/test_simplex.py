@@ -172,6 +172,37 @@ def test_an_accepted_optimal_start_is_factorized_once(monkeypatch):
     assert np.array_equal(carried.x, cold.x)
 
 
+def test_an_unchanged_carried_inverse_is_handed_on_uncopied():
+    c, a, b = _random_feasible_problem(0)
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    a, b = a * sign[:, None], b * sign  # no row to negate inside the solve
+    cold = solve(c, a, b)
+    carried = solve(c, a, b, start=cold.basis, inverse=cold.inverse)
+    assert carried.start == "accepted"
+    assert carried.inverse is cold.inverse
+    # a caller's writable inverse is never frozen in place
+    own = cold.inverse.copy()
+    again = solve(c, a, b, start=cold.basis, inverse=own)
+    assert own.flags.writeable and not again.inverse.flags.writeable
+    assert np.array_equal(again.inverse, own)
+
+
+def test_a_carried_inverse_survives_negated_rows():
+    # rows with a negative right-hand side are negated inside the solve; the
+    # returned inverse is that of the rows as given
+    c, a, b = _random_feasible_problem(3)
+    assert b.min() < 0.0
+    cold = solve(c, a, b)
+    m = len(b)
+    assert np.max(np.abs(cold.inverse @ a[:, list(cold.basis)] - np.eye(m))) <= 1e-9
+    warm = solve(c, a, b, start=cold.basis, inverse=cold.inverse)
+    assert warm.start == "accepted"
+    assert warm.iterations == 0
+    assert np.array_equal(warm.x, cold.x)
+    assert np.array_equal(warm.inverse, cold.inverse)
+    assert not warm.inverse.flags.writeable
+
+
 def test_warm_start_on_a_nearby_problem_matches_the_cold_solve():
     rng = np.random.default_rng(41)
     c, a, b = _random_feasible_problem(41)
