@@ -98,6 +98,8 @@ def test_optimize_is_deterministic_and_self_consistent():
     assert first.best_settings.relabel == second.best_settings.relabel
     assert first.evaluations == second.evaluations
     assert first.seed == 3
+    assert first.failed_restarts == 0
+    assert first.lp_starts == {}  # no LP is solved by the analytic method
     assert 0.0 <= first.best_threshold <= 1.0
     # re-evaluating the returned settings reproduces the reported score
     replay = threshold_objective(first.best_settings, "analytic")
@@ -135,12 +137,6 @@ def test_grid_slot_starts_keep_the_search_and_repair_fewer_starts():
     # 1183 were repaired when every grid point started from the previous
     # evaluation, 30 degrees away
     assert repaired <= 900
-
-
-def test_analytic_search_reports_no_lp_starts():
-    result = optimize(1, seed=3, method="analytic")
-    assert result.lp_starts == {}
-    assert result.failed_restarts == 0
 
 
 def test_analytic_search_never_over_reports_the_lp_threshold():

@@ -187,22 +187,6 @@ def test_an_unchanged_carried_inverse_is_handed_on_uncopied():
     assert np.array_equal(again.inverse, own)
 
 
-def test_a_carried_inverse_survives_negated_rows():
-    # rows with a negative right-hand side are negated inside the solve; the
-    # returned inverse is that of the rows as given
-    c, a, b = _random_feasible_problem(3)
-    assert b.min() < 0.0
-    cold = solve(c, a, b)
-    m = len(b)
-    assert np.max(np.abs(cold.inverse @ a[:, list(cold.basis)] - np.eye(m))) <= 1e-9
-    warm = solve(c, a, b, start=cold.basis, inverse=cold.inverse)
-    assert warm.start == "accepted"
-    assert warm.iterations == 0
-    assert np.array_equal(warm.x, cold.x)
-    assert np.array_equal(warm.inverse, cold.inverse)
-    assert not warm.inverse.flags.writeable
-
-
 def test_warm_start_on_a_nearby_problem_matches_the_cold_solve():
     rng = np.random.default_rng(41)
     c, a, b = _random_feasible_problem(41)
