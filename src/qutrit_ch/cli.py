@@ -37,7 +37,7 @@ from .inequality import (
 )
 from .atoms import ATOMS
 from .lhv import CERTIFICATE_TOL, min_noise_lp
-from .optimizer import COORDINATE_TOL, SWEEP_TOL, optimize
+from .optimizer import COORDINATE_TOL, GRADIENT_TOL, STEP_TOL, SWEEP_TOL, optimize
 from .presets import (
     REFERENCE_ALICE_PHASES,
     REFERENCE_BOB_PHASES,
@@ -292,6 +292,8 @@ def _cmd_optimize(args):
         "seed": result.seed,
         "best_threshold": result.best_threshold,
         "evaluations": result.evaluations,
+        "lp_evaluations": sum(result.lp_starts.values()),
+        "gradient_norm": result.gradient_norm,
         "best_settings": {
             "alice": settings.alice,
             "bob": settings.bob,
@@ -301,7 +303,10 @@ def _cmd_optimize(args):
             },
         },
     }
-    tolerances = {"coordinate": COORDINATE_TOL, "sweep_improvement": SWEEP_TOL}
+    if args.method == "lp":
+        tolerances = {"gradient": GRADIENT_TOL, "step": STEP_TOL}
+    else:
+        tolerances = {"coordinate": COORDINATE_TOL, "sweep_improvement": SWEEP_TOL}
     return EXIT_OK, None, results, tolerances
 
 

@@ -220,6 +220,22 @@ class ExperimentProbabilities:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _adopt(
+        cls, tables: np.ndarray, alice_singles: np.ndarray, bob_singles: np.ndarray
+    ) -> "ExperimentProbabilities":
+        """Wrap fresh arrays that no caller holds, already shaped and with
+        no tiny negatives left to clamp, without copying or scanning them;
+        they are frozen in place. The public constructor copies and checks
+        instead."""
+        exp = object.__new__(cls)
+        for name, arr in (
+            ("tables", tables), ("alice_singles", alice_singles), ("bob_singles", bob_singles)
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(exp, name, arr)
+        return exp
+
     def vector(self) -> np.ndarray:
         """The 48 probabilities: tables, alice singles, bob singles, raveled."""
         return np.concatenate(
@@ -277,16 +293,22 @@ def relabeling_at(row: int) -> tuple:
     return tuple(PERMUTATIONS[i] for i in np.unravel_index(row, (6,) * 4))
 
 
+def _destinations(relabel) -> np.ndarray:
+    """The row of ``RELABEL_DESTINATIONS`` of a validated relabeling."""
+    choice = [PERMUTATIONS.index(perm) for perm in relabel]
+    return RELABEL_DESTINATIONS[np.ravel_multi_index(choice, (6,) * 4)]
+
+
 def apply_relabeling(exp: ExperimentProbabilities, relabel) -> ExperimentProbabilities:
     """Rename outcomes of each observable consistently across all tables.
 
     With perms (pa1, pa2, pb1, pb2), entry (a, b) of table (k, l) moves to
     (pa_k[a], pb_l[b]), and singles entries move the same way.
     """
-    choice = [PERMUTATIONS.index(perm) for perm in _validate_relabeling(relabel)]
     vec = np.empty(48)
-    vec[RELABEL_DESTINATIONS[np.ravel_multi_index(choice, (6,) * 4)]] = exp.vector()
-    return ExperimentProbabilities(
+    vec[_destinations(_validate_relabeling(relabel))] = exp.vector()
+    # a permutation of entries that exp's constructor has already checked
+    return ExperimentProbabilities._adopt(
         vec[:36].reshape(2, 2, 3, 3), vec[36:42].reshape(2, 3), vec[42:].reshape(2, 3)
     )
 
@@ -309,11 +331,39 @@ def experiment_probabilities(
     ``settings.relabel``."""
     noise = _check_noise(noise)
     u = _observable_unitaries(np.concatenate([settings.alice, settings.bob]))
-    tables, alice, bob = _born_rule(u[:2], u[2:], noise)
-    exp = ExperimentProbabilities(tables, alice, bob)
+    # _born_rule's arrays are fresh and range-checked
+    exp = ExperimentProbabilities._adopt(*_born_rule(u[:2], u[2:], noise))
     if settings.relabel == IDENTITY_RELABELING:
         return exp
     return apply_relabeling(exp, settings.relabel)
+
+
+def probability_jacobian(settings: PhaseSettings) -> np.ndarray:
+    """Derivative of ``experiment_probabilities(settings).vector()`` with
+    respect to the 12 phases, as a (48, 12) array whose columns follow
+    ``settings.alice.ravel()`` and then ``settings.bob.ravel()``.
+
+    Each phase enters the amplitude amp = sum_m term_m of ``_born_rule``
+    through one factor exp(i phi) of the terms it appears in, so
+    d|amp|^2/dphi = -2 Im(conj(amp) term_m) for the alice phase (k, m) and
+    the bob phase (l, m) of term m, and 0 for the other phases. The singles
+    are 1/3 for every setting, so their rows are zero. The relabeling moves
+    rows the way it moves entries.
+    """
+    u = _observable_unitaries(np.concatenate([settings.alice, settings.bob]))
+    # term[k, l, a, b, m] = ua_k[a, m] ub_l[b, m] / sqrt(3)
+    terms = u[:2, None, :, None, :] * u[None, 2:, None, :, :] / _SQRT3
+    slopes = -2.0 * (terms.sum(axis=4, keepdims=True).conj() * terms).imag
+    jacobian = np.zeros((2, 2, 3, 3, 4, 3))
+    for k in range(2):
+        jacobian[k, :, :, :, k] = slopes[k]
+        jacobian[:, k, :, :, 2 + k] = slopes[:, k]
+    jacobian = np.concatenate([jacobian.reshape(36, 12), np.zeros((12, 12))])
+    if settings.relabel == IDENTITY_RELABELING:
+        return jacobian
+    moved = np.empty_like(jacobian)
+    moved[_destinations(settings.relabel)] = jacobian
+    return moved
 
 
 def find_matching_relabeling(

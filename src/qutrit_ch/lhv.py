@@ -37,10 +37,13 @@ restore primal feasibility; and "cold" when the LP is solved from scratch
 The result does not depend on the start. If the cold solve fails too,
 ``min_noise_lp`` raises SimplexFailure naming the cause; it never falls
 back to bisection silently. Within one restart the optimizer passes the
-bound of the same grid slot in the previous sweep, or else the previous
-evaluation's bound, this way through ``_min_noise_lp``, which skips the
-input check because its tables come from ``experiment_probabilities``
-and are valid by construction.
+previous evaluation's bound this way through ``_min_noise_lp``, which
+skips the input check because its tables come from
+``experiment_probabilities`` and are valid by construction.
+
+The carried inverse also gives the LP's dual, and with it the exact
+gradient of f_min with respect to the joint tables
+(``threshold_gradient``), on which the optimizer's LP search climbs.
 """
 
 from __future__ import annotations
@@ -172,6 +175,26 @@ def _min_noise_lp(
         f_min, weights, solution.iterations, "simplex", solution.basis,
         solution.start, solution.inverse,
     )
+
+
+def threshold_gradient(bound: NoiseBound) -> np.ndarray:
+    """Gradient of ``bound.f_min`` with respect to the noise-free joint
+    tables, as 36 entries in ``tables.ravel()`` order.
+
+    While the optimal basis stays optimal, the LP value g moves with its
+    right-hand side t0 as the dual y = c_B B^-1, and since only g has a
+    cost, y is the row of the carried B^-1 at the basis position of g
+    (the envelope theorem; Bertsimas & Tsitsiklis, ch. 5). With
+    f = g / (1 + g) the gradient is y / (1 + g)^2 = y (1 - f)^2 on the 25
+    rows the LP reads and 0 on the 11 it does not, which follow from them
+    for every valid box. It is zero when g is nonbasic (f_min = 0) and for
+    a bound that carries no basis.
+    """
+    gradient = np.zeros(36)
+    if bound.basis is not None and N_ATOMS in bound.basis:
+        dual = bound.inverse[bound.basis.index(N_ATOMS)]
+        gradient[INDEPENDENT_ROWS] = dual * (1.0 - bound.f_min) ** 2
+    return gradient
 
 
 def min_noise_bisection(exp0: ExperimentProbabilities) -> NoiseBound:

@@ -1,11 +1,10 @@
-"""Derivative-free search for phase settings with a high noise threshold.
+"""Search for phase settings with a high noise threshold.
 
 The landscape is smooth and periodic in 12 phases, but adding a constant to
 any observable's phase triple is a gauge transformation that leaves all
 probabilities unchanged, so only 8 coordinates matter. The search pins the
-first phase of each triple at 0 and runs coordinate-wise ascent (coarse
-periodic scan, then golden-section refinement) from random restarts, each
-with its own deterministic random stream.
+first phase of each triple at 0 and climbs from random restarts, each with
+its own deterministic random stream.
 
 Two objectives are available. "lp" scores a setting by the true local-model
 noise threshold. "analytic" scores the closed-form threshold of the signed
@@ -13,14 +12,21 @@ functional, maximized over all 6^4 outcome relabelings so that, like the LP,
 it does not depend on how outcomes are labeled; the maximizing relabeling is
 baked into the returned settings.
 
-The LP scorer warm-starts every solve from an earlier bound of the same
-restart (see ``lhv.min_noise_lp``). Grid point k of coordinate i starts from
-the bound that the same slot (i, k) produced in the previous sweep, which
-sat at nearly the same phases; the previous grid point is 30 degrees away.
-On the first sweep, and for the starting point and the golden-section
-steps, the start is the previous evaluation's bound. Slots are cleared with
-each restart, so restarts stay independent. The result does not depend on
-the start, only the cost of the solve does.
+The analytic method runs coordinate-wise ascent: a coarse periodic scan of
+``GRID_POINTS`` per coordinate, then golden-section refinement.
+
+The LP method runs a BFGS ascent with a backtracking (Armijo) line search
+on the exact gradient of f_min: the LP dual from ``lhv.threshold_gradient``
+times the Born-rule Jacobian from ``engine.probability_jacobian``. Where
+the box is local, f_min is 0 and so is its gradient, so each restart first
+ascends the largest relabeled functional value, max_c (CH read through
+relabeling c) @ p, until it is positive, which makes the box nonlocal, and
+then ascends f_min. Every score it reports is a certified LP value. Each
+solve warm-starts from the previous evaluation's bound (see
+``lhv.min_noise_lp``), and each restart starts cold, so restarts stay
+independent; the result does not depend on the start, only the cost of the
+solve does. The gradient norm at the best restart's final point is
+reported as a first-order optimality certificate.
 """
 
 from __future__ import annotations
@@ -34,16 +40,23 @@ from .engine import (
     RELABEL_DESTINATIONS,
     PhaseSettings,
     experiment_probabilities,
+    probability_jacobian,
     relabeling_at,
 )
 from .inequality import CH_VECTOR, FLAT_LHS, analytic_threshold, noise_crossing
-from .lhv import NoiseBound, _min_noise_lp, min_noise_lp
+from .lhv import NoiseBound, _min_noise_lp, min_noise_lp, threshold_gradient
 from .simplex import SimplexFailure
 
+# coordinate ascent, for the analytic method
 GRID_POINTS = 12
 COORDINATE_TOL = 1e-4
 SWEEP_TOL = 1e-7
-FREE_INDICES = (1, 2, 4, 5, 7, 8, 10, 11)
+# BFGS ascent, for the LP method
+GRADIENT_TOL = 1e-9
+STEP_TOL = 1e-12  # radians
+ARMIJO = 1e-4  # the share of the predicted gain a step must realize
+FREE_INDICES = np.array([1, 2, 4, 5, 7, 8, 10, 11])
+FREE_INDICES.setflags(write=False)
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -55,7 +68,9 @@ class OptimizationResult:
     ``failed_restarts`` counts the restarts skipped after a SimplexFailure.
     ``lp_starts`` counts the LP evaluations by start outcome ("accepted",
     "repaired" or "cold", see ``lhv.NoiseBound``); it is empty for the
-    analytic method.
+    analytic method. ``gradient_norm`` is the norm of the LP threshold's
+    gradient over the 8 free phases at the best settings, small at a local
+    maximum; it is None for the analytic method.
     """
 
     best_settings: PhaseSettings
@@ -64,6 +79,7 @@ class OptimizationResult:
     seed: int
     failed_restarts: int = 0
     lp_starts: dict[str, int] = field(default_factory=dict)
+    gradient_norm: float | None = None
 
 
 def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
@@ -93,11 +109,7 @@ def _relabel_maxed_scores(exp0) -> np.ndarray:
 
 
 def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
-    """Maximize fn along one coordinate in place; returns the new best value.
-
-    fn(x, slot) is told the grid slot (index, k) of the k-th grid point and
-    None for every other point.
-    """
+    """Maximize fn along one coordinate in place; returns the new best value."""
     step = 2.0 * np.pi / GRID_POINTS
     best_val, best_pos = current, x[index]
     origin = x[index]
@@ -105,18 +117,18 @@ def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
     for k in range(1, GRID_POINTS):
         position = origin + k * step
         x[index] = position
-        value = fn(x, (index, k))
+        value = fn(x)
         if value > best_val:
             best_val, best_pos = value, position
     lo, hi = best_pos - step, best_pos + step
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     x[index] = c
-    fc = fn(x, None)
+    fc = fn(x)
     if fc > best_val:
         best_val, best_pos = fc, c
     x[index] = d
-    fd = fn(x, None)
+    fd = fn(x)
     if fd > best_val:
         best_val, best_pos = fd, d
     while hi - lo > COORDINATE_TOL:
@@ -124,14 +136,14 @@ def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
             x[index] = c
-            fc = fn(x, None)
+            fc = fn(x)
             if fc > best_val:
                 best_val, best_pos = fc, c
         else:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             x[index] = d
-            fd = fn(x, None)
+            fd = fn(x)
             if fd > best_val:
                 best_val, best_pos = fd, d
     x[index] = best_pos
@@ -139,13 +151,62 @@ def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
 
 
 def _coordinate_ascent(fn, x: np.ndarray) -> float:
-    current = fn(x, None)
+    current = fn(x)
     while True:
         sweep_start = current
         for index in FREE_INDICES:
             current = _refine_coordinate(fn, x, index, current)
         if current - sweep_start < SWEEP_TOL:
             return current
+
+
+def _bfgs_ascent(fn, x: np.ndarray, enough: float = np.inf) -> tuple[float, np.ndarray]:
+    """Maximize fn over the free phases of x in place; returns the value and
+    the free-phase gradient at the final x.
+
+    fn(x) returns the value and its gradient over all 12 phases. Each step
+    goes along H g, where H approximates the inverse of the negated Hessian
+    by BFGS updates, and halves until the Armijo condition holds. The
+    ascent stops once the value exceeds ``enough``, the gradient norm is at
+    most ``GRADIENT_TOL``, or no step of at least ``STEP_TOL`` radians
+    gains.
+    """
+    value, gradient = fn(x)
+    gradient = gradient[FREE_INDICES]
+    inverse = None
+    while value <= enough and np.linalg.norm(gradient) > GRADIENT_TOL:
+        direction = gradient if inverse is None else inverse @ gradient
+        slope = gradient @ direction
+        if not slope > 0.0:  # the update lost positive definiteness
+            inverse, direction, slope = None, gradient, gradient @ gradient
+        origin = x[FREE_INDICES]
+        step = 1.0
+        while True:
+            x[FREE_INDICES] = origin + step * direction
+            trial, trial_gradient = fn(x)
+            if trial >= value + ARMIJO * step * slope:
+                break
+            step *= 0.5
+            if step * np.linalg.norm(direction) < STEP_TOL:
+                x[FREE_INDICES] = origin
+                return value, gradient
+        trial_gradient = trial_gradient[FREE_INDICES]
+        moved = step * direction
+        turned = gradient - trial_gradient
+        curvature = moved @ turned
+        if curvature > 0.0:
+            if inverse is None:
+                # the first estimate's scale is the step's own curvature
+                inverse = np.eye(len(moved)) * (curvature / (turned @ turned))
+            rho = 1.0 / curvature
+            left = np.eye(len(moved)) - rho * np.outer(moved, turned)
+            inverse = left @ inverse @ left.T + rho * np.outer(moved, moved)
+        value, gradient = trial, trial_gradient
+    return value, gradient
+
+
+def _settings(x: np.ndarray) -> PhaseSettings:
+    return PhaseSettings(x[:6].reshape(2, 3), x[6:].reshape(2, 3))
 
 
 def _pin_gauge(phases: np.ndarray) -> np.ndarray:
@@ -160,7 +221,7 @@ def optimize(
     method: str = "lp",
     initial_phases: PhaseSettings | None = None,
 ) -> OptimizationResult:
-    """Multi-restart coordinate ascent over the 8 gauge-free phases.
+    """Multi-restart ascent over the 8 gauge-free phases.
 
     Restart r draws its starting point from a stream keyed by (seed, r),
     so results are reproducible and independent of evaluation interleaving.
@@ -179,27 +240,35 @@ def optimize(
     evaluations = 0
     failed_restarts = 0
     lp_starts: dict[str, int] = {}
-    # the last LP bound of the current restart, and the last bound of each
-    # grid slot; one of them seeds the next solve (see the module docstring)
+    # the last LP bound of the current restart, which seeds the next solve
     previous: NoiseBound | None = None
-    slots: dict[tuple[int, int], NoiseBound] = {}
 
-    def score(x: np.ndarray, slot: tuple[int, int] | None) -> float:
+    def relabel_max(x: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return float(_relabel_maxed_scores(experiment_probabilities(_settings(x))).max())
+
+    def functional(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal evaluations
+        evaluations += 1
+        settings = _settings(x)
+        values = experiment_probabilities(settings).vector() @ _RELABELED_CH
+        best = int(values.argmax())
+        return float(values[best]), _RELABELED_CH[:, best] @ probability_jacobian(settings)
+
+    def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evaluations, previous
         evaluations += 1
-        settings = PhaseSettings(x[:6].reshape(2, 3), x[6:].reshape(2, 3))
-        exp0 = experiment_probabilities(settings)
-        if method == "analytic":
-            return float(_relabel_maxed_scores(exp0).max())
+        settings = _settings(x)
         # valid by construction, so the input check is skipped
-        previous = _min_noise_lp(exp0, start=slots.get(slot, previous))
-        if slot is not None:
-            slots[slot] = previous
+        previous = _min_noise_lp(experiment_probabilities(settings), start=previous)
         lp_starts[previous.start] = lp_starts.get(previous.start, 0) + 1
-        return previous.f_min
+        gradient = threshold_gradient(previous) @ probability_jacobian(settings)[:36]
+        return previous.f_min, gradient
 
     best_val = -np.inf
     best_x: np.ndarray | None = None
+    best_norm: float | None = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         draw = rng.uniform(0.0, 2.0 * np.pi, size=12)
@@ -210,27 +279,32 @@ def optimize(
         x = _pin_gauge(draw)
         # keeps restarts independent of each other
         previous = None
-        slots.clear()
+        norm = None
         try:
-            value = _coordinate_ascent(score, x)
+            if method == "analytic":
+                value = _coordinate_ascent(relabel_max, x)
+            else:
+                # f_min is 0 wherever the box is local, so the LP's gradient
+                # is too; the largest relabeled functional value leads off
+                # that plateau first
+                _bfgs_ascent(functional, x, enough=0.0)
+                value, gradient = _bfgs_ascent(lp_threshold, x)
+                norm = float(np.linalg.norm(gradient))
         except SimplexFailure:
             failed_restarts += 1
             continue
         if value > best_val:
-            best_val, best_x = value, x.copy()
+            best_val, best_x, best_norm = value, x.copy(), norm
 
     if best_x is None:
         raise RuntimeError("every restart failed")
-    alice = best_x[:6].reshape(2, 3)
-    bob = best_x[6:].reshape(2, 3)
     relabel = IDENTITY_RELABELING
     if method == "analytic":
-        scores = _relabel_maxed_scores(
-            experiment_probabilities(PhaseSettings(alice, bob))
-        )
+        scores = _relabel_maxed_scores(experiment_probabilities(_settings(best_x)))
         relabel = relabeling_at(int(np.argmax(scores)))
         best_val = float(scores.max())
-    settings = PhaseSettings(alice, bob, relabel)
+    settings = PhaseSettings(best_x[:6].reshape(2, 3), best_x[6:].reshape(2, 3), relabel)
     return OptimizationResult(
-        settings, float(best_val), evaluations, seed, failed_restarts, lp_starts
+        settings, float(best_val), evaluations, seed, failed_restarts, lp_starts,
+        best_norm,
     )

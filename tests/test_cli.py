@@ -123,7 +123,24 @@ def test_optimize_command_reports_a_result(capsys):
     results = doc["results"]
     assert results["best_threshold"] >= REFERENCE_NOISE_THRESHOLD - 1e-3
     assert results["evaluations"] > 0
+    assert results["lp_evaluations"] == 0
+    assert results["gradient_norm"] is None
     assert len(results["best_settings"]["alice"]) == 2
+    assert set(doc["tolerances"]) == {"coordinate", "sweep_improvement"}
+
+
+def test_optimize_command_reports_the_lp_search_and_its_gradient(capsys):
+    code, out, _ = run(
+        capsys, ["optimize", "--method", "lp", "--restarts", "1", "--seed", "2"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    results = doc["results"]
+    assert abs(results["best_threshold"] - REFERENCE_NOISE_THRESHOLD) < 1e-12
+    assert 0 < results["lp_evaluations"] <= results["evaluations"]
+    # this restart stops on the gradient test, not on a failed line search
+    assert 0.0 <= results["gradient_norm"] <= doc["tolerances"]["gradient"]
+    assert set(doc["tolerances"]) == {"gradient", "step"}
 
 
 def test_usage_errors_exit_one(capsys):

@@ -17,6 +17,7 @@ from qutrit_ch.engine import (
     joint_table,
     mix_with_noise,
     observable_unitary,
+    probability_jacobian,
     singles,
     tritter_matrix,
 )
@@ -129,6 +130,48 @@ def test_experiment_probabilities_clamps_tiny_negatives():
     tables[0, 0, 0, 1] = 2.0 / 9.0 + 1e-15
     exp = ExperimentProbabilities(tables, np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3))
     assert exp.tables[0, 0, 0, 0] == 0.0
+
+
+def test_born_rule_output_is_adopted_frozen_and_unchanged():
+    # experiment_probabilities wraps its fresh arrays without the public
+    # constructor's copy and scan, which must not change a single byte
+    rng = np.random.default_rng(11)
+    for draw in range(300):
+        relabel = IDENTITY_RELABELING
+        if draw % 3 == 2:
+            relabel = tuple(PERMUTATIONS[i] for i in rng.integers(0, 6, size=4))
+        noise = float(rng.uniform(0, 1)) if draw % 3 == 1 else 0.0
+        phases = rng.uniform(0, 2 * np.pi, (2, 2, 3))
+        exp = experiment_probabilities(PhaseSettings(*phases, relabel), noise)
+        copied = ExperimentProbabilities(exp.tables, exp.alice_singles, exp.bob_singles)
+        for name in ("tables", "alice_singles", "bob_singles"):
+            adopted = getattr(exp, name)
+            assert not adopted.flags.writeable
+            assert adopted.tobytes() == getattr(copied, name).tobytes()
+
+
+def test_probability_jacobian_matches_central_differences():
+    rng = np.random.default_rng(41)
+    step = 1e-6
+    for draw in range(6):
+        relabel = IDENTITY_RELABELING
+        if draw % 2:
+            relabel = tuple(PERMUTATIONS[i] for i in rng.integers(0, 6, size=4))
+        phases = rng.uniform(0, 2 * np.pi, 12)
+
+        def vector(x):
+            settings = PhaseSettings(x[:6].reshape(2, 3), x[6:].reshape(2, 3), relabel)
+            return experiment_probabilities(settings).vector()
+
+        jacobian = probability_jacobian(
+            PhaseSettings(phases[:6].reshape(2, 3), phases[6:].reshape(2, 3), relabel)
+        )
+        assert jacobian.shape == (48, 12)
+        for j, shift in enumerate(np.eye(12) * step):
+            central = (vector(phases + shift) - vector(phases - shift)) / (2 * step)
+            assert np.abs(jacobian[:, j] - central).max() < 1e-8
+        # the singles do not depend on the phases at all
+        assert not jacobian[36:].any()
 
 
 def test_validate_catches_bad_normalization_and_signaling():

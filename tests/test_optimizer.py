@@ -11,9 +11,10 @@ from qutrit_ch.engine import (
     PhaseSettings,
     apply_relabeling,
     experiment_probabilities,
+    probability_jacobian,
 )
 from qutrit_ch.inequality import analytic_threshold
-from qutrit_ch.lhv import marginals_of, min_noise_lp
+from qutrit_ch.lhv import marginals_of, min_noise_lp, threshold_gradient
 from qutrit_ch.optimizer import (
     OptimizationResult,
     _relabel_maxed_scores,
@@ -100,6 +101,7 @@ def test_optimize_is_deterministic_and_self_consistent():
     assert first.seed == 3
     assert first.failed_restarts == 0
     assert first.lp_starts == {}  # no LP is solved by the analytic method
+    assert first.gradient_norm is None
     assert 0.0 <= first.best_threshold <= 1.0
     # re-evaluating the returned settings reproduces the reported score
     replay = threshold_objective(first.best_settings, "analytic")
@@ -119,24 +121,66 @@ def test_lp_search_is_deterministic_with_warm_started_solves():
     assert abs(replay - first.best_threshold) < 1e-12
 
 
-# evaluations and best threshold of optimize(1, seed, "lp") from before
-# grid points started from their own slot's bound
-SLOT_START_FIXTURES = {2: (1585, 0.3038475768635756), 9: (1321, 0.30384757510115756)}
+# evaluations and LP evaluations of optimize(1, seed, "lp"), the restarts
+# of the search-lp benchmark; the first evaluations of a restart ascend the
+# relabeled functional and solve no LP
+GRADIENT_SEARCH_FIXTURES = {2: (20, 19), 9: (28, 26)}
 
 
-def test_grid_slot_starts_keep_the_search_and_repair_fewer_starts():
-    repaired = 0
-    for seed, (evaluations, best) in SLOT_START_FIXTURES.items():
+def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
+    for seed, (evaluations, lp_evaluations) in GRADIENT_SEARCH_FIXTURES.items():
         result = optimize(1, seed=seed, method="lp")
         assert result.evaluations == evaluations
-        assert abs(result.best_threshold - best) < 1e-12
-        assert result.failed_restarts == 0
-        assert sum(result.lp_starts.values()) == evaluations
+        assert sum(result.lp_starts.values()) == lp_evaluations <= evaluations
         assert set(result.lp_starts) <= {"accepted", "repaired", "cold"}
-        repaired += result.lp_starts["repaired"]
-    # 1183 were repaired when every grid point started from the previous
-    # evaluation, 30 degrees away
-    assert repaired <= 900
+        assert result.failed_restarts == 0
+        assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
+        assert isinstance(result.gradient_norm, float)
+        assert result.gradient_norm < 1e-6
+
+
+def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
+    result = optimize(20, seed=7, method="lp")
+    assert result.failed_restarts == 0
+    assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
+
+
+def _phase_settings(x):
+    return PhaseSettings(x[:6].reshape(2, 3), x[6:].reshape(2, 3))
+
+
+def test_lp_dual_gradient_matches_central_differences():
+    # d f_min / d phases = (LP dual) @ (Born-rule Jacobian), at settings
+    # that violate locality, where f_min > 0
+    rng = np.random.default_rng(23)
+    step = 1e-6
+    checked = 0
+    while checked < 20:
+        phases = rng.uniform(0, 2 * np.pi, 12)
+        settings = _phase_settings(phases)
+        bound = min_noise_lp(experiment_probabilities(settings))
+        if bound.f_min == 0.0:
+            continue
+        checked += 1
+        gradient = threshold_gradient(bound) @ probability_jacobian(settings)[:36]
+        central = np.array([
+            threshold_objective(_phase_settings(phases + shift), "lp")
+            - threshold_objective(_phase_settings(phases - shift), "lp")
+            for shift in np.eye(12) * step
+        ]) / (2 * step)
+        assert np.linalg.norm(gradient - central) <= 1e-6 * np.linalg.norm(gradient)
+
+
+def test_lp_dual_gradient_is_zero_at_a_local_box():
+    # with one setting per side every box is local, and f_min is flat at 0
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        alice, bob = rng.uniform(0, 2 * np.pi, (2, 3))
+        bound = min_noise_lp(
+            experiment_probabilities(PhaseSettings([alice, alice], [bob, bob]))
+        )
+        assert bound.f_min == 0.0
+        assert not threshold_gradient(bound).any()
 
 
 def test_analytic_search_never_over_reports_the_lp_threshold():
