@@ -248,7 +248,7 @@ def optimize(
         evaluations += 1
         return float(_relabel_maxed_scores(experiment_probabilities(_settings(x))).max())
 
-    def functional(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
         settings = _settings(x)
@@ -287,7 +287,7 @@ def optimize(
                 # f_min is 0 wherever the box is local, so the LP's gradient
                 # is too; the largest relabeled functional value leads off
                 # that plateau first
-                _bfgs_ascent(functional, x, enough=0.0)
+                _bfgs_ascent(relabeled_functional, x, enough=0.0)
                 value, gradient = _bfgs_ascent(lp_threshold, x)
                 norm = float(np.linalg.norm(gradient))
         except SimplexFailure:
