@@ -206,6 +206,7 @@ def _cmd_threshold(args):
         "threshold": bound.f_min,
         "solver": bound.method,
         "iterations": bound.iterations,
+        "start": bound.start,
     }
     return EXIT_OK, digest, results, {"certificate_residual": CERTIFICATE_TOL}
 

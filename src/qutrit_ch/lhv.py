@@ -29,11 +29,12 @@ certificate check read it, and bisection mixes it in with
 its optimal basis and basis inverse seed the simplex, which reports the
 outcome as the bound's ``start``. Since the matrix and cost are the same
 for every experiment, an optimal basis stays dual feasible for all of
-them. The start is "accepted" when the basis is still primal feasible,
-which then costs a few products with the carried inverse and no
-factorization; "repaired" when dual simplex pivots on that inverse first
-restore primal feasibility; and "cold" when the LP is solved from scratch
-(no usable start, a bisection bound, or a numerical failure on the way).
+them, so a solve without one starts from the flat box's, ``_ANCHOR_BASIS``.
+The start is "accepted" when the basis is still primal feasible, which
+then costs a few products with the carried inverse and no factorization;
+"repaired" when dual simplex pivots on that inverse first restore primal
+feasibility; and "cold" when the LP is solved from scratch (an unusable
+start or a numerical failure on the way).
 The result does not depend on the start. If the cold solve fails too,
 ``min_noise_lp`` raises SimplexFailure naming the cause; it never falls
 back to bisection silently. Within one restart the optimizer passes the
@@ -71,6 +72,12 @@ _NOISE_MATRIX.setflags(write=False)
 _NOISE_COST = np.zeros(N_ATOMS + 1)
 _NOISE_COST[N_ATOMS] = 1.0
 _NOISE_COST.setflags(write=False)
+# the cold solve's optimal basis for the flat box, and its inverse: the
+# start of every noise LP that brings no basis
+_ANCHOR_BASIS = (9, 41, 43, 42, 65, 51, 21, 38, 61, 59, 40, 66, 25, 47, 19, 69,
+                 56, 64, 18, 58, 0, 48, 60, 23, 46)
+_ANCHOR_INVERSE = np.linalg.inv(_NOISE_MATRIX[:, _ANCHOR_BASIS])
+_ANCHOR_INVERSE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,9 @@ class NoiseBound:
     bisection: a solver failure raises SimplexFailure). ``basis``
     is the LP's optimal basis and ``inverse`` its read-only basis inverse;
     together they seed the next ``min_noise_lp`` call, and both are None
-    for bisection. ``start`` is what became of the start basis:
-    "accepted", "repaired" or "cold" (always "cold" for bisection).
+    for bisection. ``start`` is what became of the start basis (the flat
+    box's by default): "accepted", "repaired" or "cold" (always "cold" for
+    bisection).
     """
 
     f_min: float
@@ -140,11 +148,11 @@ def min_noise_lp(
     so the LP minimizes g over u, g >= 0 with a constant matrix, and
     f_min = g / (1 + g) with weights u / (1 + g) (their sum of 1 follows
     from the rows of table (0, 0)). ``start``, the bound of a nearby
-    experiment, lends its optimal basis and basis inverse to the simplex;
-    the result is the same either way. If the solver gives up, this raises
-    SimplexFailure naming the cause; ``min_noise_bisection`` stays the
-    independent cross-check. The returned certificate always reproduces
-    all 36 noisy joint entries to within ``CERTIFICATE_TOL``.
+    experiment, lends its basis and inverse to the simplex in place of the
+    flat box's; the result is the same either way. If the solver gives up,
+    this raises SimplexFailure naming the cause; ``min_noise_bisection``
+    stays the independent cross-check. The returned certificate always
+    reproduces all 36 noisy joint entries to within ``CERTIFICATE_TOL``.
     """
     exp0.validate()
     return _min_noise_lp(exp0, start)
@@ -155,11 +163,13 @@ def _min_noise_lp(
 ) -> NoiseBound:
     """``min_noise_lp`` for tables already known to be valid."""
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
+    if start is None or start.basis is None:
+        basis, inverse = _ANCHOR_BASIS, _ANCHOR_INVERSE
+    else:
+        basis, inverse = start.basis, start.inverse
     try:
         solution = simplex_solve(
-            LpProblem(_NOISE_COST, _NOISE_MATRIX, t0),
-            start=None if start is None else start.basis,
-            inverse=None if start is None else start.inverse,
+            LpProblem(_NOISE_COST, _NOISE_MATRIX, t0), start=basis, inverse=inverse
         )
     except SimplexFailure as exc:
         raise SimplexFailure(f"noise minimization LP failed: {exc}") from exc

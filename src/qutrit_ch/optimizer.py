@@ -23,9 +23,9 @@ ascends the largest relabeled functional value, max_c (CH read through
 relabeling c) @ p, until it is positive, which makes the box nonlocal, and
 then ascends f_min. Every score it reports is a certified LP value. Each
 solve warm-starts from the previous evaluation's bound (see
-``lhv.min_noise_lp``), and each restart starts cold, so restarts stay
-independent; the result does not depend on the start, only the cost of the
-solve does. The gradient norm at the best restart's final point is
+``lhv.min_noise_lp``), and each restart from the flat box's constant basis,
+so restarts stay independent; the result does not depend on the start, only
+the cost of the solve does. The gradient norm at the best restart's final point is
 reported as a first-order optimality certificate.
 """
 

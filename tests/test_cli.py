@@ -59,6 +59,15 @@ def test_threshold_command_reports_the_closed_form(preset_file, capsys):
         assert doc["wall_time_seconds"] >= 0.0
 
 
+def test_lp_threshold_reports_the_anchored_start(preset_file, capsys):
+    code, out, _ = run(capsys, ["threshold", "--settings", preset_file, "--method", "lp"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["start"] == "repaired"  # from the flat box's basis, not cold
+    assert results["solver"] == "simplex"
+    assert results["iterations"] > 0
+
+
 def test_ch_command_on_fully_mixed_state(preset_file, capsys):
     code, out, _ = run(capsys, ["ch", "--settings", preset_file, "--noise", "1.0"])
     assert code == 0

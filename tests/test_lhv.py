@@ -26,7 +26,7 @@ from qutrit_ch.lhv import (
     min_noise_lp,
 )
 from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
-from qutrit_ch.simplex import INVERSE_TOL, LpSolution, SimplexFailure
+from qutrit_ch.simplex import INVERSE_TOL, LpProblem, LpSolution, SimplexFailure, simplex_solve
 
 
 def random_settings(rng):
@@ -48,6 +48,15 @@ def scipy_min_noise(exp0):
     out = linprog(c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
     assert out.status == 0
     return float(out.fun)
+
+
+def cold_min_noise(exp0):
+    """f_min and weights of the noise LP solved by the two-phase path."""
+    t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
+    solution = simplex_solve(LpProblem(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0))
+    assert solution.start == "cold"
+    g = solution.objective_value
+    return g / (1.0 + g), solution.x[:N_ATOMS] / (1.0 + g)
 
 
 def test_marginals_of_validates_shape():
@@ -305,29 +314,35 @@ def test_warm_started_bound_equals_the_cold_one(phases, index, step, down):
     phases[index] += -step if down else step
     exp1 = experiment_probabilities(PhaseSettings(phases[:6].reshape(2, 3), phases[6:].reshape(2, 3)))
     warm = min_noise_lp(exp1, start=min_noise_lp(exp0))
-    cold = min_noise_lp(exp1)
-    assert warm.method == cold.method == "simplex"
-    assert abs(warm.f_min - cold.f_min) < 1e-12
+    f_cold, _ = cold_min_noise(exp1)
+    assert warm.method == "simplex"
+    assert abs(warm.f_min - f_cold) < 1e-12
     assert abs(warm.f_min - min_noise_bisection(exp1).f_min) < 1e-8
 
 
 def test_unusable_starts_solve_cold_with_the_same_result():
     rng = np.random.default_rng(7)
     exp0 = experiment_probabilities(random_settings(rng))
-    cold = min_noise_lp(exp0)
-    n_rows = len(cold.basis)
+    f_cold, weights_cold = cold_min_noise(exp0)
+    anchored = min_noise_lp(exp0)
+    n_rows = len(anchored.basis)
     starts = [
-        min_noise_bisection(exp0),  # no basis at all
-        NoiseBound(0.0, cold.certificate, 0, "simplex", cold.basis[:-1]),  # wrong length
-        NoiseBound(0.0, cold.certificate, 0, "simplex", (0,) * n_rows),  # singular
-        NoiseBound(0.0, cold.certificate, 0, "simplex", tuple(range(n_rows))),  # singular
+        NoiseBound(0.0, weights_cold, 0, "simplex", anchored.basis[:-1]),  # wrong length
+        NoiseBound(0.0, weights_cold, 0, "simplex", (0,) * n_rows),  # singular
+        NoiseBound(0.0, weights_cold, 0, "simplex", tuple(range(n_rows))),  # singular
     ]
-    assert starts[0].start == "cold"  # bisection bounds never come from a start
     for start in starts:
         bound = min_noise_lp(exp0, start=start)
-        assert bound.f_min == cold.f_min
-        assert np.array_equal(bound.certificate, cold.certificate)
+        assert bound.f_min == f_cold
+        assert np.array_equal(bound.certificate, weights_cold)
         assert bound.start == "cold"
+    # a bisection bound has no basis, so it starts from the anchor like no start
+    bisection = min_noise_bisection(exp0)
+    assert bisection.start == "cold"  # bisection bounds never come from a start
+    bound = min_noise_lp(exp0, start=bisection)
+    assert bound.f_min == anchored.f_min
+    assert np.array_equal(bound.certificate, anchored.certificate)
+    assert bound.start == anchored.start != "cold"
 
 
 def test_distant_starts_and_bad_inverses_give_the_cold_bound():
@@ -375,7 +390,7 @@ def test_a_carried_inverse_gives_the_cold_bound(phases, index, step, down):
     assert warm.start in ("accepted", "repaired")
     footprint = lhv_module._NOISE_MATRIX[:, list(warm.basis)]
     assert np.max(np.abs(warm.inverse @ footprint - np.eye(25))) <= INVERSE_TOL
-    assert abs(warm.f_min - min_noise_lp(exp1).f_min) < 1e-12
+    assert abs(warm.f_min - cold_min_noise(exp1)[0]) < 1e-12
     assert abs(warm.f_min - scipy_min_noise(exp1)) < 1e-9
 
 
@@ -400,10 +415,9 @@ def test_repaired_warm_start_equals_the_cold_bound(phases, index, step, down):
     exp1 = experiment_probabilities(phase_settings(phases))
     warm = min_noise_lp(exp1, start=start)
     assume(warm.start == "repaired")
-    cold = min_noise_lp(exp1)
-    assert warm.method == cold.method == "simplex"
-    assert cold.start == "cold"
-    assert abs(warm.f_min - cold.f_min) < 1e-12
+    f_cold, _ = cold_min_noise(exp1)  # asserts its start is "cold"
+    assert warm.method == "simplex"
+    assert abs(warm.f_min - f_cold) < 1e-12
     assert abs(warm.f_min - min_noise_bisection(exp1).f_min) < 1e-8
 
 
@@ -438,7 +452,70 @@ def test_criterion_9_fallbacks_are_solved_by_a_repaired_warm_start(previous, fai
     assert warm.method == "simplex"
     assert warm.start == "repaired"
     assert abs(warm.f_min - min_noise_bisection(exp1).f_min) < 1e-7
-    # and solved cold, the simplex must not give up to bisection either
-    cold = min_noise_lp(exp1)
-    assert cold.method == "simplex"
-    assert abs(cold.f_min - warm.f_min) < 1e-12
+    # and solved cold, the simplex must not give up either
+    f_cold, _ = cold_min_noise(exp1)
+    assert abs(f_cold - warm.f_min) < 1e-12
+
+
+def test_the_flat_box_accepts_the_anchor_basis_as_it_stands():
+    flat = mix_with_noise(experiment_probabilities(reference_settings()), 1.0)
+    t0 = flat.tables.reshape(36)[INDEPENDENT_ROWS]
+    problem = LpProblem(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
+    # the literal anchor is the basis the two-phase solve finds for the flat box
+    assert simplex_solve(problem).basis == lhv_module._ANCHOR_BASIS
+    bound = min_noise_lp(flat)
+    assert bound.start == "accepted"
+    assert bound.iterations == 0
+    assert bound.basis == lhv_module._ANCHOR_BASIS
+    assert bound.f_min == 0.0
+    anchor_inverse = lhv_module._ANCHOR_INVERSE
+    assert not anchor_inverse.flags.writeable
+    with pytest.raises(ValueError):
+        anchor_inverse[0, 0] = 0.0
+    footprint = lhv_module._NOISE_MATRIX[:, list(lhv_module._ANCHOR_BASIS)]
+    assert np.max(np.abs(anchor_inverse @ footprint - np.eye(25))) <= INVERSE_TOL
+
+
+def anchored_box(kind, rng):
+    if kind == "dirichlet":
+        return local_experiment(rng.dirichlet(np.full(N_ATOMS, 0.3)))
+    if kind == "one setting":
+        # zero noise and equal triples per side: local and degenerate
+        alice, bob = (np.tile(rng.uniform(0, 2 * np.pi, 3), (2, 1)) for _ in range(2))
+        return experiment_probabilities(PhaseSettings(alice, bob))
+    exp0 = experiment_probabilities(random_settings(rng))
+    if kind == "noisy":
+        return mix_with_noise(exp0, rng.uniform(0.05, 0.4))
+    if kind == "relabeled":
+        return apply_relabeling(exp0, tuple(PERMUTATIONS[i] for i in rng.integers(0, 6, size=4)))
+    return exp0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["quantum", "noisy", "relabeled", "dirichlet", "one setting"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_solve_without_start_is_anchored_and_matches_scipy(kind, seed):
+    exp0 = anchored_box(kind, np.random.default_rng(seed))
+    bound = min_noise_lp(exp0)
+    assert bound.start in ("accepted", "repaired")
+    assert abs(bound.f_min - scipy_min_noise(exp0)) < 1e-9
+    if kind in ("dirichlet", "one setting"):
+        assert bound.f_min < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["quantum", "one setting"])
+def test_an_iteration_cap_below_the_repair_raises(kind):
+    exp0 = anchored_box(kind, np.random.default_rng(31))
+    t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
+    problem = LpProblem(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
+    basis, inverse = lhv_module._ANCHOR_BASIS, lhv_module._ANCHOR_INVERSE
+    repaired = simplex_solve(problem, start=basis, inverse=inverse)
+    assert repaired.start == "repaired"
+    assert repaired.iterations > 1
+    # the cap stops the dual pivots and then the cold fallback, which needs
+    # more pivots still; neither loops
+    for cap in range(1, repaired.iterations):
+        with pytest.raises(SimplexFailure, match="no certified optimum within"):
+            simplex_solve(problem, max_iterations=cap, start=basis, inverse=inverse)

@@ -133,6 +133,7 @@ def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
         assert result.evaluations == evaluations
         assert sum(result.lp_starts.values()) == lp_evaluations <= evaluations
         assert set(result.lp_starts) <= {"accepted", "repaired", "cold"}
+        assert "cold" not in result.lp_starts
         assert result.failed_restarts == 0
         assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
         assert isinstance(result.gradient_norm, float)
@@ -142,6 +143,7 @@ def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
 def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
     result = optimize(20, seed=7, method="lp")
     assert result.failed_restarts == 0
+    assert "cold" not in result.lp_starts
     assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
 
 
