@@ -338,27 +338,56 @@ def experiment_probabilities(
     return apply_relabeling(exp, settings.relabel)
 
 
+# row 2k + l marks the observables (A1, A2, B1, B2) of table (k, l), A_k
+# and B_l; _INCIDENT_PAIRS holds each row's outer product with itself
+_INCIDENCE = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=float)
+_INCIDENT_PAIRS = np.einsum("pi,pj->pij", _INCIDENCE, _INCIDENCE).reshape(4, 16)
+_EYE3 = np.eye(3)
+
+
+def _born_kernel(phases: np.ndarray):
+    """``experiment_probabilities`` of 12 raw phases (alice's, then bob's),
+    bit for bit, and ``derivatives(w)``: the gradient and Hessian over the
+    phases of w @ tables.ravel(), for 36 weights w or a stack of them.
+
+    In table (k, l), alice's phase (k, m) and bob's (l, m) enter only the
+    term T_m = ua_k[a, m] ub_l[b, m] / sqrt(3) of amp, as exp(i phi). So
+    d|amp|^2/dphi_m = -2 Im(conj(amp) T_m) and d^2|amp|^2/dphi_m dphi_n =
+    2 Re(T_m conj(T_n)) - 2 delta_mn Re(conj(amp) T_m), whose weighted
+    block b_kl is the Hessian at (A_k, B_l) and (B_l, A_k); (A_k, A_k)
+    sums it over l and (B_l, B_l) over k.
+    """
+    if not np.isfinite(phases).all():
+        raise ValueError("phases must be finite")
+    u = _observable_unitaries(phases.reshape(4, 3))
+    # _born_rule's arrays are fresh and range-checked
+    exp = ExperimentProbabilities._adopt(*_born_rule(u[:2], u[2:], 0.0))
+
+    def derivatives(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        stack = weights.shape[:-1]
+        weights = weights.reshape(stack + (4, 1, 9))
+        # terms[2k + l, 3a + b, m]
+        terms = (u[:2, None, :, None, :] * u[None, 2:, None, :, :]).reshape(4, 9, 3) / _SQRT3
+        # per table, sum_ab of w conj(amp) T_m and of w conj(T_m) T_n
+        weighted = weights @ (terms.sum(axis=2, keepdims=True).conj() * terms)
+        outer = (terms.conj().swapaxes(1, 2) * weights) @ terms
+        blocks = 2.0 * (outer.real - _EYE3 * weighted.real)
+        gradient = _INCIDENCE.T @ (-2.0 * weighted.imag[..., 0, :])
+        hessian = (_INCIDENT_PAIRS.T @ blocks.reshape(stack + (4, 9))).reshape(stack + (4, 4, 3, 3))
+        return gradient.reshape(stack + (12,)), hessian.swapaxes(-3, -2).reshape(stack + (12, 12))
+
+    return exp, derivatives
+
+
 def probability_jacobian(settings: PhaseSettings) -> np.ndarray:
     """Derivative of ``experiment_probabilities(settings).vector()`` with
-    respect to the 12 phases, as a (48, 12) array whose columns follow
-    ``settings.alice.ravel()`` and then ``settings.bob.ravel()``.
-
-    Each phase enters the amplitude amp = sum_m term_m of ``_born_rule``
-    through one factor exp(i phi) of the terms it appears in, so
-    d|amp|^2/dphi = -2 Im(conj(amp) term_m) for the alice phase (k, m) and
-    the bob phase (l, m) of term m, and 0 for the other phases. The singles
-    are 1/3 for every setting, so their rows are zero. The relabeling moves
+    respect to the 12 phases (alice's, then bob's), as a (48, 12) array: the
+    gradients of ``_born_kernel`` for the 36 unit weights, then zeros for
+    the singles, which are 1/3 for every setting. The relabeling moves
     rows the way it moves entries.
     """
-    u = _observable_unitaries(np.concatenate([settings.alice, settings.bob]))
-    # term[k, l, a, b, m] = ua_k[a, m] ub_l[b, m] / sqrt(3)
-    terms = u[:2, None, :, None, :] * u[None, 2:, None, :, :] / _SQRT3
-    slopes = -2.0 * (terms.sum(axis=4, keepdims=True).conj() * terms).imag
-    jacobian = np.zeros((2, 2, 3, 3, 4, 3))
-    for k in range(2):
-        jacobian[k, :, :, :, k] = slopes[k]
-        jacobian[:, k, :, :, 2 + k] = slopes[:, k]
-    jacobian = np.concatenate([jacobian.reshape(36, 12), np.zeros((12, 12))])
+    _, derivatives = _born_kernel(np.concatenate([settings.alice, settings.bob]).ravel())
+    jacobian = np.concatenate([derivatives(np.eye(36))[0], np.zeros((12, 12))])
     if settings.relabel == IDENTITY_RELABELING:
         return jacobian
     moved = np.empty_like(jacobian)

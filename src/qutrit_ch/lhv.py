@@ -26,21 +26,15 @@ certificate check read it, and bisection mixes it in with
 ``mix_with_noise``.
 
 ``min_noise_lp`` accepts the bound of a nearby experiment as ``start``:
-its optimal basis and basis inverse seed the simplex, which reports the
-outcome as the bound's ``start``. Since the matrix and cost are the same
-for every experiment, an optimal basis stays dual feasible for all of
-them, so a solve without one starts from the flat box's, ``_ANCHOR_BASIS``.
-The start is "accepted" when the basis is still primal feasible, which
-then costs a few products with the carried inverse and no factorization;
-"repaired" when dual simplex pivots on that inverse first restore primal
-feasibility; and "cold" when the LP is solved from scratch (an unusable
-start or a numerical failure on the way).
-The result does not depend on the start. If the cold solve fails too,
-``min_noise_lp`` raises SimplexFailure naming the cause; it never falls
-back to bisection silently. Within one restart the optimizer passes the
-previous evaluation's bound this way through ``_min_noise_lp``, which
-skips the input check because its tables come from
-``experiment_probabilities`` and are valid by construction.
+its optimal basis and inverse seed the simplex, which reports what became
+of them ("accepted", "repaired" or "cold", see ``simplex``). The matrix
+and cost are the same for every experiment, so an optimal basis stays
+dual feasible for all of them, and a solve without one starts from the
+flat box's, ``_ANCHOR_BASIS``. The result does not depend on the start.
+If the cold solve fails too, ``min_noise_lp`` raises SimplexFailure
+naming the cause. The optimizer passes each restart's previous bound
+through ``_min_noise_lp``, which skips the input check: its tables come
+from ``engine._born_kernel`` and are valid by construction.
 
 The carried inverse also gives the LP's dual, and with it the exact
 gradient of f_min with respect to the joint tables
@@ -49,6 +43,7 @@ gradient of f_min with respect to the joint tables
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +68,17 @@ _NOISE_COST = np.zeros(N_ATOMS + 1)
 _NOISE_COST[N_ATOMS] = 1.0
 _NOISE_COST.setflags(write=False)
 # the cold solve's optimal basis for the flat box, and its inverse: the
-# start of every noise LP that brings no basis
+# start of every noise LP that brings no basis. The inverse is factorized
+# by the first LP that needs it, so other processes make no LAPACK call.
 _ANCHOR_BASIS = (9, 41, 43, 42, 65, 51, 21, 38, 61, 59, 40, 66, 25, 47, 19, 69,
                  56, 64, 18, 58, 0, 48, 60, 23, 46)
-_ANCHOR_INVERSE = np.linalg.inv(_NOISE_MATRIX[:, _ANCHOR_BASIS])
-_ANCHOR_INVERSE.setflags(write=False)
+
+
+@functools.cache
+def _anchor_inverse() -> np.ndarray:
+    inverse = np.linalg.inv(_NOISE_MATRIX[:, _ANCHOR_BASIS])
+    inverse.setflags(write=False)
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def _min_noise_lp(
     """``min_noise_lp`` for tables already known to be valid."""
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
     if start is None or start.basis is None:
-        basis, inverse = _ANCHOR_BASIS, _ANCHOR_INVERSE
+        basis, inverse = _ANCHOR_BASIS, _anchor_inverse()
     else:
         basis, inverse = start.basis, start.inverse
     try:

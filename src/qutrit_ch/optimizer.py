@@ -15,18 +15,16 @@ baked into the returned settings.
 The analytic method runs coordinate-wise ascent: a coarse periodic scan of
 ``GRID_POINTS`` per coordinate, then golden-section refinement.
 
-The LP method runs a BFGS ascent with a backtracking (Armijo) line search
-on the exact gradient of f_min: the LP dual from ``lhv.threshold_gradient``
-times the Born-rule Jacobian from ``engine.probability_jacobian``. Where
-the box is local, f_min is 0 and so is its gradient, so each restart first
-ascends the largest relabeled functional value, max_c (CH read through
-relabeling c) @ p, until it is positive, which makes the box nonlocal, and
-then ascends f_min. Every score it reports is a certified LP value. Each
-solve warm-starts from the previous evaluation's bound (see
-``lhv.min_noise_lp``), and each restart from the flat box's constant basis,
-so restarts stay independent; the result does not depend on the start, only
-the cost of the solve does. The gradient norm at the best restart's final point is
-reported as a first-order optimality certificate.
+The LP method runs a modified Newton ascent on f_min. Within one LP basis
+f = g / (1 + g) with g the dual ``lhv.threshold_gradient`` reads times the
+tables, so ``engine._born_kernel`` gives its exact gradient and Hessian from
+the raw phases. f_min and its gradient are 0 where the box is local, so
+each restart first ascends the largest relabeled functional value,
+max_c (CH read through relabeling c) @ p, until it is positive. Every
+reported score is a certified LP value. Each solve warm-starts from the
+previous evaluation's bound and each restart from the flat box's basis
+(see ``lhv.min_noise_lp``), so restarts stay independent. The best
+restart's final gradient norm is reported as a first-order certificate.
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ from .engine import (
     IDENTITY_RELABELING,
     RELABEL_DESTINATIONS,
     PhaseSettings,
+    _born_kernel,
     experiment_probabilities,
-    probability_jacobian,
     relabeling_at,
 )
 from .inequality import CH_VECTOR, FLAT_LHS, analytic_threshold, noise_crossing
@@ -51,12 +49,15 @@ from .simplex import SimplexFailure
 GRID_POINTS = 12
 COORDINATE_TOL = 1e-4
 SWEEP_TOL = 1e-7
-# BFGS ascent, for the LP method
+# Newton ascent, for the LP method
 GRADIENT_TOL = 1e-9
 STEP_TOL = 1e-12  # radians
 ARMIJO = 1e-4  # the share of the predicted gain a step must realize
+ROUNDOFF_ULPS = 4  # a step that moves the value by at most this is accepted
+CURVATURE_FLOOR = 1e-3  # relative to the largest curvature
 FREE_INDICES = np.array([1, 2, 4, 5, 7, 8, 10, 11])
 FREE_INDICES.setflags(write=False)
+_FREE_BLOCK = np.ix_(FREE_INDICES, FREE_INDICES)
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -111,43 +112,33 @@ def _relabel_maxed_scores(exp0) -> np.ndarray:
 def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
     """Maximize fn along one coordinate in place; returns the new best value."""
     step = 2.0 * np.pi / GRID_POINTS
-    best_val, best_pos = current, x[index]
-    origin = x[index]
+    best = [current, x[index]]
 
-    for k in range(1, GRID_POINTS):
-        position = origin + k * step
+    def probe(position: float) -> float:
         x[index] = position
         value = fn(x)
-        if value > best_val:
-            best_val, best_pos = value, position
-    lo, hi = best_pos - step, best_pos + step
+        if value > best[0]:
+            best[:] = value, position
+        return value
+
+    origin = x[index]
+    for k in range(1, GRID_POINTS):
+        probe(origin + k * step)
+    lo, hi = best[1] - step, best[1] + step
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
-    x[index] = c
-    fc = fn(x)
-    if fc > best_val:
-        best_val, best_pos = fc, c
-    x[index] = d
-    fd = fn(x)
-    if fd > best_val:
-        best_val, best_pos = fd, d
+    fc, fd = probe(c), probe(d)
     while hi - lo > COORDINATE_TOL:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
-            x[index] = c
-            fc = fn(x)
-            if fc > best_val:
-                best_val, best_pos = fc, c
+            fc = probe(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
-            x[index] = d
-            fd = fn(x)
-            if fd > best_val:
-                best_val, best_pos = fd, d
-    x[index] = best_pos
-    return best_val
+            fd = probe(d)
+    x[index] = best[1]
+    return best[0]
 
 
 def _coordinate_ascent(fn, x: np.ndarray) -> float:
@@ -160,53 +151,45 @@ def _coordinate_ascent(fn, x: np.ndarray) -> float:
             return current
 
 
-def _bfgs_ascent(fn, x: np.ndarray, enough: float = np.inf) -> tuple[float, np.ndarray]:
+def _newton_ascent(fn, x: np.ndarray, enough: float = np.inf) -> tuple[float, np.ndarray]:
     """Maximize fn over the free phases of x in place; returns the value and
     the free-phase gradient at the final x.
 
-    fn(x) returns the value and its gradient over all 12 phases. Each step
-    goes along H g, where H approximates the inverse of the negated Hessian
-    by BFGS updates, and halves until the Armijo condition holds. The
-    ascent stops once the value exceeds ``enough``, the gradient norm is at
-    most ``GRADIENT_TOL``, or no step of at least ``STEP_TOL`` radians
-    gains.
+    fn(x) returns the value and its gradient and Hessian over all 12 phases.
+    A step solves with the negated free-phase Hessian, its eigenvalues
+    replaced by their magnitudes floored at ``CURVATURE_FLOOR`` times the
+    largest (Nocedal & Wright, *Numerical Optimization*, 3.4), or follows
+    the gradient if all are 0. It halves until it meets the Armijo
+    condition or moves the value by at most ``ROUNDOFF_ULPS`` ulps, all a
+    gain below rounding can show. The ascent stops once the value exceeds
+    ``enough``, the gradient norm is at most ``GRADIENT_TOL``, or no step
+    of at least ``STEP_TOL`` radians is accepted.
     """
-    value, gradient = fn(x)
+    value, gradient, hessian = fn(x)
     gradient = gradient[FREE_INDICES]
-    inverse = None
     while value <= enough and np.linalg.norm(gradient) > GRADIENT_TOL:
-        direction = gradient if inverse is None else inverse @ gradient
+        curvatures, axes = np.linalg.eigh(-hessian[_FREE_BLOCK])
+        curvatures = np.abs(curvatures)
+        if curvatures.max() > 0.0:
+            curvatures = np.maximum(curvatures, CURVATURE_FLOOR * curvatures.max())
+            direction = axes @ ((gradient @ axes) / curvatures)
+        else:
+            direction = gradient
         slope = gradient @ direction
-        if not slope > 0.0:  # the update lost positive definiteness
-            inverse, direction, slope = None, gradient, gradient @ gradient
+        rounding = ROUNDOFF_ULPS * np.spacing(abs(value))
         origin = x[FREE_INDICES]
         step = 1.0
         while True:
             x[FREE_INDICES] = origin + step * direction
-            trial, trial_gradient = fn(x)
-            if trial >= value + ARMIJO * step * slope:
+            trial, trial_gradient, hessian = fn(x)
+            if trial >= value + ARMIJO * step * slope or abs(trial - value) <= rounding:
                 break
             step *= 0.5
             if step * np.linalg.norm(direction) < STEP_TOL:
                 x[FREE_INDICES] = origin
                 return value, gradient
-        trial_gradient = trial_gradient[FREE_INDICES]
-        moved = step * direction
-        turned = gradient - trial_gradient
-        curvature = moved @ turned
-        if curvature > 0.0:
-            if inverse is None:
-                # the first estimate's scale is the step's own curvature
-                inverse = np.eye(len(moved)) * (curvature / (turned @ turned))
-            rho = 1.0 / curvature
-            left = np.eye(len(moved)) - rho * np.outer(moved, turned)
-            inverse = left @ inverse @ left.T + rho * np.outer(moved, moved)
-        value, gradient = trial, trial_gradient
+        value, gradient = trial, trial_gradient[FREE_INDICES]
     return value, gradient
-
-
-def _settings(x: np.ndarray) -> PhaseSettings:
-    return PhaseSettings(x[:6].reshape(2, 3), x[6:].reshape(2, 3))
 
 
 def _pin_gauge(phases: np.ndarray) -> np.ndarray:
@@ -246,25 +229,27 @@ def optimize(
     def relabel_max(x: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return float(_relabel_maxed_scores(experiment_probabilities(_settings(x))).max())
+        return float(_relabel_maxed_scores(_born_kernel(x)[0]).max())
 
-    def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
-        settings = _settings(x)
-        values = experiment_probabilities(settings).vector() @ _RELABELED_CH
+        exp0, derivatives = _born_kernel(x)
+        values = exp0.vector() @ _RELABELED_CH
         best = int(values.argmax())
-        return float(values[best]), _RELABELED_CH[:, best] @ probability_jacobian(settings)
+        return float(values[best]), *derivatives(_RELABELED_CH[:36, best])
 
-    def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations, previous
         evaluations += 1
-        settings = _settings(x)
+        exp0, derivatives = _born_kernel(x)
         # valid by construction, so the input check is skipped
-        previous = _min_noise_lp(experiment_probabilities(settings), start=previous)
+        previous = _min_noise_lp(exp0, start=previous)
         lp_starts[previous.start] = lp_starts.get(previous.start, 0) + 1
-        gradient = threshold_gradient(previous) @ probability_jacobian(settings)[:36]
-        return previous.f_min, gradient
+        # f = g / (1 + g) with g linear in the tables within the basis
+        gradient, hessian = derivatives(threshold_gradient(previous))
+        hessian -= (2.0 / (1.0 - previous.f_min)) * np.outer(gradient, gradient)
+        return previous.f_min, gradient, hessian
 
     best_val = -np.inf
     best_x: np.ndarray | None = None
@@ -287,8 +272,8 @@ def optimize(
                 # f_min is 0 wherever the box is local, so the LP's gradient
                 # is too; the largest relabeled functional value leads off
                 # that plateau first
-                _bfgs_ascent(relabeled_functional, x, enough=0.0)
-                value, gradient = _bfgs_ascent(lp_threshold, x)
+                _newton_ascent(relabeled_functional, x, enough=0.0)
+                value, gradient = _newton_ascent(lp_threshold, x)
                 norm = float(np.linalg.norm(gradient))
         except SimplexFailure:
             failed_restarts += 1
@@ -300,7 +285,7 @@ def optimize(
         raise RuntimeError("every restart failed")
     relabel = IDENTITY_RELABELING
     if method == "analytic":
-        scores = _relabel_maxed_scores(experiment_probabilities(_settings(best_x)))
+        scores = _relabel_maxed_scores(_born_kernel(best_x)[0])
         relabel = relabeling_at(int(np.argmax(scores)))
         best_val = float(scores.max())
     settings = PhaseSettings(best_x[:6].reshape(2, 3), best_x[6:].reshape(2, 3), relabel)

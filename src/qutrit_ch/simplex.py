@@ -230,7 +230,7 @@ def _primal(
     while True:
         if _bland_step(tableau, basis, n_cols):
             iterations += 1
-            if iterations >= max_iterations:
+            if iterations > max_iterations:
                 raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
             since_refactor += 1
             if since_refactor < REFACTOR_EVERY:
@@ -271,7 +271,7 @@ def _warm(
         extended = _extended(inverse, cost[basis])
         while _dual_step(extended, basis, matrix, rhs, cost):
             iterations += 1
-            if iterations >= max_iterations:
+            if iterations > max_iterations:
                 raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
             if iterations % REFACTOR_EVERY == 0:
                 extended = _extended(_factorize(matrix[:, basis]), cost[basis])

@@ -10,6 +10,7 @@ from qutrit_ch.engine import (
     PERMUTATIONS,
     RELABEL_DESTINATIONS,
     PhaseSettings,
+    _born_kernel,
     apply_relabeling,
     experiment_probabilities,
     find_matching_relabeling,
@@ -172,6 +173,26 @@ def test_probability_jacobian_matches_central_differences():
             assert np.abs(jacobian[:, j] - central).max() < 1e-8
         # the singles do not depend on the phases at all
         assert not jacobian[36:].any()
+
+
+def test_born_kernel_tables_are_experiment_probabilities_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        phases = rng.uniform(-20, 20, 12)
+        exp, _ = _born_kernel(phases)
+        reference = experiment_probabilities(
+            PhaseSettings(phases[:6].reshape(2, 3), phases[6:].reshape(2, 3))
+        )
+        assert exp.vector().tobytes() == reference.vector().tobytes()
+        assert not exp.tables.flags.writeable
+
+
+def test_born_kernel_rejects_non_finite_phases():
+    for bad in (np.nan, np.inf, -np.inf):
+        phases = np.zeros(12)
+        phases[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _born_kernel(phases)
 
 
 def test_validate_catches_bad_normalization_and_signaling():

@@ -468,7 +468,7 @@ def test_the_flat_box_accepts_the_anchor_basis_as_it_stands():
     assert bound.iterations == 0
     assert bound.basis == lhv_module._ANCHOR_BASIS
     assert bound.f_min == 0.0
-    anchor_inverse = lhv_module._ANCHOR_INVERSE
+    anchor_inverse = lhv_module._anchor_inverse()
     assert not anchor_inverse.flags.writeable
     with pytest.raises(ValueError):
         anchor_inverse[0, 0] = 0.0
@@ -505,12 +505,20 @@ def test_a_solve_without_start_is_anchored_and_matches_scipy(kind, seed):
         assert bound.f_min < 1e-9
 
 
-@pytest.mark.parametrize("kind", ["quantum", "one setting"])
+def same_solution(first, second):
+    assert (first.start, first.iterations, first.basis) == (second.start, second.iterations, second.basis)
+    assert np.array_equal(first.x, second.x)
+
+
+@pytest.mark.parametrize("kind", ["quantum", "one setting", "reference"])
 def test_an_iteration_cap_below_the_repair_raises(kind):
-    exp0 = anchored_box(kind, np.random.default_rng(31))
+    if kind == "reference":
+        exp0 = experiment_probabilities(reference_settings())
+    else:
+        exp0 = anchored_box(kind, np.random.default_rng(31))
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
     problem = LpProblem(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
-    basis, inverse = lhv_module._ANCHOR_BASIS, lhv_module._ANCHOR_INVERSE
+    basis, inverse = lhv_module._ANCHOR_BASIS, lhv_module._anchor_inverse()
     repaired = simplex_solve(problem, start=basis, inverse=inverse)
     assert repaired.start == "repaired"
     assert repaired.iterations > 1
@@ -519,3 +527,14 @@ def test_an_iteration_cap_below_the_repair_raises(kind):
     for cap in range(1, repaired.iterations):
         with pytest.raises(SimplexFailure, match="no certified optimum within"):
             simplex_solve(problem, max_iterations=cap, start=basis, inverse=inverse)
+    # a cap of exactly the pivots a solve needs lets it finish
+    same_solution(
+        simplex_solve(problem, max_iterations=repaired.iterations, start=basis, inverse=inverse),
+        repaired,
+    )
+    cold = simplex_solve(problem)
+    same_solution(simplex_solve(problem, max_iterations=cold.iterations), cold)
+    with pytest.raises(SimplexFailure, match="no certified optimum within"):
+        simplex_solve(problem, max_iterations=cold.iterations - 1)
+    if kind == "reference":
+        assert (repaired.iterations, cold.iterations) == (28, 63)

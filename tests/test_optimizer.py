@@ -9,6 +9,7 @@ from qutrit_ch.engine import (
     PERMUTATIONS,
     ExperimentProbabilities,
     PhaseSettings,
+    _born_kernel,
     apply_relabeling,
     experiment_probabilities,
     probability_jacobian,
@@ -16,7 +17,9 @@ from qutrit_ch.engine import (
 from qutrit_ch.inequality import analytic_threshold
 from qutrit_ch.lhv import marginals_of, min_noise_lp, threshold_gradient
 from qutrit_ch.optimizer import (
+    GRADIENT_TOL,
     OptimizationResult,
+    _RELABELED_CH,
     _relabel_maxed_scores,
     optimize,
     threshold_objective,
@@ -124,7 +127,7 @@ def test_lp_search_is_deterministic_with_warm_started_solves():
 # evaluations and LP evaluations of optimize(1, seed, "lp"), the restarts
 # of the search-lp benchmark; the first evaluations of a restart ascend the
 # relabeled functional and solve no LP
-GRADIENT_SEARCH_FIXTURES = {2: (20, 19), 9: (28, 26)}
+GRADIENT_SEARCH_FIXTURES = {2: (12, 11), 9: (8, 6)}
 
 
 def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
@@ -138,6 +141,14 @@ def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
         assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
         assert isinstance(result.gradient_norm, float)
         assert result.gradient_norm < 1e-6
+
+
+def test_every_lp_restart_ends_at_the_paper_threshold_with_a_small_gradient():
+    for seed in range(50):
+        result = optimize(1, seed=seed, method="lp")
+        assert result.failed_restarts == 0
+        assert result.gradient_norm <= GRADIENT_TOL
+        assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-9
 
 
 def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
@@ -171,6 +182,51 @@ def test_lp_dual_gradient_matches_central_differences():
             for shift in np.eye(12) * step
         ]) / (2 * step)
         assert np.linalg.norm(gradient - central) <= 1e-6 * np.linalg.norm(gradient)
+
+
+def test_born_kernel_hessian_matches_central_differences_of_its_gradient():
+    # the weights the search uses: the LP dual at a violating setting, and
+    # the functional read through the relabeling that maximizes it there
+    rng = np.random.default_rng(29)
+    step = 1e-6
+    checked = 0
+    while checked < 10:
+        phases = rng.uniform(0, 2 * np.pi, 12)
+        exp0, derivatives = _born_kernel(phases)
+        bound = min_noise_lp(exp0)
+        if bound.f_min == 0.0:
+            continue
+        checked += 1
+        best = int((exp0.vector() @ _RELABELED_CH).argmax())
+        for weights in (threshold_gradient(bound), _RELABELED_CH[:36, best]):
+            gradient, hessian = derivatives(weights)
+            central = np.array([
+                _born_kernel(phases + shift)[1](weights)[0]
+                - _born_kernel(phases - shift)[1](weights)[0]
+                for shift in np.eye(12) * step
+            ]) / (2 * step)
+            scale = np.abs(hessian).max()
+            assert np.abs(hessian - hessian.T).max() <= 1e-14 * scale
+            assert np.abs(hessian - central).max() <= 1e-8 * scale
+            # a stack of weights gives each one's derivatives
+            stacked = derivatives(np.stack([weights, 2.0 * weights]))
+            assert np.allclose(stacked[0], [gradient, 2.0 * gradient], rtol=1e-14, atol=0)
+            assert np.allclose(stacked[1], [hessian, 2.0 * hessian], rtol=1e-14, atol=0)
+        # the threshold's own Hessian while its basis stays optimal: the
+        # dual-weighted one minus 2 / (1 - f) grad grad^T, against central
+        # differences of the LP gradient
+        gradient, hessian = derivatives(threshold_gradient(bound))
+        hessian -= 2.0 / (1.0 - bound.f_min) * np.outer(gradient, gradient)
+
+        def lp_gradient(x):
+            exp, kernel_derivatives = _born_kernel(x)
+            return kernel_derivatives(threshold_gradient(min_noise_lp(exp, start=bound)))[0]
+
+        central = np.array([
+            lp_gradient(phases + shift) - lp_gradient(phases - shift)
+            for shift in np.eye(12) * step
+        ]) / (2 * step)
+        assert np.abs(hessian - central).max() <= 1e-8 * np.abs(hessian).max()
 
 
 def test_lp_dual_gradient_is_zero_at_a_local_box():
