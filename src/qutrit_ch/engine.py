@@ -379,22 +379,6 @@ def _born_kernel(phases: np.ndarray):
     return exp, derivatives
 
 
-def probability_jacobian(settings: PhaseSettings) -> np.ndarray:
-    """Derivative of ``experiment_probabilities(settings).vector()`` with
-    respect to the 12 phases (alice's, then bob's), as a (48, 12) array: the
-    gradients of ``_born_kernel`` for the 36 unit weights, then zeros for
-    the singles, which are 1/3 for every setting. The relabeling moves
-    rows the way it moves entries.
-    """
-    _, derivatives = _born_kernel(np.concatenate([settings.alice, settings.bob]).ravel())
-    jacobian = np.concatenate([derivatives(np.eye(36))[0], np.zeros((12, 12))])
-    if settings.relabel == IDENTITY_RELABELING:
-        return jacobian
-    moved = np.empty_like(jacobian)
-    moved[_destinations(settings.relabel)] = jacobian
-    return moved
-
-
 def find_matching_relabeling(
     computed: ExperimentProbabilities, target: ExperimentProbabilities
 ) -> tuple | None:

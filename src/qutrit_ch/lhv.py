@@ -247,8 +247,14 @@ def _check_certificate(
     gap -= noise * FLAT_VECTOR[:36]
     residual = max(np.abs(gap).max(), abs(weights.sum() - 1.0))
     # NaN fails the comparison and raises too
-    if not residual <= CERTIFICATE_TOL or weights.min() < -CERTIFICATE_TOL:
+    if not residual <= CERTIFICATE_TOL:
         raise RuntimeError(
             f"local model certificate residual {residual:.3e} exceeds "
             f"{CERTIFICATE_TOL:.1e}"
+        )
+    lowest = weights.min()
+    if lowest < -CERTIFICATE_TOL:
+        raise RuntimeError(
+            f"local model certificate has a negative weight {lowest:.3e} below "
+            f"-{CERTIFICATE_TOL:.1e}"
         )

@@ -1,18 +1,25 @@
 """Dense two-phase simplex for small equality-form linear programs.
 
-Solves min c @ x subject to A x = b, x >= 0. Variable selection is Bland's
-rule with two numerical concessions: the ratio test only accepts pivot
-elements above ``PIVOT_TOL`` (elements near 1e-10 on degenerate rows left
-nearly singular bases behind), and among rows essentially tied in it the
-largest pivot element wins. Accumulated roundoff is flushed by
-refactorizing the tableau from the original data every few pivots and again
-whenever the solver believes it is optimal on a tableau that has been
-pivoted since it was computed, so a claimed optimum is always confirmed on
-a freshly computed tableau. A factorization is the explicit inverse B^-1
-of the basis matrix, and the tableau is B^-1 times the original data. A
-problem is infeasible when phase 1 cannot bring the sum of the artificial
-variables below ``INFEASIBILITY_TOL``. The intended problems are tiny (tens
-of rows, around a hundred columns); everything is dense.
+Solves min c @ x subject to A x = b, x >= 0. Every phase carries one
+state: the basis, its basic values B^-1 b and the rows [B^-1; -c_B B^-1],
+where B^-1 is the explicit inverse of the basis matrix. A tableau column
+or the reduced costs c - c_B B^-1 A are products of these rows with the
+original data, and a pivot updates rows and values by row operations.
+Primal variable selection is Bland's rule with two numerical concessions:
+the ratio test only accepts pivot elements above ``PIVOT_TOL`` (elements
+near 1e-10 on degenerate rows left nearly singular bases behind), and
+among rows essentially tied in it the largest pivot element wins. The
+basis is factorized afresh every ``REFACTOR_EVERY`` pivots and whenever
+the solver believes it is optimal after pivoting, so a claimed optimum is
+always confirmed from the original data, free of accumulated roundoff.
+Phase 1 gives each row an artificial column signed like its right-hand
+side, so the artificial basis is feasible for the rows as given and is its
+own inverse; no row is negated. A problem is infeasible when phase 1
+cannot bring the sum of the artificials below ``INFEASIBILITY_TOL``.
+Leftover artificials are pivoted out, and phase 2 starts from phase 1's
+B^-1, checked like any carried inverse (below); if a row was dropped as
+redundant, phase 2 factorizes instead and hands on no basis. The intended
+problems are tiny (tens of rows, around a hundred columns); all is dense.
 
 A solution carries its optimal basis and B^-1, and a solve can start from
 such a basis, for instance that of a nearby problem. A given inverse is
@@ -135,26 +142,6 @@ def _primal_feasible(values: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _refactorize(
-    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
-    inverse: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The tableau B^-1 [A | b] plus a priced-out cost row, for a basis that
-    must still be primal feasible, and B^-1 (factorized unless given).
-
-    Computing from the original data resets all accumulated pivot roundoff;
-    only the basis, which is combinatorial, is carried over.
-    """
-    if inverse is None:
-        inverse = _factorize(matrix[:, basis])
-    extended = _extended(inverse, cost[basis])
-    tableau = np.column_stack([extended @ matrix, extended @ rhs])
-    tableau[-1, :-1] += cost
-    if not _primal_feasible(tableau[:-1, -1], _FEASIBILITY_DRIFT):
-        raise SimplexFailure("basis lost feasibility")
-    return tableau, inverse
-
-
 def _eta(array: np.ndarray, row: int, column: np.ndarray) -> None:
     """Apply to ``array`` the row operations that turn ``column``, the pivot
     column over its rows, into the unit vector of ``row``; overwrites
@@ -164,24 +151,31 @@ def _eta(array: np.ndarray, row: int, column: np.ndarray) -> None:
     array -= column[:, None] * array[row]
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    _eta(tableau, row, tableau[:, col].copy())
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+def _entering_column(
+    extended: np.ndarray, matrix: np.ndarray, cost: np.ndarray, j: int,
+) -> np.ndarray:
+    """Column j of the tableau: B^-1 a_j over the reduced cost of j."""
+    column = extended @ matrix[:, j]
+    column[-1] += cost[j]
+    return column
 
 
-def _bland_step(tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> bool:
-    """Perform one pivot; False when the current tableau looks optimal."""
-    reduced = tableau[-1, :n_cols]
+def _bland_step(
+    extended: np.ndarray, values: np.ndarray, basis: np.ndarray,
+    matrix: np.ndarray, cost: np.ndarray,
+) -> bool:
+    """Perform one primal pivot on ``_extended`` rows and the basic values;
+    False when no reduced cost is below -PIVOT_TOL."""
+    reduced = extended[-1] @ matrix + cost
     improving = np.flatnonzero(reduced < -PIVOT_TOL)
     if improving.size == 0:
         return False
     entering = int(improving[0])
-    column = tableau[:-1, entering]
-    candidates = np.flatnonzero(column > PIVOT_TOL)
+    column = _entering_column(extended, matrix, cost, entering)
+    candidates = np.flatnonzero(column[:-1] > PIVOT_TOL)
     if candidates.size == 0:
         raise SimplexFailure("objective is unbounded below")
-    ratios = tableau[:-1, -1][candidates] / column[candidates]
+    ratios = values[candidates] / column[candidates]
     window = ratios.min() + _RATIO_WINDOW * (1.0 + abs(ratios.min()))
     tied = candidates[ratios <= window]
     # prefer the numerically largest pivot among the tied rows, then the
@@ -190,7 +184,9 @@ def _bland_step(tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> bool:
     best = strength.max()
     strongest = tied[strength >= best * (1.0 - 1e-12)]
     leaving = int(min(strongest, key=lambda i: basis[i]))
-    _pivot(tableau, leaving, entering)
+    values[leaving] /= column[leaving]
+    _eta(extended, leaving, column)
+    values -= column[:-1] * values[leaving]
     basis[leaving] = entering
     return True
 
@@ -212,35 +208,34 @@ def _dual_step(
         raise SimplexFailure("no column can enter the dual ratio test")
     ratios = np.abs(reduced[candidates] / row[candidates])
     entering = int(candidates[ratios.argmin()])
-    column = extended @ matrix[:, entering]
-    column[-1] += cost[entering]
-    _eta(extended, leaving, column)
+    _eta(extended, leaving, _entering_column(extended, matrix, cost, entering))
     basis[leaving] = entering
     return True
 
 
 def _primal(
     matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
-    n_cols: int, inverse: np.ndarray | None, iterations: int, max_iterations: int,
+    inverse: np.ndarray | None, iterations: int, max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Bland pivots from ``basis`` (B^-1 ``inverse``, if known) to an optimum
-    confirmed on a fresh tableau; returns it, its B^-1 and the pivot count."""
-    tableau, inverse = _refactorize(matrix, rhs, cost, basis, inverse)
-    since_refactor = 0
+    confirmed by ``_confirmed``; returns its basic values, its B^-1 and the
+    pivot count."""
     while True:
-        if _bland_step(tableau, basis, n_cols):
+        inverse, values, _ = _confirmed(matrix, rhs, cost, basis, inverse)
+        if not _primal_feasible(values, _FEASIBILITY_DRIFT):
+            raise SimplexFailure("basis lost feasibility")
+        extended = _extended(inverse, cost[basis])
+        pivots = 0
+        while pivots < REFACTOR_EVERY and _bland_step(extended, values, basis, matrix, cost):
+            pivots += 1
             iterations += 1
             if iterations > max_iterations:
                 raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
-            since_refactor += 1
-            if since_refactor < REFACTOR_EVERY:
-                continue
-        elif since_refactor == 0:
-            return tableau, inverse, iterations
+        if pivots == 0:
+            return values, inverse, iterations
         # refactorize every REFACTOR_EVERY pivots, and confirm a claimed
-        # optimum on a drift-free tableau
-        tableau, inverse = _refactorize(matrix, rhs, cost, basis)
-        since_refactor = 0
+        # optimum on a fresh factorization
+        inverse = None
 
 
 def _warm(
@@ -281,24 +276,20 @@ def _warm(
         if not _primal_feasible(values, _FEASIBILITY_DRIFT):
             raise SimplexFailure("basis lost feasibility")
     if not dual_feasible:
-        tableau, inverse, iterations = _primal(
-            matrix, rhs, cost, basis, n_vars, inverse, iterations, max_iterations
+        values, inverse, iterations = _primal(
+            matrix, rhs, cost, basis, inverse, iterations, max_iterations
         )
-        values = tableau[:-1, -1]
     return basis, values, inverse, outcome, iterations
 
 
 def _optimum(
     cost: np.ndarray, basis: np.ndarray, values: np.ndarray,
     inverse: np.ndarray | None, outcome: str, iterations: int,
-    sign: np.ndarray | None,
 ) -> LpSolution:
     """The optimal solution; without ``inverse`` it carries no basis."""
     x = np.zeros(len(cost))
     x[basis] = values
     if inverse is not None:
-        if sign is not None:
-            inverse = inverse * sign
         inverse.setflags(write=False)
         basis = tuple(basis.tolist())
     else:
@@ -317,7 +308,8 @@ def simplex_solve(
     Status is "optimal" or "infeasible". Unboundedness, a numerically broken
     basis, and running past the iteration cap (default 10 * (rows + columns))
     all raise instead of returning, since none of them carries a usable
-    certificate.
+    certificate. Data of the wrong shape or with a non-finite entry raises
+    ValueError naming the array.
 
     ``start`` is an optional basis, one column index per row, typically the
     ``basis`` of an earlier solution of a nearby problem, and ``inverse``
@@ -338,23 +330,17 @@ def simplex_solve(
         raise ValueError("eq_rhs length does not match eq_matrix rows")
     if cost.shape != (n_vars,):
         raise ValueError("objective length does not match eq_matrix columns")
+    for name, array in (("eq_matrix", matrix), ("eq_rhs", rhs), ("objective", cost)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} must be finite")
     if max_iterations is None:
         max_iterations = 10 * (n_rows + n_vars)
 
-    # rows with a negative right-hand side are negated; B^-1 of the negated
-    # rows is B^-1 of the given ones with the same columns negated. The
-    # given arrays are only read, never written.
-    sign = None
-    if rhs.min(initial=0.0) < 0.0:
-        sign = np.where(rhs < 0.0, -1.0, 1.0)
-        matrix = matrix * sign[:, None]
-        rhs = rhs * sign
+    # the given arrays are only read, never written
     if inverse is not None:
         inverse = np.asarray(inverse, dtype=float)
         if inverse.shape != (n_rows, n_rows):
             inverse = None
-        elif sign is not None:
-            inverse = inverse * sign
         elif inverse.flags.writeable:
             inverse = inverse.copy()  # the solution's inverse is frozen
 
@@ -364,22 +350,26 @@ def simplex_solve(
         except SimplexFailure:
             warm = None  # pivots from a borrowed basis can go bad
         if warm is not None:
-            return _optimum(cost, *warm, sign)
+            return _optimum(cost, *warm)
 
-    # phase 1: minimize the sum of one artificial variable per row
-    phase1_matrix = np.column_stack([matrix, np.eye(n_rows)])
+    # phase 1: minimize the sum of one artificial variable per row; each
+    # artificial column is signed like its row's right-hand side, so the
+    # artificial basis is feasible and is its own inverse
+    artificials = np.diag(np.where(rhs < 0.0, -1.0, 1.0))
+    phase1_matrix = np.column_stack([matrix, artificials])
     phase1_cost = np.concatenate([np.zeros(n_vars), np.ones(n_rows)])
     basis = np.arange(n_vars, n_vars + n_rows)
-    tableau, _, iterations = _primal(
-        phase1_matrix, rhs, phase1_cost, basis, n_vars + n_rows, None, 0,
-        max_iterations,
+    values, inverse, iterations = _primal(
+        phase1_matrix, rhs, phase1_cost, basis, artificials, 0, max_iterations
     )
 
-    if -tableau[-1, -1] > INFEASIBILITY_TOL:
+    if phase1_cost[basis] @ values > INFEASIBILITY_TOL:
         return LpSolution("infeasible", None, None, iterations)
 
-    # drive leftover artificials out of the basis; a row whose structural
-    # entries have all been eliminated is redundant and gets dropped
+    # drive leftover artificials out of the basis by pivots on B^-1; a row
+    # whose structural entries have all been eliminated is redundant and
+    # gets dropped
+    extended = _extended(inverse, phase1_cost[basis])
     in_basis = np.zeros(n_vars, dtype=bool)
     in_basis[basis[basis < n_vars]] = True
     kept: list[int] = []
@@ -387,21 +377,23 @@ def simplex_solve(
         if basis[i] < n_vars:
             kept.append(i)
             continue
-        row = np.abs(tableau[i, :n_vars])
+        row = np.abs(extended[i] @ matrix)
         row[in_basis] = 0.0
         j = int(np.argmax(row))
         if row[j] <= _REDUNDANT_TOL:
             continue
-        _pivot(tableau, i, j)
+        _eta(extended, i, _entering_column(extended, phase1_matrix, phase1_cost, j))
         basis[i] = j
         in_basis[j] = True
         kept.append(i)
 
-    # phase 2 on the surviving rows, original objective
+    # phase 2 on the surviving rows, original objective, from phase 1's
+    # B^-1 unless a row was dropped
     basis = basis[kept]
-    tableau, inverse, iterations = _primal(
-        matrix[kept], rhs[kept], cost, basis, n_vars, None, iterations, max_iterations
+    inverse = extended[:-1] if len(kept) == n_rows else None
+    values, inverse, iterations = _primal(
+        matrix[kept], rhs[kept], cost, basis, inverse, iterations, max_iterations
     )
     if len(kept) < n_rows:
         inverse = None  # no basis with one column per row to hand on
-    return _optimum(cost, basis, tableau[:-1, -1], inverse, "cold", iterations, sign)
+    return _optimum(cost, basis, values, inverse, "cold", iterations)

@@ -294,6 +294,23 @@ def test_lhv_weights_are_checked_before_they_are_returned(monkeypatch):
         lhv_weights(experiment_probabilities(reference_settings()))
 
 
+def test_a_negative_certificate_weight_is_named_as_the_cause(monkeypatch):
+    # moving the reference model along a null direction of [M; 1] keeps
+    # every joint entry and the weight sum but drives a weight negative
+    exp = experiment_probabilities(reference_settings())
+    bound = min_noise_lp(exp)
+    constraints = np.vstack([MARGINAL_MATRIX, np.ones(N_ATOMS)])
+    direction = np.linalg.svd(constraints)[2][-1]
+    weights = bound.certificate - 1e-6 * direction / np.abs(direction).max()
+    assert np.abs(constraints @ (weights - bound.certificate)).max() < 1e-12
+    assert weights.min() < -lhv_module.CERTIFICATE_TOL
+    monkeypatch.setattr(
+        lhv_module, "_feasibility", lambda exp: LpSolution("optimal", weights, 0.0, 0)
+    )
+    with pytest.raises(RuntimeError, match=f"negative weight {weights.min():.3e}"):
+        lhv_weights(mix_with_noise(exp, bound.f_min))
+
+
 def test_noise_keeps_a_local_mixture_with_biased_singles_local():
     exp = local_experiment(np.random.default_rng(3).dirichlet(np.ones(N_ATOMS)))
     mixed = mix_with_noise(exp, 0.5)

@@ -351,3 +351,48 @@ def test_a_dual_feasible_start_on_an_infeasible_problem_reports_infeasible(monke
     assert warm.x is None and warm.objective_value is None
     assert warm.iterations == cold.iterations
     assert warm.start == cold.start == "cold"
+
+
+def test_non_finite_data_is_rejected_naming_the_array():
+    cases = (
+        ("eq_matrix", [0.0, 0.0], [[np.inf, 1.0]], [1.0]),
+        ("objective", [np.nan, 0.0], [[1.0, 1.0]], [1.0]),
+        ("eq_rhs", [0.0, 0.0], [[1.0, 1.0]], [np.nan]),
+    )
+    for name, c, a, b in cases:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            solve(c, a, b)
+
+
+def test_a_short_cold_solve_factorizes_at_most_twice(monkeypatch):
+    # phase 1 starts from the artificial basis, its own inverse, and phase 2
+    # from phase 1's B^-1, so only the confirmation of each optimum factorizes
+    c, a, b = _random_feasible_problem(0)
+    calls = []
+    factorize = simplex_module._factorize
+
+    def counted(*args):
+        calls.append(args)
+        return factorize(*args)
+
+    monkeypatch.setattr(simplex_module, "_factorize", counted)
+    sol = solve(c, a, b)
+    assert sol.status == "optimal"
+    # so neither phase reaches a periodic refactorization
+    assert 0 < sol.iterations < simplex_module.REFACTOR_EVERY
+    assert len(calls) <= 2
+
+
+def test_a_cold_solve_with_negative_rhs_hands_on_an_inverse_of_the_given_rows():
+    c, a, b = _random_feasible_problem(1)
+    a[::2], b[::2] = -a[::2], -b[::2]
+    assert b.min() < 0.0
+    cold = solve(c, a, b)
+    assert cold.status == "optimal"
+    m = len(b)
+    gap = cold.inverse @ a[:, list(cold.basis)] - np.eye(m)
+    assert np.abs(gap).max() <= simplex_module.INVERSE_TOL
+    warm = solve(c, a, b, start=cold.basis, inverse=cold.inverse)
+    assert warm.start == "accepted"
+    assert warm.iterations == 0
+    assert np.array_equal(warm.x, cold.x)
