@@ -294,6 +294,7 @@ def _cmd_optimize(args):
         "best_threshold": result.best_threshold,
         "evaluations": result.evaluations,
         "lp_evaluations": sum(result.lp_starts.values()),
+        "lp_pivots": result.lp_pivots,
         "gradient_norm": result.gradient_norm,
         "best_settings": {
             "alice": settings.alice,

@@ -32,9 +32,9 @@ and cost are the same for every experiment, so an optimal basis stays
 dual feasible for all of them, and a solve without one starts from the
 flat box's, ``_ANCHOR_BASIS``. The result does not depend on the start.
 If the cold solve fails too, ``min_noise_lp`` raises SimplexFailure
-naming the cause. The optimizer passes each restart's previous bound
-through ``_min_noise_lp``, which skips the input check: its tables come
-from ``engine._born_kernel`` and are valid by construction.
+naming the cause. The optimizer passes its bounds through
+``_min_noise_lp``, which skips the input check: its tables come from
+``engine._born_kernel`` and are valid by construction.
 
 The carried inverse also gives the LP's dual, and with it the exact
 gradient of f_min with respect to the joint tables
@@ -50,7 +50,7 @@ import numpy as np
 
 from .atoms import ALICE_INDICATOR, BOB_INDICATOR, JOINT_INDICATOR, MARGINAL_MATRIX, N_ATOMS
 from .engine import FLAT_VECTOR, ExperimentProbabilities, mix_with_noise
-from .simplex import LpProblem, SimplexFailure, simplex_solve
+from .simplex import LpProblem, SimplexFailure, _check_finite, _solve, simplex_solve
 
 BISECTION_STEPS = 40
 CERTIFICATE_TOL = 1e-7
@@ -67,6 +67,8 @@ _NOISE_MATRIX.setflags(write=False)
 _NOISE_COST = np.zeros(N_ATOMS + 1)
 _NOISE_COST[N_ATOMS] = 1.0
 _NOISE_COST.setflags(write=False)
+# checked once here, so each solve checks only its right-hand side
+_check_finite(eq_matrix=_NOISE_MATRIX, objective=_NOISE_COST)
 # the cold solve's optimal basis for the flat box, and its inverse: the
 # start of every noise LP that brings no basis. The inverse is factorized
 # by the first LP that needs it, so other processes make no LAPACK call.
@@ -168,10 +170,9 @@ def _min_noise_lp(
         basis, inverse = _ANCHOR_BASIS, _anchor_inverse()
     else:
         basis, inverse = start.basis, start.inverse
+    _check_finite(eq_rhs=t0)
     try:
-        solution = simplex_solve(
-            LpProblem(_NOISE_COST, _NOISE_MATRIX, t0), start=basis, inverse=inverse
-        )
+        solution = _solve(_NOISE_MATRIX, t0, _NOISE_COST, start=basis, inverse=inverse)
     except SimplexFailure as exc:
         raise SimplexFailure(f"noise minimization LP failed: {exc}") from exc
     if solution.status != "optimal":

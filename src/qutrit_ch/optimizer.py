@@ -22,7 +22,8 @@ the raw phases. f_min and its gradient are 0 where the box is local, so
 each restart first ascends the largest relabeled functional value,
 max_c (CH read through relabeling c) @ p, until it is positive. Every
 reported score is a certified LP value. Each solve warm-starts from the
-previous evaluation's bound and each restart from the flat box's basis
+bound with the highest f_min so far in its restart, so a trial the line
+search rejects seeds nothing, and each restart from the flat box's basis
 (see ``lhv.min_noise_lp``), so restarts stay independent. The best
 restart's final gradient norm is reported as a first-order certificate.
 """
@@ -68,10 +69,11 @@ class OptimizationResult:
 
     ``failed_restarts`` counts the restarts skipped after a SimplexFailure.
     ``lp_starts`` counts the LP evaluations by start outcome ("accepted",
-    "repaired" or "cold", see ``lhv.NoiseBound``); it is empty for the
-    analytic method. ``gradient_norm`` is the norm of the LP threshold's
-    gradient over the 8 free phases at the best settings, small at a local
-    maximum; it is None for the analytic method.
+    "repaired" or "cold", see ``lhv.NoiseBound``) and ``lp_pivots`` sums
+    their simplex pivots; they are empty and 0 for the analytic method.
+    ``gradient_norm`` is the norm of the LP threshold's gradient over the 8
+    free phases at the best settings, small at a local maximum; it is None
+    for the analytic method.
     """
 
     best_settings: PhaseSettings
@@ -81,6 +83,7 @@ class OptimizationResult:
     failed_restarts: int = 0
     lp_starts: dict[str, int] = field(default_factory=dict)
     gradient_norm: float | None = None
+    lp_pivots: int = 0
 
 
 def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
@@ -223,8 +226,10 @@ def optimize(
     evaluations = 0
     failed_restarts = 0
     lp_starts: dict[str, int] = {}
-    # the last LP bound of the current restart, which seeds the next solve
-    previous: NoiseBound | None = None
+    lp_pivots = 0
+    # the current restart's bound with the highest f_min, which seeds the
+    # next solve
+    seed_bound: NoiseBound | None = None
 
     def relabel_max(x: np.ndarray) -> float:
         nonlocal evaluations
@@ -240,16 +245,19 @@ def optimize(
         return float(values[best]), *derivatives(_RELABELED_CH[:36, best])
 
     def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        nonlocal evaluations, previous
+        nonlocal evaluations, lp_pivots, seed_bound
         evaluations += 1
         exp0, derivatives = _born_kernel(x)
         # valid by construction, so the input check is skipped
-        previous = _min_noise_lp(exp0, start=previous)
-        lp_starts[previous.start] = lp_starts.get(previous.start, 0) + 1
+        bound = _min_noise_lp(exp0, start=seed_bound)
+        lp_starts[bound.start] = lp_starts.get(bound.start, 0) + 1
+        lp_pivots += bound.iterations
+        if seed_bound is None or bound.f_min >= seed_bound.f_min:
+            seed_bound = bound
         # f = g / (1 + g) with g linear in the tables within the basis
-        gradient, hessian = derivatives(threshold_gradient(previous))
-        hessian -= (2.0 / (1.0 - previous.f_min)) * np.outer(gradient, gradient)
-        return previous.f_min, gradient, hessian
+        gradient, hessian = derivatives(threshold_gradient(bound))
+        hessian -= (2.0 / (1.0 - bound.f_min)) * np.outer(gradient, gradient)
+        return bound.f_min, gradient, hessian
 
     best_val = -np.inf
     best_x: np.ndarray | None = None
@@ -263,7 +271,7 @@ def optimize(
             )
         x = _pin_gauge(draw)
         # keeps restarts independent of each other
-        previous = None
+        seed_bound = None
         norm = None
         try:
             if method == "analytic":
@@ -291,5 +299,5 @@ def optimize(
     settings = PhaseSettings(best_x[:6].reshape(2, 3), best_x[6:].reshape(2, 3), relabel)
     return OptimizationResult(
         settings, float(best_val), evaluations, seed, failed_restarts, lp_starts,
-        best_norm,
+        best_norm, lp_pivots,
     )

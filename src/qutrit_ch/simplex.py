@@ -11,7 +11,8 @@ near 1e-10 on degenerate rows left nearly singular bases behind), and
 among rows essentially tied in it the largest pivot element wins. The
 basis is factorized afresh every ``REFACTOR_EVERY`` pivots and whenever
 the solver believes it is optimal after pivoting, so a claimed optimum is
-always confirmed from the original data, free of accumulated roundoff.
+always confirmed from the original data, free of accumulated roundoff;
+non-finite reduced costs there raise SimplexFailure.
 Phase 1 gives each row an artificial column signed like its right-hand
 side, so the artificial basis is feasible for the rows as given and is its
 own inverse; no row is negated. A problem is infeasible when phase 1
@@ -35,10 +36,11 @@ start outcomes:
 - "repaired": the basis is primal infeasible but dual feasible, as an
   optimal basis stays when only the right-hand side moves. Dual simplex
   pivots on B^-1 restore primal feasibility: the most negative basic value
-  leaves, the entering column minimizes |d_j / a_rj| over
-  a_rj < -PIVOT_TOL (ties to the lowest index), and each pivot computes the
-  row B^-1_r A and the column B^-1 a_j and updates B^-1 by row operations.
-  The result is confirmed like a start: B^-1 is checked again (and
+  B^-1 b leaves, the entering column minimizes |d_j / a_rj| over nonbasic
+  j with a_rj < -PIVOT_TOL (ties to the lowest index), and each pivot
+  computes the row a_r = B^-1_r A, divides by a_rj and updates B^-1 and
+  the reduced costs d, carried from the start, by row operations. The
+  result is confirmed like a start: B^-1 is checked again (and
   refactorized if it drifted), and the basic values and reduced costs are
   recomputed from the original data. A basis that fails that check goes on
   to phase 2.
@@ -108,11 +110,10 @@ def _factorize(footprint: np.ndarray) -> np.ndarray:
 def _confirmed(
     matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
     inverse: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B^-1 (``inverse`` if it inverts the basis matrix to within
-    ``INVERSE_TOL``, else a fresh factorization), the basic values B^-1 b,
-    and whether the reduced costs c - c_B B^-1 A show the basis dual
-    feasible; all checked against the original data."""
+    ``INVERSE_TOL``, else a fresh factorization), the basic values B^-1 b
+    and the reduced costs c - c_B B^-1 A, all from the original data."""
     footprint = matrix[:, basis]
     if inverse is not None:
         gap = inverse @ footprint
@@ -123,7 +124,10 @@ def _confirmed(
     if inverse is None:
         inverse = _factorize(footprint)
     reduced = cost - (cost[basis] @ inverse) @ matrix
-    return inverse, inverse @ rhs, bool(reduced.min() >= -PIVOT_TOL)
+    # NaN compares false, so no column would enter and NaN be claimed optimal
+    if not np.isfinite(reduced).all():
+        raise SimplexFailure("reduced costs are not finite")
+    return inverse, inverse @ rhs, reduced
 
 
 def _extended(inverse: np.ndarray, basic_cost: np.ndarray) -> np.ndarray:
@@ -151,27 +155,19 @@ def _eta(array: np.ndarray, row: int, column: np.ndarray) -> None:
     array -= column[:, None] * array[row]
 
 
-def _entering_column(
-    extended: np.ndarray, matrix: np.ndarray, cost: np.ndarray, j: int,
-) -> np.ndarray:
-    """Column j of the tableau: B^-1 a_j over the reduced cost of j."""
-    column = extended @ matrix[:, j]
-    column[-1] += cost[j]
-    return column
-
-
 def _bland_step(
     extended: np.ndarray, values: np.ndarray, basis: np.ndarray,
-    matrix: np.ndarray, cost: np.ndarray,
+    matrix: np.ndarray, cost: np.ndarray, reduced: np.ndarray,
 ) -> bool:
     """Perform one primal pivot on ``_extended`` rows and the basic values;
     False when no reduced cost is below -PIVOT_TOL."""
-    reduced = extended[-1] @ matrix + cost
     improving = np.flatnonzero(reduced < -PIVOT_TOL)
     if improving.size == 0:
         return False
     entering = int(improving[0])
-    column = _entering_column(extended, matrix, cost, entering)
+    # the tableau column: B^-1 a_j over the reduced cost of j
+    column = extended @ matrix[:, entering]
+    column[-1] += cost[entering]
     candidates = np.flatnonzero(column[:-1] > PIVOT_TOL)
     if candidates.size == 0:
         raise SimplexFailure("objective is unbounded below")
@@ -192,23 +188,28 @@ def _bland_step(
 
 
 def _dual_step(
-    extended: np.ndarray, basis: np.ndarray, matrix: np.ndarray,
-    rhs: np.ndarray, cost: np.ndarray,
+    inverse: np.ndarray, reduced: np.ndarray, basis: np.ndarray,
+    matrix: np.ndarray, rhs: np.ndarray,
 ) -> bool:
-    """Perform one dual simplex pivot on ``_extended`` rows; False once the
-    basis is primal feasible. Raises SimplexFailure if no column can enter."""
-    values = extended[:-1] @ rhs
+    """Perform one dual simplex pivot on B^-1 and the reduced costs; False
+    once the basis is primal feasible. Raises SimplexFailure if no column
+    can enter."""
+    values = inverse @ rhs
     leaving = int(values.argmin())
     if values[leaving] >= -_START_FEASIBILITY:
         return False
-    row, reduced = extended[[leaving, -1]] @ matrix
-    reduced += cost
-    (candidates,) = (row < -PIVOT_TOL).nonzero()
+    row = inverse[leaving] @ matrix
+    eligible = row < -PIVOT_TOL
+    eligible[basis] = False
+    (candidates,) = eligible.nonzero()
     if candidates.size == 0:
         raise SimplexFailure("no column can enter the dual ratio test")
     ratios = np.abs(reduced[candidates] / row[candidates])
     entering = int(candidates[ratios.argmin()])
-    _eta(extended, leaving, _entering_column(extended, matrix, cost, entering))
+    reduced -= (reduced[entering] / row[entering]) * row
+    column = inverse @ matrix[:, entering]
+    column[leaving] = row[entering]
+    _eta(inverse, leaving, column)
     basis[leaving] = entering
     return True
 
@@ -221,16 +222,19 @@ def _primal(
     confirmed by ``_confirmed``; returns its basic values, its B^-1 and the
     pivot count."""
     while True:
-        inverse, values, _ = _confirmed(matrix, rhs, cost, basis, inverse)
+        inverse, values, reduced = _confirmed(matrix, rhs, cost, basis, inverse)
         if not _primal_feasible(values, _FEASIBILITY_DRIFT):
             raise SimplexFailure("basis lost feasibility")
         extended = _extended(inverse, cost[basis])
         pivots = 0
-        while pivots < REFACTOR_EVERY and _bland_step(extended, values, basis, matrix, cost):
+        while pivots < REFACTOR_EVERY and _bland_step(
+            extended, values, basis, matrix, cost, reduced
+        ):
             pivots += 1
             iterations += 1
             if iterations > max_iterations:
                 raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
+            reduced = extended[-1] @ matrix + cost
         if pivots == 0:
             return values, inverse, iterations
         # refactorize every REFACTOR_EVERY pivots, and confirm a claimed
@@ -255,27 +259,25 @@ def _warm(
         or basis.max() >= n_vars
     ):
         return None
-    inverse, values, dual_feasible = _confirmed(matrix, rhs, cost, basis, inverse)
+    inverse, values, reduced = _confirmed(matrix, rhs, cost, basis, inverse)
     iterations = 0
     if _primal_feasible(values, _START_FEASIBILITY):
         outcome = "accepted"
-    elif not dual_feasible:
+    elif reduced.min() < -PIVOT_TOL:
         return None
     else:
         outcome = "repaired"
-        extended = _extended(inverse, cost[basis])
-        while _dual_step(extended, basis, matrix, rhs, cost):
+        inverse = inverse.copy()  # a carried inverse is read-only
+        while _dual_step(inverse, reduced, basis, matrix, rhs):
             iterations += 1
             if iterations > max_iterations:
                 raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
             if iterations % REFACTOR_EVERY == 0:
-                extended = _extended(_factorize(matrix[:, basis]), cost[basis])
-        inverse, values, dual_feasible = _confirmed(
-            matrix, rhs, cost, basis, extended[:-1]
-        )
+                inverse, _, reduced = _confirmed(matrix, rhs, cost, basis, None)
+        inverse, values, reduced = _confirmed(matrix, rhs, cost, basis, inverse)
         if not _primal_feasible(values, _FEASIBILITY_DRIFT):
             raise SimplexFailure("basis lost feasibility")
-    if not dual_feasible:
+    if reduced.min() < -PIVOT_TOL:
         values, inverse, iterations = _primal(
             matrix, rhs, cost, basis, inverse, iterations, max_iterations
         )
@@ -330,9 +332,24 @@ def simplex_solve(
         raise ValueError("eq_rhs length does not match eq_matrix rows")
     if cost.shape != (n_vars,):
         raise ValueError("objective length does not match eq_matrix columns")
-    for name, array in (("eq_matrix", matrix), ("eq_rhs", rhs), ("objective", cost)):
+    _check_finite(eq_matrix=matrix, eq_rhs=rhs, objective=cost)
+    return _solve(matrix, rhs, cost, max_iterations, start, inverse)
+
+
+def _check_finite(**arrays: np.ndarray) -> None:
+    """Raise ValueError naming the first array with a non-finite entry."""
+    for name, array in arrays.items():
         if not np.isfinite(array).all():
             raise ValueError(f"{name} must be finite")
+
+
+def _solve(
+    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray,
+    max_iterations: int | None = None, start: Sequence[int] | None = None,
+    inverse: np.ndarray | None = None,
+) -> LpSolution:
+    """``simplex_solve`` of float data with matching shapes, known finite."""
+    n_rows, n_vars = matrix.shape
     if max_iterations is None:
         max_iterations = 10 * (n_rows + n_vars)
 
@@ -369,7 +386,6 @@ def simplex_solve(
     # drive leftover artificials out of the basis by pivots on B^-1; a row
     # whose structural entries have all been eliminated is redundant and
     # gets dropped
-    extended = _extended(inverse, phase1_cost[basis])
     in_basis = np.zeros(n_vars, dtype=bool)
     in_basis[basis[basis < n_vars]] = True
     kept: list[int] = []
@@ -377,12 +393,12 @@ def simplex_solve(
         if basis[i] < n_vars:
             kept.append(i)
             continue
-        row = np.abs(extended[i] @ matrix)
+        row = np.abs(inverse[i] @ matrix)
         row[in_basis] = 0.0
         j = int(np.argmax(row))
         if row[j] <= _REDUNDANT_TOL:
             continue
-        _eta(extended, i, _entering_column(extended, phase1_matrix, phase1_cost, j))
+        _eta(inverse, i, inverse @ matrix[:, j])
         basis[i] = j
         in_basis[j] = True
         kept.append(i)
@@ -390,7 +406,8 @@ def simplex_solve(
     # phase 2 on the surviving rows, original objective, from phase 1's
     # B^-1 unless a row was dropped
     basis = basis[kept]
-    inverse = extended[:-1] if len(kept) == n_rows else None
+    if len(kept) < n_rows:
+        inverse = None
     values, inverse, iterations = _primal(
         matrix[kept], rhs[kept], cost, basis, inverse, iterations, max_iterations
     )

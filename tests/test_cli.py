@@ -7,6 +7,7 @@ import qutrit_ch.cli as cli
 from qutrit_ch.cli import main, render_json
 from qutrit_ch.engine import experiment_probabilities
 from qutrit_ch.inequality import ch_coefficients
+from qutrit_ch.optimizer import optimize
 from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
 from qutrit_ch.simplex import SimplexFailure
 
@@ -132,7 +133,7 @@ def test_optimize_command_reports_a_result(capsys):
     results = doc["results"]
     assert results["best_threshold"] >= REFERENCE_NOISE_THRESHOLD - 1e-3
     assert results["evaluations"] > 0
-    assert results["lp_evaluations"] == 0
+    assert results["lp_evaluations"] == results["lp_pivots"] == 0
     assert results["gradient_norm"] is None
     assert len(results["best_settings"]["alice"]) == 2
     assert set(doc["tolerances"]) == {"coordinate", "sweep_improvement"}
@@ -147,6 +148,7 @@ def test_optimize_command_reports_the_lp_search_and_its_gradient(capsys):
     results = doc["results"]
     assert abs(results["best_threshold"] - REFERENCE_NOISE_THRESHOLD) < 1e-12
     assert 0 < results["lp_evaluations"] <= results["evaluations"]
+    assert results["lp_pivots"] == optimize(1, 2, "lp").lp_pivots > 0
     # this restart stops on the gradient test, not on a failed line search
     assert 0.0 <= results["gradient_norm"] <= doc["tolerances"]["gradient"]
     assert set(doc["tolerances"]) == {"gradient", "step"}
@@ -216,6 +218,7 @@ def test_a_failing_simplex_exits_two_naming_the_cause(preset_file, capsys, monke
         raise SimplexFailure("basis matrix is singular")
 
     monkeypatch.setattr(lhv_module, "simplex_solve", failing)
+    monkeypatch.setattr(lhv_module, "_solve", failing)
     code, out, err = run(capsys, ["threshold", "--settings", preset_file, "--method", "lp"])
     assert code == 2
     assert out == ""

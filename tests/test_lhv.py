@@ -163,6 +163,7 @@ def test_a_solver_failure_raises_instead_of_falling_back(monkeypatch):
     exp0 = experiment_probabilities(reference_settings())
     start = min_noise_lp(exp0)
     monkeypatch.setattr(lhv_module, "simplex_solve", failing)
+    monkeypatch.setattr(lhv_module, "_solve", failing)
     monkeypatch.setattr(lhv_module, "min_noise_bisection", no_bisection)
     for bound in (None, start):
         with pytest.raises(SimplexFailure, match="LP failed: basis matrix is singular"):

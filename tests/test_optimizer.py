@@ -142,6 +142,40 @@ def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
         assert result.gradient_norm < 1e-6
 
 
+# the simplex pivots of those LP evaluations; seeding each solve from the
+# last evaluation's bound, rejected trials included, took 161
+GRADIENT_SEARCH_PIVOTS = {2: 102, 9: 20}
+
+
+def test_gradient_search_pivots_are_pinned():
+    assert sum(GRADIENT_SEARCH_PIVOTS.values()) <= 130
+    for seed, pivots in GRADIENT_SEARCH_PIVOTS.items():
+        assert optimize(1, seed=seed, method="lp").lp_pivots == pivots
+
+
+def test_each_lp_solve_starts_from_its_restarts_best_bound(monkeypatch):
+    calls = []
+    solve = optimizer_module._min_noise_lp
+
+    def recorded(exp0, start=None):
+        bound = solve(exp0, start=start)
+        calls.append((start, bound.f_min))
+        return bound
+
+    monkeypatch.setattr(optimizer_module, "_min_noise_lp", recorded)
+    optimize(3, seed=2, method="lp")
+    restarts = rejected = 0
+    for start, f_min in calls:
+        if start is None:  # each restart starts from the anchor
+            restarts, best = restarts + 1, f_min
+            continue
+        assert start.f_min == best
+        rejected += f_min < best
+        best = max(best, f_min)
+    assert restarts == 3
+    assert rejected > 0  # trials below the best so far seeded nothing
+
+
 def test_every_lp_restart_ends_at_the_paper_threshold_with_a_small_gradient():
     for seed in range(50):
         result = optimize(1, seed=seed, method="lp")
@@ -299,6 +333,7 @@ def test_failed_restarts_are_skipped(monkeypatch):
         basis = None
         inverse = None
         start = "cold"
+        iterations = 0
 
         def __init__(self, f):
             self.f_min = f

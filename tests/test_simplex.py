@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import qutrit_ch.simplex as simplex_module
@@ -253,6 +254,32 @@ def test_a_start_that_lost_primal_feasibility_is_repaired():
         assert np.max(np.abs(a @ warm.x - moved_b)) < 1e-9
         assert warm.x.min() >= 0.0
         assert warm.iterations < cold.iterations
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 10), st.integers(2, 20))
+def test_a_repaired_solve_matches_the_cold_solve(seed, m, extra):
+    # the dual pivots carry their reduced costs; the optimum they reach is
+    # still the cold solve's
+    c, a, b = _random_feasible_problem(seed, m, m + extra)
+    first = solve(c, a, b)
+    moved_b = a @ np.abs(np.random.default_rng([seed, 1]).normal(size=m + extra))
+    warm = solve(c, a, moved_b, start=first.basis, inverse=first.inverse)
+    assume(warm.start == "repaired")
+    assert abs(warm.objective_value - solve(c, a, moved_b).objective_value) < 1e-12
+
+
+def test_a_non_finite_inverse_raises_instead_of_claiming_an_optimum(monkeypatch):
+    # NaN reduced costs compare false, so unchecked no column would enter
+    # and a NaN optimum would be confirmed
+    c, a, b = _random_feasible_problem(0)
+    first = solve(c, a, b)
+    monkeypatch.setattr(
+        simplex_module, "_factorize", lambda footprint: np.full(footprint.shape, np.nan)
+    )
+    for start in (None, first.basis):
+        with pytest.raises(SimplexFailure, match="reduced costs are not finite"):
+            solve(c, a, b, start=start)
 
 
 def test_a_carried_inverse_is_repaired_without_refactorizing(monkeypatch):
