@@ -124,17 +124,29 @@ class ThresholdResult:
     violated: bool
 
 
-def noise_crossing(lhs0, lhs1) -> np.ndarray:
+def noise_crossing(lhs0, lhs1) -> float | np.ndarray:
     """Noise fraction at which a functional that is affine in the noise,
     lhs0 at f = 0 and lhs1 at f = 1, falls to zero.
 
     The crossing is at lhs0 / (lhs0 - lhs1), clipped into [0, 1]; it is 0
     where lhs0 <= 0 (no violation to destroy) and 1 where lhs0 - lhs1 <= 0
-    (the fully mixed point still violates). Takes scalars or arrays.
+    (the fully mixed point still violates). NaN stays NaN. Takes scalars,
+    returning a float, or arrays, returning an array.
     """
+    if np.ndim(lhs0) == 0 and np.ndim(lhs1) == 0:
+        # the same formula on Python floats, which skip numpy's per-call
+        # overhead; lhs0 > 0 < denom leaves only the upper clip to apply
+        lhs0 = float(lhs0)
+        denom = lhs0 - float(lhs1)
+        if lhs0 <= 0.0:
+            return 0.0
+        if denom <= 0.0:
+            return 1.0
+        ratio = lhs0 / denom
+        return 1.0 if ratio > 1.0 else ratio
     lhs0 = np.asarray(lhs0, dtype=float)
-    denom = lhs0 - np.asarray(lhs1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
+        denom = lhs0 - np.asarray(lhs1, dtype=float)
         ratio = np.clip(lhs0 / denom, 0.0, 1.0)
     return np.where(lhs0 <= 0.0, 0.0, np.where(denom <= 0.0, 1.0, ratio))
 
@@ -149,4 +161,4 @@ def analytic_threshold(exp0: ExperimentProbabilities) -> ThresholdResult:
     """
     exp0.validate()
     lhs0 = ch_lhs(exp0)
-    return ThresholdResult(float(noise_crossing(lhs0, FLAT_LHS)), lhs0 > 0.0)
+    return ThresholdResult(noise_crossing(lhs0, FLAT_LHS), lhs0 > 0.0)

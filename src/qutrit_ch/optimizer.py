@@ -2,15 +2,24 @@
 
 The landscape is smooth and periodic in 12 phases, but adding a constant to
 any observable's phase triple is a gauge transformation that leaves all
-probabilities unchanged, so only 8 coordinates matter. The search pins the
-first phase of each triple at 0 and climbs from random restarts, each with
-its own deterministic random stream.
+probabilities unchanged, which leaves 8 coordinates. On the maximally
+entangled state, adding d to phase m of both of alice's triples and -d to
+phase m of both of bob's also leaves every probability unchanged, so only
+6 matter. The search pins the first phase of each triple at 0, moves the
+other 8, and climbs from random restarts, each with its own deterministic
+random stream.
 
 Two objectives are available. "lp" scores a setting by the true local-model
 noise threshold. "analytic" scores the closed-form threshold of the signed
 functional, maximized over all 6^4 outcome relabelings so that, like the LP,
 it does not depend on how outcomes are labeled; the maximizing relabeling is
-baked into the returned settings.
+baked into the returned settings. The relabelings fall into 432 classes of
+3 that give the functional the same values on the 81 deterministic
+strategies. A no-signaling box is an affine combination of those
+strategies, so the members of a class score alike on it and one column per
+class (``_CLASS_CH``) scores all 1296. As FLAT_LHS < 0, L0 / (L0 - FLAT_LHS)
+rises with L0, so each evaluation crosses the noise once, at the largest
+of the 432 functional values.
 
 The analytic method runs coordinate-wise ascent: a coarse periodic scan of
 ``GRID_POINTS`` per coordinate, then golden-section refinement.
@@ -36,6 +45,7 @@ import numpy as np
 
 from .engine import (
     IDENTITY_RELABELING,
+    PERMUTATIONS,
     RELABEL_DESTINATIONS,
     PhaseSettings,
     _born_kernel,
@@ -100,16 +110,46 @@ def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-# column c is the functional read through relabeling_at(c): its dot product
-# with a probability vector is ch_lhs of the relabeled vector
-_RELABELED_CH = CH_VECTOR[np.ascontiguousarray(RELABEL_DESTINATIONS.T)]
-_RELABELED_CH.setflags(write=False)
+def _relabeling_classes() -> np.ndarray:
+    """The lowest row of ``RELABEL_DESTINATIONS`` in each relabeling class,
+    in increasing order. A class is an orbit of following a relabeling by
+    the shift of every alice outcome by +s and every bob outcome by -s
+    (mod 3), which keeps the functional's values on the atoms."""
+    position = {perm: i for i, perm in enumerate(PERMUTATIONS)}
+    # shifted[s, i]: permutation i followed by o -> o + s (mod 3)
+    shifted = np.array([
+        [position[tuple((o - 1 + s) % 3 + 1 for o in perm)] for perm in PERMUTATIONS]
+        for s in range(3)
+    ])
+    alice, bob = shifted, shifted[[0, 2, 1]]
+    # member[s]: the row of every relabeling shifted by s, rows being
+    # numbered 216 pa1 + 36 pa2 + 6 pb1 + pb2
+    member = (
+        216 * alice[:, :, None, None, None] + 36 * alice[:, None, :, None, None]
+        + 6 * bob[:, None, None, :, None] + bob[:, None, None, None, :]
+    )
+    return np.flatnonzero(member[0] == member.min(axis=0))
+
+
+# the first relabeling of each class, and column k the functional read
+# through relabeling_at(_CLASS_FIRSTS[k]): its dot product with a probability
+# vector is ch_lhs of the relabeled vector
+_CLASS_FIRSTS = _relabeling_classes()
+_CLASS_FIRSTS.setflags(write=False)
+_CLASS_CH = CH_VECTOR[np.ascontiguousarray(RELABEL_DESTINATIONS[_CLASS_FIRSTS].T)]
+_CLASS_CH.setflags(write=False)
 
 
 def _relabel_maxed_scores(exp0) -> np.ndarray:
-    """Analytic threshold of every outcome relabeling, as a length-1296 array
-    in ``RELABEL_DESTINATIONS`` row order."""
-    return noise_crossing(exp0.vector() @ _RELABELED_CH, FLAT_LHS)
+    """Analytic threshold of every relabeling class, as a length-432 array
+    in ``_CLASS_FIRSTS`` order."""
+    return noise_crossing(exp0.vector() @ _CLASS_CH, FLAT_LHS)
+
+
+def _relabel_max(exp0) -> float:
+    """``_relabel_maxed_scores(exp0).max()``, by one crossing at the
+    largest class value."""
+    return noise_crossing((exp0.vector() @ _CLASS_CH).max(), FLAT_LHS)
 
 
 def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
@@ -234,15 +274,15 @@ def optimize(
     def relabel_max(x: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return float(_relabel_maxed_scores(_born_kernel(x)[0]).max())
+        return _relabel_max(_born_kernel(x)[0])
 
     def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
         exp0, derivatives = _born_kernel(x)
-        values = exp0.vector() @ _RELABELED_CH
+        values = exp0.vector() @ _CLASS_CH
         best = int(values.argmax())
-        return float(values[best]), *derivatives(_RELABELED_CH[:36, best])
+        return float(values[best]), *derivatives(_CLASS_CH[:36, best])
 
     def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations, lp_pivots, seed_bound
@@ -294,7 +334,7 @@ def optimize(
     relabel = IDENTITY_RELABELING
     if method == "analytic":
         scores = _relabel_maxed_scores(_born_kernel(best_x)[0])
-        relabel = relabeling_at(int(np.argmax(scores)))
+        relabel = relabeling_at(int(_CLASS_FIRSTS[np.argmax(scores)]))
         best_val = float(scores.max())
     settings = PhaseSettings(best_x[:6].reshape(2, 3), best_x[6:].reshape(2, 3), relabel)
     return OptimizationResult(

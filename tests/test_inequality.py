@@ -207,6 +207,32 @@ def test_analytic_threshold_degenerate_branch():
     assert noise_crossing(-0.1, -0.1) == 0.0
 
 
+def test_scalar_and_array_crossings_agree():
+    # the float path for scalars and the array path must give the same
+    # value, to the bit, on every branch of the formula
+    nan, inf = float("nan"), float("inf")
+    pairs = [
+        (-0.1, FLAT_LHS), (-0.1, 0.3), (-inf, FLAT_LHS),  # lhs0 < 0
+        (0.0, FLAT_LHS), (-0.0, 0.5),  # lhs0 = 0
+        (0.25, -0.75), (2.0 / 9.0, -1e-300), (1e-300, FLAT_LHS),  # lhs1 < 0 < lhs0
+        (0.3, 0.0), (0.3, 0.1), (0.3, 0.29),  # 0 < lhs0 - lhs1 <= lhs0
+        (0.2, 0.2), (0.2, 0.5), (0.2, inf), (inf, inf),  # lhs0 - lhs1 <= 0
+        (inf, FLAT_LHS), (0.2, -inf), (-inf, inf), (inf, -inf),  # infinities
+        (nan, FLAT_LHS), (0.2, nan), (-0.2, nan), (nan, nan),  # NaN
+    ]
+    lhs0, lhs1 = np.array(pairs).T
+    arrays = noise_crossing(lhs0, lhs1)
+    for a, b, expected in zip(lhs0, lhs1, arrays):
+        for scalar in (noise_crossing(float(a), float(b)), noise_crossing(a, b)):
+            assert type(scalar) is float
+            np.testing.assert_array_equal(scalar, expected)
+    np.testing.assert_array_equal(
+        arrays,
+        [0, 0, 0, 0, 0, 0.25, 1, 1e-300 / (1e-300 - FLAT_LHS), 1, 1, 1, 1, 1, 1,
+         nan, nan, 0, 0, nan, nan, nan, 0, nan],
+    )
+
+
 def test_analytic_threshold_rejects_invalid_tables():
     exp = experiment_probabilities(reference_settings())
     doubled = ExperimentProbabilities(2 * exp.tables, exp.alice_singles, exp.bob_singles)

@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 
 import qutrit_ch.optimizer as optimizer_module
-from qutrit_ch.atoms import N_ATOMS
+from qutrit_ch.atoms import INDICATOR_MATRIX, N_ATOMS
 from qutrit_ch.engine import (
     PERMUTATIONS,
+    RELABEL_DESTINATIONS,
     ExperimentProbabilities,
     PhaseSettings,
     _born_kernel,
     apply_relabeling,
     experiment_probabilities,
 )
-from qutrit_ch.inequality import analytic_threshold
+from qutrit_ch.inequality import CH_VECTOR, analytic_threshold
 from qutrit_ch.lhv import marginals_of, min_noise_lp, threshold_gradient
 from qutrit_ch.optimizer import (
     GRADIENT_TOL,
     OptimizationResult,
-    _RELABELED_CH,
+    _CLASS_CH,
+    _CLASS_FIRSTS,
+    _relabel_max,
     _relabel_maxed_scores,
     optimize,
     threshold_objective,
@@ -46,10 +49,36 @@ def test_analytic_objective_uses_the_settings_relabeling():
     assert without == 0.0
 
 
+def _class_of_each_relabeling() -> list[int]:
+    """Column of _CLASS_CH whose values on the 81 atoms equal those of each
+    of the 1296 relabelings, found by brute force."""
+    every = CH_VECTOR[RELABEL_DESTINATIONS] @ INDICATOR_MATRIX
+    firsts = _CLASS_CH.T @ INDICATOR_MATRIX
+    column_of = {tuple(values): k for k, values in enumerate(firsts)}
+    return [column_of[tuple(values)] for values in every]
+
+
+def test_relabeling_classes_are_the_distinct_atom_values():
+    # every relabeling lands in the class whose first member reads the same
+    # on all 81 atoms, and the 432 first members all read differently there
+    classes = _class_of_each_relabeling()
+    firsts = _CLASS_CH.T @ INDICATOR_MATRIX
+    assert _CLASS_CH.shape == (48, 432) == (48, len(_CLASS_FIRSTS))
+    assert len({tuple(values) for values in firsts}) == 432
+    for row, k in enumerate(classes):
+        assert _CLASS_FIRSTS[k] <= row
+    for k, first in enumerate(_CLASS_FIRSTS):
+        assert classes[first] == k
+        assert np.array_equal(_CLASS_CH[:, k], CH_VECTOR[RELABEL_DESTINATIONS[first]])
+    assert sorted(classes) == sorted(list(range(432)) * 3)
+
+
 def test_relabel_scores_match_explicit_relabelings():
-    # every score must agree with actually permuting the experiment, and no
-    # relabeling may claim more noise tolerance than the LP certifies
+    # every relabeling's explicitly permuted experiment must score as its
+    # class does, and no relabeling may claim more noise tolerance than the
+    # LP certifies
     combos = list(itertools.product(PERMUTATIONS, repeat=4))
+    classes = _class_of_each_relabeling()
     rng = np.random.default_rng(97)
     cases = [reference_settings(relabeled=False)] + [
         PhaseSettings(rng.uniform(0, 2 * np.pi, (2, 3)), rng.uniform(0, 2 * np.pi, (2, 3)))
@@ -69,11 +98,23 @@ def test_relabel_scores_match_explicit_relabelings():
     )
     for exp0 in boxes:
         scores = _relabel_maxed_scores(exp0)
-        assert len(combos) == 6 ** 4 == len(scores)
-        for combo, score in zip(combos, scores):
+        assert len(combos) == 6 ** 4 == len(classes)
+        assert len(scores) == 432
+        for combo, k in zip(combos, classes):
             direct = analytic_threshold(apply_relabeling(exp0, combo)).value
-            assert abs(score - direct) < 1e-12
+            assert abs(scores[k] - direct) < 1e-12
         assert scores.max() <= min_noise_lp(exp0).f_min + 1e-9
+
+
+def test_one_crossing_of_the_largest_class_value_is_the_best_score():
+    # the crossing rises with the functional, so crossing only the largest
+    # of the 432 values gives the largest of their crossings, bit for bit
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        exp0 = _born_kernel(rng.uniform(0, 2 * np.pi, 12))[0]
+        best = _relabel_max(exp0)
+        assert isinstance(best, float)
+        assert best == _relabel_maxed_scores(exp0).max()
 
 
 def test_relabel_maxed_score_recovers_the_lp_value_at_reference():
@@ -233,8 +274,8 @@ def test_born_kernel_hessian_matches_central_differences_of_its_gradient():
         if bound.f_min == 0.0:
             continue
         checked += 1
-        best = int((exp0.vector() @ _RELABELED_CH).argmax())
-        for weights in (threshold_gradient(bound), _RELABELED_CH[:36, best]):
+        best = int((exp0.vector() @ _CLASS_CH).argmax())
+        for weights in (threshold_gradient(bound), _CLASS_CH[:36, best]):
             gradient, hessian = derivatives(weights)
             central = np.array([
                 _born_kernel(phases + shift)[1](weights)[0]
@@ -365,6 +406,6 @@ def test_programming_errors_in_a_restart_propagate(monkeypatch):
     def broken(exp0):
         raise RuntimeError("synthetic bug")
 
-    monkeypatch.setattr(optimizer_module, "_relabel_maxed_scores", broken)
+    monkeypatch.setattr(optimizer_module, "_relabel_max", broken)
     with pytest.raises(RuntimeError, match="synthetic bug"):
         optimize(2, seed=17, method="analytic")
