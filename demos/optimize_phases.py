@@ -3,9 +3,10 @@
 # The twelve phase shifts (minus gauge freedom) parametrize all available
 # measurement pairs. A derivative-free coordinate ascent with random restarts
 # maximizes the noise threshold; the fast analytic objective additionally
-# scans all 1296 outcome relabelings per evaluation, so a restart cannot get
-# stuck in a relabeling-induced local optimum. The search keeps rediscovering
-# the reference threshold (11-6*sqrt(3))/2 ~ 0.3038.
+# takes the best of the 432 relabeling classes per evaluation and crosses the
+# noise once, so a restart cannot get stuck in a relabeling-induced local
+# optimum. The search keeps rediscovering the reference threshold
+# (11-6*sqrt(3))/2 ~ 0.3038.
 #
 # usage: python3 demos/optimize_phases.py
 

@@ -6,6 +6,10 @@ quantum settings violate this. ``ch_coefficients`` expands the functional over
 the 81 deterministic local strategies, and ``ch_decomposition`` splits it into
 two manifestly non-positive pieces plus a remainder whose deterministic values
 never exceed the slack of the other two.
+
+The 1296 outcome relabelings of the functional give 432 distinct value
+vectors on those strategies, the d = 3 CGLMP facets; ``CLASS_CH`` has one
+column per class.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import INDICATOR_MATRIX
-from .engine import FLAT_VECTOR, ExperimentProbabilities
+from .engine import FLAT_VECTOR, PERMUTATIONS, RELABEL_DESTINATIONS, ExperimentProbabilities
 
 # (alice_setting, bob_setting, alice_outcome, bob_outcome, sign),
 # settings and outcomes 1-based
@@ -61,6 +65,36 @@ def _functional_vector(joint_terms, single_terms) -> np.ndarray:
 CH_VECTOR = _functional_vector(JOINT_TERMS, SINGLE_TERMS)
 # its value on the flat box, -2/3, the same under every outcome relabeling
 FLAT_LHS = float(CH_VECTOR @ FLAT_VECTOR)
+
+
+def _relabeling_classes() -> np.ndarray:
+    """The lowest row of ``RELABEL_DESTINATIONS`` in each relabeling class,
+    in increasing order. A class is an orbit of following a relabeling by
+    the shift of every alice outcome by +s and every bob outcome by -s
+    (mod 3), which keeps the functional's values on the atoms."""
+    position = {perm: i for i, perm in enumerate(PERMUTATIONS)}
+    # shifted[s, i]: permutation i followed by o -> o + s (mod 3)
+    shifted = np.array([
+        [position[tuple((o - 1 + s) % 3 + 1 for o in perm)] for perm in PERMUTATIONS]
+        for s in range(3)
+    ])
+    alice, bob = shifted, shifted[[0, 2, 1]]
+    # member[s]: the row of every relabeling shifted by s, rows being
+    # numbered 216 pa1 + 36 pa2 + 6 pb1 + pb2
+    member = (
+        216 * alice[:, :, None, None, None] + 36 * alice[:, None, :, None, None]
+        + 6 * bob[:, None, None, :, None] + bob[:, None, None, None, :]
+    )
+    return np.flatnonzero(member[0] == member.min(axis=0))
+
+
+# the first relabeling of each class, and column k the functional read
+# through relabeling_at(CLASS_FIRSTS[k]): its dot product with a probability
+# vector is ch_lhs of the relabeled vector
+CLASS_FIRSTS = _relabeling_classes()
+CLASS_FIRSTS.setflags(write=False)
+CLASS_CH = CH_VECTOR[np.ascontiguousarray(RELABEL_DESTINATIONS[CLASS_FIRSTS].T)]
+CLASS_CH.setflags(write=False)
 
 
 def ch_lhs(exp: ExperimentProbabilities) -> float:

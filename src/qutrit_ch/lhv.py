@@ -29,8 +29,10 @@ certificate check read it, and bisection mixes it in with
 its optimal basis and inverse seed the simplex, which reports what became
 of them ("accepted", "repaired" or "cold", see ``simplex``). The matrix
 and cost are the same for every experiment, so an optimal basis stays
-dual feasible for all of them, and a solve without one starts from the
-flat box's, ``_ANCHOR_BASIS``. The result does not depend on the start.
+dual feasible for all of them. A solve without one starts from its CGLMP
+class's ``_witness_basis`` if its largest relabeling class value
+(``inequality.CLASS_CH``) is positive, else from the flat box's basis,
+``_ANCHOR_BASIS``. The result does not depend on the start.
 If the cold solve fails too, ``min_noise_lp`` raises SimplexFailure
 naming the cause. The optimizer passes its bounds through
 ``_min_noise_lp``, which skips the input check: its tables come from
@@ -49,7 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import ALICE_INDICATOR, BOB_INDICATOR, JOINT_INDICATOR, MARGINAL_MATRIX, N_ATOMS
-from .engine import FLAT_VECTOR, ExperimentProbabilities, mix_with_noise
+from .engine import FLAT_VECTOR, RELABEL_DESTINATIONS, ExperimentProbabilities, mix_with_noise
+from .inequality import CLASS_CH, CLASS_FIRSTS
+from .presets import reference_joint_tables
 from .simplex import LpProblem, SimplexFailure, _check_finite, _solve, simplex_solve
 
 BISECTION_STEPS = 40
@@ -83,6 +87,30 @@ def _anchor_inverse() -> np.ndarray:
     return inverse
 
 
+def _witness_box(top: int) -> np.ndarray:
+    """The paper's closed-form optimal box read through the first
+    relabeling of class ``top``, where that class alone is largest, as
+    ``ExperimentProbabilities.vector()``."""
+    tables = reference_joint_tables()
+    paper = np.concatenate(
+        [tables.ravel(), tables[:, 0].sum(axis=2).ravel(), tables[0].sum(axis=1).ravel()]
+    )
+    return paper[RELABEL_DESTINATIONS[CLASS_FIRSTS[top]]]
+
+
+@functools.cache
+def _witness_basis(top: int) -> tuple[int, ...] | None:
+    """The noise LP's optimal basis at class ``top``'s witness box, solved
+    from the anchor on first use, or None if that solve fails: a function
+    of the class alone. Each solve it starts factorizes it once."""
+    t0 = _witness_box(top)[INDEPENDENT_ROWS]
+    try:
+        return _solve(_NOISE_MATRIX, t0, _NOISE_COST, start=_ANCHOR_BASIS,
+                      inverse=_anchor_inverse()).basis
+    except SimplexFailure:
+        return None
+
+
 @dataclass(frozen=True)
 class NoiseBound:
     """Least noise fraction admitting a local model, with its certificate.
@@ -93,9 +121,9 @@ class NoiseBound:
     bisection: a solver failure raises SimplexFailure). ``basis``
     is the LP's optimal basis and ``inverse`` its read-only basis inverse;
     together they seed the next ``min_noise_lp`` call, and both are None
-    for bisection. ``start`` is what became of the start basis (the flat
-    box's by default): "accepted", "repaired" or "cold" (always "cold" for
-    bisection).
+    for bisection. ``start`` is what became of the start basis (by default
+    the one the box's CGLMP class picks): "accepted", "repaired" or "cold"
+    (always "cold" for bisection).
     """
 
     f_min: float
@@ -152,7 +180,8 @@ def min_noise_lp(
     f_min = g / (1 + g) with weights u / (1 + g) (their sum of 1 follows
     from the rows of table (0, 0)). ``start``, the bound of a nearby
     experiment, lends its basis and inverse to the simplex in place of the
-    flat box's; the result is the same either way. If the solver gives up,
+    basis that exp0's CGLMP class picks (see the module docstring); the
+    result is the same either way. If the solver gives up,
     this raises SimplexFailure naming the cause; ``min_noise_bisection``
     stays the independent cross-check. The returned certificate always
     reproduces all 36 noisy joint entries to within ``CERTIFICATE_TOL``.
@@ -166,10 +195,14 @@ def _min_noise_lp(
 ) -> NoiseBound:
     """``min_noise_lp`` for tables already known to be valid."""
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
-    if start is None or start.basis is None:
-        basis, inverse = _ANCHOR_BASIS, _anchor_inverse()
-    else:
+    if start is not None and start.basis is not None:
         basis, inverse = start.basis, start.inverse
+    else:
+        basis, inverse = _ANCHOR_BASIS, _anchor_inverse()
+        values = exp0.vector() @ CLASS_CH
+        top = int(values.argmax())
+        if values[top] > 0.0 and _witness_basis(top) is not None:
+            basis, inverse = _witness_basis(top), None
     _check_finite(eq_rhs=t0)
     try:
         solution = _solve(_NOISE_MATRIX, t0, _NOISE_COST, start=basis, inverse=inverse)

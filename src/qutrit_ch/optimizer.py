@@ -13,13 +13,10 @@ Two objectives are available. "lp" scores a setting by the true local-model
 noise threshold. "analytic" scores the closed-form threshold of the signed
 functional, maximized over all 6^4 outcome relabelings so that, like the LP,
 it does not depend on how outcomes are labeled; the maximizing relabeling is
-baked into the returned settings. The relabelings fall into 432 classes of
-3 that give the functional the same values on the 81 deterministic
-strategies. A no-signaling box is an affine combination of those
-strategies, so the members of a class score alike on it and one column per
-class (``_CLASS_CH``) scores all 1296. As FLAT_LHS < 0, L0 / (L0 - FLAT_LHS)
-rises with L0, so each evaluation crosses the noise once, at the largest
-of the 432 functional values.
+baked into the returned settings. One column per relabeling class
+(``inequality.CLASS_CH``) scores all 1296. As FLAT_LHS < 0,
+L0 / (L0 - FLAT_LHS) rises with L0, so each evaluation crosses the noise
+once, at the largest of the 432 functional values.
 
 The analytic method runs coordinate-wise ascent: a coarse periodic scan of
 ``GRID_POINTS`` per coordinate, then golden-section refinement.
@@ -32,9 +29,10 @@ each restart first ascends the largest relabeled functional value,
 max_c (CH read through relabeling c) @ p, until it is positive. Every
 reported score is a certified LP value. Each solve warm-starts from the
 bound with the highest f_min so far in its restart, so a trial the line
-search rejects seeds nothing, and each restart from the flat box's basis
-(see ``lhv.min_noise_lp``), so restarts stay independent. The best
-restart's final gradient norm is reported as a first-order certificate.
+search rejects seeds nothing. Each restart's first solve brings no start,
+so it starts from the box's CGLMP class (see ``lhv.min_noise_lp``), and
+restarts stay independent. The best restart's final gradient norm is
+reported as a first-order certificate.
 """
 
 from __future__ import annotations
@@ -45,14 +43,12 @@ import numpy as np
 
 from .engine import (
     IDENTITY_RELABELING,
-    PERMUTATIONS,
-    RELABEL_DESTINATIONS,
     PhaseSettings,
     _born_kernel,
     experiment_probabilities,
     relabeling_at,
 )
-from .inequality import CH_VECTOR, FLAT_LHS, analytic_threshold, noise_crossing
+from .inequality import CLASS_CH, CLASS_FIRSTS, FLAT_LHS, analytic_threshold, noise_crossing
 from .lhv import NoiseBound, _min_noise_lp, min_noise_lp, threshold_gradient
 from .simplex import SimplexFailure
 
@@ -110,46 +106,16 @@ def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _relabeling_classes() -> np.ndarray:
-    """The lowest row of ``RELABEL_DESTINATIONS`` in each relabeling class,
-    in increasing order. A class is an orbit of following a relabeling by
-    the shift of every alice outcome by +s and every bob outcome by -s
-    (mod 3), which keeps the functional's values on the atoms."""
-    position = {perm: i for i, perm in enumerate(PERMUTATIONS)}
-    # shifted[s, i]: permutation i followed by o -> o + s (mod 3)
-    shifted = np.array([
-        [position[tuple((o - 1 + s) % 3 + 1 for o in perm)] for perm in PERMUTATIONS]
-        for s in range(3)
-    ])
-    alice, bob = shifted, shifted[[0, 2, 1]]
-    # member[s]: the row of every relabeling shifted by s, rows being
-    # numbered 216 pa1 + 36 pa2 + 6 pb1 + pb2
-    member = (
-        216 * alice[:, :, None, None, None] + 36 * alice[:, None, :, None, None]
-        + 6 * bob[:, None, None, :, None] + bob[:, None, None, None, :]
-    )
-    return np.flatnonzero(member[0] == member.min(axis=0))
-
-
-# the first relabeling of each class, and column k the functional read
-# through relabeling_at(_CLASS_FIRSTS[k]): its dot product with a probability
-# vector is ch_lhs of the relabeled vector
-_CLASS_FIRSTS = _relabeling_classes()
-_CLASS_FIRSTS.setflags(write=False)
-_CLASS_CH = CH_VECTOR[np.ascontiguousarray(RELABEL_DESTINATIONS[_CLASS_FIRSTS].T)]
-_CLASS_CH.setflags(write=False)
-
-
 def _relabel_maxed_scores(exp0) -> np.ndarray:
     """Analytic threshold of every relabeling class, as a length-432 array
-    in ``_CLASS_FIRSTS`` order."""
-    return noise_crossing(exp0.vector() @ _CLASS_CH, FLAT_LHS)
+    in ``CLASS_FIRSTS`` order."""
+    return noise_crossing(exp0.vector() @ CLASS_CH, FLAT_LHS)
 
 
 def _relabel_max(exp0) -> float:
     """``_relabel_maxed_scores(exp0).max()``, by one crossing at the
     largest class value."""
-    return noise_crossing((exp0.vector() @ _CLASS_CH).max(), FLAT_LHS)
+    return noise_crossing((exp0.vector() @ CLASS_CH).max(), FLAT_LHS)
 
 
 def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
@@ -280,9 +246,9 @@ def optimize(
         nonlocal evaluations
         evaluations += 1
         exp0, derivatives = _born_kernel(x)
-        values = exp0.vector() @ _CLASS_CH
+        values = exp0.vector() @ CLASS_CH
         best = int(values.argmax())
-        return float(values[best]), *derivatives(_CLASS_CH[:36, best])
+        return float(values[best]), *derivatives(CLASS_CH[:36, best])
 
     def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations, lp_pivots, seed_bound
@@ -334,7 +300,7 @@ def optimize(
     relabel = IDENTITY_RELABELING
     if method == "analytic":
         scores = _relabel_maxed_scores(_born_kernel(best_x)[0])
-        relabel = relabeling_at(int(_CLASS_FIRSTS[np.argmax(scores)]))
+        relabel = relabeling_at(int(CLASS_FIRSTS[np.argmax(scores)]))
         best_val = float(scores.max())
     settings = PhaseSettings(best_x[:6].reshape(2, 3), best_x[6:].reshape(2, 3), relabel)
     return OptimizationResult(

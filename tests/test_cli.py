@@ -60,13 +60,14 @@ def test_threshold_command_reports_the_closed_form(preset_file, capsys):
         assert doc["wall_time_seconds"] >= 0.0
 
 
-def test_lp_threshold_reports_the_anchored_start(preset_file, capsys):
+def test_lp_threshold_reports_the_class_witness_start(preset_file, capsys):
     code, out, _ = run(capsys, ["threshold", "--settings", preset_file, "--method", "lp"])
     assert code == 0
     results = json.loads(out)["results"]
-    assert results["start"] == "repaired"  # from the flat box's basis, not cold
+    # the preset is its CGLMP class's witness box, so that basis is optimal
+    assert results["start"] == "accepted"
     assert results["solver"] == "simplex"
-    assert results["iterations"] > 0
+    assert results["iterations"] == 0
 
 
 def test_ch_command_on_fully_mixed_state(preset_file, capsys):

@@ -16,6 +16,7 @@ from qutrit_ch.engine import (
     experiment_probabilities,
     mix_with_noise,
 )
+from qutrit_ch.inequality import CLASS_CH, CLASS_FIRSTS
 from qutrit_ch.lhv import (
     INDEPENDENT_ROWS,
     NoiseBound,
@@ -342,10 +343,10 @@ def test_unusable_starts_solve_cold_with_the_same_result():
     rng = np.random.default_rng(7)
     exp0 = experiment_probabilities(random_settings(rng))
     f_cold, weights_cold = cold_min_noise(exp0)
-    anchored = min_noise_lp(exp0)
-    n_rows = len(anchored.basis)
+    unseeded = min_noise_lp(exp0)
+    n_rows = len(unseeded.basis)
     starts = [
-        NoiseBound(0.0, weights_cold, 0, "simplex", anchored.basis[:-1]),  # wrong length
+        NoiseBound(0.0, weights_cold, 0, "simplex", unseeded.basis[:-1]),  # wrong length
         NoiseBound(0.0, weights_cold, 0, "simplex", (0,) * n_rows),  # singular
         NoiseBound(0.0, weights_cold, 0, "simplex", tuple(range(n_rows))),  # singular
     ]
@@ -354,13 +355,13 @@ def test_unusable_starts_solve_cold_with_the_same_result():
         assert bound.f_min == f_cold
         assert np.array_equal(bound.certificate, weights_cold)
         assert bound.start == "cold"
-    # a bisection bound has no basis, so it starts from the anchor like no start
+    # a bisection bound has no basis, so it starts as a solve without one
     bisection = min_noise_bisection(exp0)
     assert bisection.start == "cold"  # bisection bounds never come from a start
     bound = min_noise_lp(exp0, start=bisection)
-    assert bound.f_min == anchored.f_min
-    assert np.array_equal(bound.certificate, anchored.certificate)
-    assert bound.start == anchored.start != "cold"
+    assert bound.f_min == unseeded.f_min
+    assert np.array_equal(bound.certificate, unseeded.certificate)
+    assert bound.start == unseeded.start != "cold"
 
 
 def test_distant_starts_and_bad_inverses_give_the_cold_bound():
@@ -509,23 +510,112 @@ def anchored_box(kind, rng):
     return exp0
 
 
+def same_solution(first, second):
+    assert (first.start, first.iterations, first.basis) == (second.start, second.iterations, second.basis)
+    assert np.array_equal(first.x, second.x)
+
+
+def same_bound(first, second):
+    assert (first.start, first.iterations, first.basis) == (second.start, second.iterations, second.basis)
+    assert first.f_min == second.f_min
+    assert np.array_equal(first.certificate, second.certificate)
+
+
+def test_every_class_witness_box_has_that_class_alone_on_top():
+    for top in range(len(CLASS_FIRSTS)):
+        values = lhv_module._witness_box(top) @ CLASS_CH
+        assert values[top] > 0.0
+        assert np.delete(values, top).max() < values[top]
+    # the preset is class 0's witness box, so its own LP needs no pivot
+    bound = min_noise_lp(experiment_probabilities(reference_settings()))
+    assert (bound.start, bound.iterations) == ("accepted", 0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.sampled_from(["quantum", "noisy", "relabeled", "dirichlet", "one setting"]),
     st.integers(0, 2**32 - 1),
 )
-def test_a_solve_without_start_is_anchored_and_matches_scipy(kind, seed):
+def test_the_class_keyed_start_gives_the_anchored_bound(kind, seed):
     exp0 = anchored_box(kind, np.random.default_rng(seed))
-    bound = min_noise_lp(exp0)
-    assert bound.start in ("accepted", "repaired")
-    assert abs(bound.f_min - scipy_min_noise(exp0)) < 1e-9
+    keyed = min_noise_lp(exp0)
+    # the flat box's bound carries the anchor basis and its inverse
+    anchor = min_noise_lp(mix_with_noise(exp0, 1.0))
+    assert anchor.basis == lhv_module._ANCHOR_BASIS
+    anchored = min_noise_lp(exp0, start=anchor)
+    assert keyed.start in ("accepted", "repaired")
+    assert abs(keyed.f_min - anchored.f_min) <= 1e-12
+    assert abs(keyed.f_min - scipy_min_noise(exp0)) < 1e-9
     if kind in ("dirichlet", "one setting"):
-        assert bound.f_min < 1e-9
+        assert keyed.f_min < 1e-9
 
 
-def same_solution(first, second):
-    assert (first.start, first.iterations, first.basis) == (second.start, second.iterations, second.basis)
-    assert np.array_equal(first.x, second.x)
+def recorded_starts(monkeypatch):
+    """The start basis of every noise LP solve from here on."""
+    starts = []
+    solve = lhv_module._solve
+
+    def recorded(matrix, rhs, cost, **kwargs):
+        starts.append(kwargs["start"])
+        return solve(matrix, rhs, cost, **kwargs)
+
+    monkeypatch.setattr(lhv_module, "_solve", recorded)
+    return starts
+
+
+def test_only_a_violating_box_starts_from_its_class_witness_basis(monkeypatch):
+    rng = np.random.default_rng(37)
+    local = [anchored_box(kind, rng) for kind in ("dirichlet", "one setting")]
+    local.append(mix_with_noise(experiment_probabilities(reference_settings()), 0.5))
+    violating = experiment_probabilities(reference_settings(relabeled=False))
+    top = int((violating.vector() @ CLASS_CH).argmax())
+    witness = lhv_module._witness_basis(top)
+    starts = recorded_starts(monkeypatch)
+    for exp0 in local:
+        assert (exp0.vector() @ CLASS_CH).max() <= 0.0
+        min_noise_lp(exp0)
+    min_noise_lp(violating)
+    assert starts == [lhv_module._ANCHOR_BASIS] * len(local) + [witness]
+    assert witness != lhv_module._ANCHOR_BASIS
+
+
+def test_the_keyed_start_does_not_depend_on_earlier_solves():
+    rng = np.random.default_rng(43)
+    exp0 = experiment_probabilities(random_settings(rng))
+    assert (exp0.vector() @ CLASS_CH).max() > 0.0
+    lhv_module._witness_basis.cache_clear()
+    first = min_noise_lp(exp0)
+    # other classes' boxes, and a noisier box of the same class
+    for _ in range(20):
+        min_noise_lp(anchored_box("relabeled", rng))
+    min_noise_lp(mix_with_noise(exp0, 0.05))
+    same_bound(min_noise_lp(exp0), first)
+    lhv_module._witness_basis.cache_clear()
+    same_bound(min_noise_lp(exp0), first)
+
+
+def test_a_class_whose_witness_solve_fails_starts_from_the_anchor(monkeypatch):
+    exp0 = experiment_probabilities(reference_settings())
+    anchored = min_noise_lp(exp0, start=min_noise_lp(mix_with_noise(exp0, 1.0)))
+    solve = lhv_module._solve
+    calls = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(kwargs["start"])
+        if len(calls) == 1:
+            raise SimplexFailure("basis matrix is singular")
+        return solve(*args, **kwargs)
+
+    lhv_module._witness_basis.cache_clear()
+    monkeypatch.setattr(lhv_module, "_solve", failing_once)
+    try:
+        bound = min_noise_lp(exp0)
+        assert lhv_module._witness_basis(0) is None
+    finally:
+        lhv_module._witness_basis.cache_clear()
+    # the witness solve failed, and the box's own solve began at the anchor
+    assert calls == [lhv_module._ANCHOR_BASIS] * 2
+    same_bound(bound, anchored)
 
 
 @pytest.mark.parametrize("kind", ["quantum", "one setting", "reference"])

@@ -14,13 +14,11 @@ from qutrit_ch.engine import (
     apply_relabeling,
     experiment_probabilities,
 )
-from qutrit_ch.inequality import CH_VECTOR, analytic_threshold
+from qutrit_ch.inequality import CH_VECTOR, CLASS_CH, CLASS_FIRSTS, analytic_threshold
 from qutrit_ch.lhv import marginals_of, min_noise_lp, threshold_gradient
 from qutrit_ch.optimizer import (
     GRADIENT_TOL,
     OptimizationResult,
-    _CLASS_CH,
-    _CLASS_FIRSTS,
     _relabel_max,
     _relabel_maxed_scores,
     optimize,
@@ -50,10 +48,10 @@ def test_analytic_objective_uses_the_settings_relabeling():
 
 
 def _class_of_each_relabeling() -> list[int]:
-    """Column of _CLASS_CH whose values on the 81 atoms equal those of each
+    """Column of CLASS_CH whose values on the 81 atoms equal those of each
     of the 1296 relabelings, found by brute force."""
     every = CH_VECTOR[RELABEL_DESTINATIONS] @ INDICATOR_MATRIX
-    firsts = _CLASS_CH.T @ INDICATOR_MATRIX
+    firsts = CLASS_CH.T @ INDICATOR_MATRIX
     column_of = {tuple(values): k for k, values in enumerate(firsts)}
     return [column_of[tuple(values)] for values in every]
 
@@ -62,14 +60,14 @@ def test_relabeling_classes_are_the_distinct_atom_values():
     # every relabeling lands in the class whose first member reads the same
     # on all 81 atoms, and the 432 first members all read differently there
     classes = _class_of_each_relabeling()
-    firsts = _CLASS_CH.T @ INDICATOR_MATRIX
-    assert _CLASS_CH.shape == (48, 432) == (48, len(_CLASS_FIRSTS))
+    firsts = CLASS_CH.T @ INDICATOR_MATRIX
+    assert CLASS_CH.shape == (48, 432) == (48, len(CLASS_FIRSTS))
     assert len({tuple(values) for values in firsts}) == 432
     for row, k in enumerate(classes):
-        assert _CLASS_FIRSTS[k] <= row
-    for k, first in enumerate(_CLASS_FIRSTS):
+        assert CLASS_FIRSTS[k] <= row
+    for k, first in enumerate(CLASS_FIRSTS):
         assert classes[first] == k
-        assert np.array_equal(_CLASS_CH[:, k], CH_VECTOR[RELABEL_DESTINATIONS[first]])
+        assert np.array_equal(CLASS_CH[:, k], CH_VECTOR[RELABEL_DESTINATIONS[first]])
     assert sorted(classes) == sorted(list(range(432)) * 3)
 
 
@@ -184,12 +182,13 @@ def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
 
 
 # the simplex pivots of those LP evaluations; seeding each solve from the
-# last evaluation's bound, rejected trials included, took 161
-GRADIENT_SEARCH_PIVOTS = {2: 102, 9: 20}
+# last evaluation's bound, rejected trials included, took 161, and starting
+# each restart from the flat box's basis instead of its class's took 122
+GRADIENT_SEARCH_PIVOTS = {2: 72, 9: 5}
 
 
 def test_gradient_search_pivots_are_pinned():
-    assert sum(GRADIENT_SEARCH_PIVOTS.values()) <= 130
+    assert sum(GRADIENT_SEARCH_PIVOTS.values()) <= 85
     for seed, pivots in GRADIENT_SEARCH_PIVOTS.items():
         assert optimize(1, seed=seed, method="lp").lp_pivots == pivots
 
@@ -207,7 +206,7 @@ def test_each_lp_solve_starts_from_its_restarts_best_bound(monkeypatch):
     optimize(3, seed=2, method="lp")
     restarts = rejected = 0
     for start, f_min in calls:
-        if start is None:  # each restart starts from the anchor
+        if start is None:  # each restart brings no start of its own
             restarts, best = restarts + 1, f_min
             continue
         assert start.f_min == best
@@ -232,6 +231,8 @@ def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
     assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
     # Newton steps on the exact Hessian: 206 evaluations, where BFGS took 469
     assert result.evaluations <= 250
+    # 799 pivots, where starting each restart from the flat box's basis took 1315
+    assert result.lp_pivots <= 900
     assert result.gradient_norm <= GRADIENT_TOL
 
 
@@ -274,8 +275,8 @@ def test_born_kernel_hessian_matches_central_differences_of_its_gradient():
         if bound.f_min == 0.0:
             continue
         checked += 1
-        best = int((exp0.vector() @ _CLASS_CH).argmax())
-        for weights in (threshold_gradient(bound), _CLASS_CH[:36, best]):
+        best = int((exp0.vector() @ CLASS_CH).argmax())
+        for weights in (threshold_gradient(bound), CLASS_CH[:36, best]):
             gradient, hessian = derivatives(weights)
             central = np.array([
                 _born_kernel(phases + shift)[1](weights)[0]
