@@ -510,6 +510,25 @@ def anchored_box(kind, rng):
     return exp0
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["quantum", "noisy", "relabeled", "dirichlet", "one setting"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_class_keyed_start_gives_the_anchored_bound(kind, seed):
+    exp0 = anchored_box(kind, np.random.default_rng(seed))
+    keyed = min_noise_lp(exp0)
+    # the flat box's bound carries the anchor basis and its inverse
+    anchor = min_noise_lp(mix_with_noise(exp0, 1.0))
+    assert anchor.basis == lhv_module._ANCHOR_BASIS
+    anchored = min_noise_lp(exp0, start=anchor)
+    assert keyed.start in ("accepted", "repaired")
+    assert abs(keyed.f_min - anchored.f_min) <= 1e-12
+    assert abs(keyed.f_min - scipy_min_noise(exp0)) < 1e-9
+    if kind in ("dirichlet", "one setting"):
+        assert keyed.f_min < 1e-9
+
+
 def same_solution(first, second):
     assert (first.start, first.iterations, first.basis) == (second.start, second.iterations, second.basis)
     assert np.array_equal(first.x, second.x)
@@ -531,38 +550,6 @@ def test_every_class_witness_box_has_that_class_alone_on_top():
     assert (bound.start, bound.iterations) == ("accepted", 0)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    st.sampled_from(["quantum", "noisy", "relabeled", "dirichlet", "one setting"]),
-    st.integers(0, 2**32 - 1),
-)
-def test_the_class_keyed_start_gives_the_anchored_bound(kind, seed):
-    exp0 = anchored_box(kind, np.random.default_rng(seed))
-    keyed = min_noise_lp(exp0)
-    # the flat box's bound carries the anchor basis and its inverse
-    anchor = min_noise_lp(mix_with_noise(exp0, 1.0))
-    assert anchor.basis == lhv_module._ANCHOR_BASIS
-    anchored = min_noise_lp(exp0, start=anchor)
-    assert keyed.start in ("accepted", "repaired")
-    assert abs(keyed.f_min - anchored.f_min) <= 1e-12
-    assert abs(keyed.f_min - scipy_min_noise(exp0)) < 1e-9
-    if kind in ("dirichlet", "one setting"):
-        assert keyed.f_min < 1e-9
-
-
-def recorded_starts(monkeypatch):
-    """The start basis of every noise LP solve from here on."""
-    starts = []
-    solve = lhv_module._solve
-
-    def recorded(matrix, rhs, cost, **kwargs):
-        starts.append(kwargs["start"])
-        return solve(matrix, rhs, cost, **kwargs)
-
-    monkeypatch.setattr(lhv_module, "_solve", recorded)
-    return starts
-
-
 def test_only_a_violating_box_starts_from_its_class_witness_basis(monkeypatch):
     rng = np.random.default_rng(37)
     local = [anchored_box(kind, rng) for kind in ("dirichlet", "one setting")]
@@ -570,7 +557,14 @@ def test_only_a_violating_box_starts_from_its_class_witness_basis(monkeypatch):
     violating = experiment_probabilities(reference_settings(relabeled=False))
     top = int((violating.vector() @ CLASS_CH).argmax())
     witness = lhv_module._witness_basis(top)
-    starts = recorded_starts(monkeypatch)
+    starts = []
+    solve = lhv_module._solve
+
+    def recorded(*args, **kwargs):
+        starts.append(kwargs["start"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lhv_module, "_solve", recorded)
     for exp0 in local:
         assert (exp0.vector() @ CLASS_CH).max() <= 0.0
         min_noise_lp(exp0)
