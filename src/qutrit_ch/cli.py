@@ -295,6 +295,7 @@ def _cmd_optimize(args):
         "evaluations": result.evaluations,
         "lp_evaluations": sum(result.lp_starts.values()),
         "lp_pivots": result.lp_pivots,
+        "screened_trials": result.screened_trials,
         "gradient_norm": result.gradient_norm,
         "best_settings": {
             "alice": settings.alice,

@@ -27,7 +27,9 @@ tables, so ``engine._born_kernel`` gives its exact gradient and Hessian from
 the raw phases. f_min and its gradient are 0 where the box is local, so
 each restart first ascends the largest relabeled functional value,
 max_c (CH read through relabeling c) @ p, until it is positive. Every
-reported score is a certified LP value. Each solve warm-starts from the
+reported score is a certified LP value. After each restart's first solve,
+a trial box that violates no CGLMP inequality (no class value above 0) is
+rejected without an LP, as -inf. Each solve warm-starts from the
 bound with the highest f_min so far in its restart, so a trial the line
 search rejects seeds nothing. Each restart's first solve brings no start,
 so it starts from the box's CGLMP class (see ``lhv.min_noise_lp``), and
@@ -76,7 +78,8 @@ class OptimizationResult:
     ``failed_restarts`` counts the restarts skipped after a SimplexFailure.
     ``lp_starts`` counts the LP evaluations by start outcome ("accepted",
     "repaired" or "cold", see ``lhv.NoiseBound``) and ``lp_pivots`` sums
-    their simplex pivots; they are empty and 0 for the analytic method.
+    their simplex pivots; ``screened_trials`` counts the line-search trials
+    rejected without an LP. They are empty and 0 for the analytic method.
     ``gradient_norm`` is the norm of the LP threshold's gradient over the 8
     free phases at the best settings, small at a local maximum; it is None
     for the analytic method.
@@ -90,6 +93,7 @@ class OptimizationResult:
     lp_starts: dict[str, int] = field(default_factory=dict)
     gradient_norm: float | None = None
     lp_pivots: int = 0
+    screened_trials: int = 0
 
 
 def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
@@ -233,6 +237,7 @@ def optimize(
     failed_restarts = 0
     lp_starts: dict[str, int] = {}
     lp_pivots = 0
+    screened_trials = 0
     # the current restart's bound with the highest f_min, which seeds the
     # next solve
     seed_bound: NoiseBound | None = None
@@ -251,9 +256,13 @@ def optimize(
         return float(values[best]), *derivatives(CLASS_CH[:36, best])
 
     def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        nonlocal evaluations, lp_pivots, seed_bound
+        nonlocal evaluations, lp_pivots, screened_trials, seed_bound
         evaluations += 1
         exp0, derivatives = _born_kernel(x)
+        if seed_bound is not None and (exp0.vector() @ CLASS_CH).max() <= 0.0:
+            # rejected unsolved: the line search never accepts -inf
+            screened_trials += 1
+            return -np.inf, None, None
         # valid by construction, so the input check is skipped
         bound = _min_noise_lp(exp0, start=seed_bound)
         lp_starts[bound.start] = lp_starts.get(bound.start, 0) + 1
@@ -305,5 +314,5 @@ def optimize(
     settings = PhaseSettings(best_x[:6].reshape(2, 3), best_x[6:].reshape(2, 3), relabel)
     return OptimizationResult(
         settings, float(best_val), evaluations, seed, failed_restarts, lp_starts,
-        best_norm, lp_pivots,
+        best_norm, lp_pivots, screened_trials,
     )

@@ -135,6 +135,7 @@ def test_optimize_command_reports_a_result(capsys):
     assert results["best_threshold"] >= REFERENCE_NOISE_THRESHOLD - 1e-3
     assert results["evaluations"] > 0
     assert results["lp_evaluations"] == results["lp_pivots"] == 0
+    assert results["screened_trials"] == 0
     assert results["gradient_norm"] is None
     assert len(results["best_settings"]["alice"]) == 2
     assert set(doc["tolerances"]) == {"coordinate", "sweep_improvement"}
@@ -149,7 +150,9 @@ def test_optimize_command_reports_the_lp_search_and_its_gradient(capsys):
     results = doc["results"]
     assert abs(results["best_threshold"] - REFERENCE_NOISE_THRESHOLD) < 1e-12
     assert 0 < results["lp_evaluations"] <= results["evaluations"]
-    assert results["lp_pivots"] == optimize(1, 2, "lp").lp_pivots > 0
+    search = optimize(1, 2, "lp")
+    assert results["lp_pivots"] == search.lp_pivots > 0
+    assert results["screened_trials"] == search.screened_trials == 3
     # this restart stops on the gradient test, not on a failed line search
     assert 0.0 <= results["gradient_norm"] <= doc["tolerances"]["gradient"]
     assert set(doc["tolerances"]) == {"gradient", "step"}

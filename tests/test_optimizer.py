@@ -142,6 +142,7 @@ def test_optimize_is_deterministic_and_self_consistent():
     assert first.seed == 3
     assert first.failed_restarts == 0
     assert first.lp_starts == {}  # no LP is solved by the analytic method
+    assert first.screened_trials == 0
     assert first.gradient_norm is None
     assert 0.0 <= first.best_threshold <= 1.0
     # re-evaluating the returned settings reproduces the reported score
@@ -164,8 +165,9 @@ def test_lp_search_is_deterministic_with_warm_started_solves():
 
 # evaluations and LP evaluations of optimize(1, seed, "lp"), the restarts
 # of the search-lp benchmark; the first evaluations of a restart ascend the
-# relabeled functional and solve no LP
-GRADIENT_SEARCH_FIXTURES = {2: (12, 11), 9: (8, 6)}
+# relabeled functional and solve no LP, and seed 2's three trials that
+# violate no CGLMP inequality are rejected without one
+GRADIENT_SEARCH_FIXTURES = {2: (12, 8), 9: (8, 6)}
 
 
 def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
@@ -182,13 +184,14 @@ def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
 
 
 # the simplex pivots of those LP evaluations; seeding each solve from the
-# last evaluation's bound, rejected trials included, took 161, and starting
-# each restart from the flat box's basis instead of its class's took 122
-GRADIENT_SEARCH_PIVOTS = {2: 72, 9: 5}
+# last evaluation's bound, rejected trials included, took 161, starting
+# each restart from the flat box's basis instead of its class's took 122,
+# and solving the LPs of the trials that violate no CGLMP inequality took 77
+GRADIENT_SEARCH_PIVOTS = {2: 14, 9: 5}
 
 
 def test_gradient_search_pivots_are_pinned():
-    assert sum(GRADIENT_SEARCH_PIVOTS.values()) <= 85
+    assert sum(GRADIENT_SEARCH_PIVOTS.values()) <= 25
     for seed, pivots in GRADIENT_SEARCH_PIVOTS.items():
         assert optimize(1, seed=seed, method="lp").lp_pivots == pivots
 
@@ -216,6 +219,72 @@ def test_each_lp_solve_starts_from_its_restarts_best_bound(monkeypatch):
     assert rejected > 0  # trials below the best so far seeded nothing
 
 
+def test_trials_rejected_without_an_lp_are_local(monkeypatch):
+    # a restart's kernel boxes after its first LP solve that reach no LP are
+    # the screened trials: each violates no CGLMP inequality, and the LP
+    # certifies it local
+    boxes, solved = [], []
+    kernel, solve = optimizer_module._born_kernel, optimizer_module._min_noise_lp
+
+    def recorded_kernel(x):
+        exp0, derivatives = kernel(x)
+        boxes.append(exp0)
+        return exp0, derivatives
+
+    def recorded_solve(exp0, start=None):
+        solved.append(exp0)
+        return solve(exp0, start=start)
+
+    monkeypatch.setattr(optimizer_module, "_born_kernel", recorded_kernel)
+    monkeypatch.setattr(optimizer_module, "_min_noise_lp", recorded_solve)
+    total = 0
+    for seed in range(50):
+        boxes.clear()
+        solved.clear()
+        result = optimize(1, seed=seed, method="lp")
+        stage_2 = boxes[next(i for i, box in enumerate(boxes) if box is solved[0]):]
+        screened = [box for box in stage_2 if not any(box is s for s in solved)]
+        assert len(screened) == result.screened_trials
+        assert len(stage_2) == len(solved) + len(screened)
+        for box in screened:
+            assert (box.vector() @ CLASS_CH).max() <= 0.0
+            assert min_noise_lp(box).f_min == 0.0
+        if seed == 2:
+            assert result.screened_trials == 3
+        total += result.screened_trials
+    assert total > 0
+
+
+def test_a_local_box_at_the_first_lp_is_still_scored_by_the_lp(monkeypatch):
+    # one setting per side makes every box local; with the functional's
+    # ascent skipped, the LP ascent starts there, and its first evaluation
+    # is solved rather than screened
+    ascend = optimizer_module._newton_ascent
+    calls = []
+    solve = optimizer_module._min_noise_lp
+
+    def lp_only(fn, x, enough=np.inf):
+        return (0.0, None) if enough == 0.0 else ascend(fn, x, enough)
+
+    def recorded(exp0, start=None):
+        bound = solve(exp0, start=start)
+        calls.append((start, bound.f_min))
+        return bound
+
+    monkeypatch.setattr(optimizer_module, "_newton_ascent", lp_only)
+    monkeypatch.setattr(optimizer_module, "_min_noise_lp", recorded)
+    rng = np.random.default_rng(37)
+    alice, bob = rng.uniform(0, 2 * np.pi, (2, 3))
+    local = PhaseSettings([alice, alice], [bob, bob])
+    assert (experiment_probabilities(local).vector() @ CLASS_CH).max() <= 0.0
+    result = optimize(1, seed=37, method="lp", initial_phases=local)
+    assert calls == [(None, 0.0)]
+    assert result.best_threshold == 0.0
+    assert result.evaluations == 1 == sum(result.lp_starts.values())
+    assert result.screened_trials == 0
+    assert result.gradient_norm == 0.0
+
+
 def test_every_lp_restart_ends_at_the_paper_threshold_with_a_small_gradient():
     for seed in range(50):
         result = optimize(1, seed=seed, method="lp")
@@ -231,8 +300,9 @@ def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
     assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
     # Newton steps on the exact Hessian: 206 evaluations, where BFGS took 469
     assert result.evaluations <= 250
-    # 799 pivots, where starting each restart from the flat box's basis took 1315
-    assert result.lp_pivots <= 900
+    # 300 pivots, where solving the trials that violate no CGLMP inequality
+    # took 799, and starting each restart from the flat box's basis 1315
+    assert result.lp_pivots <= 350
     assert result.gradient_norm <= GRADIENT_TOL
 
 
