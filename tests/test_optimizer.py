@@ -237,7 +237,6 @@ def test_trials_rejected_without_an_lp_are_local(monkeypatch):
 
     monkeypatch.setattr(optimizer_module, "_born_kernel", recorded_kernel)
     monkeypatch.setattr(optimizer_module, "_min_noise_lp", recorded_solve)
-    total = 0
     for seed in range(50):
         boxes.clear()
         solved.clear()
@@ -251,8 +250,6 @@ def test_trials_rejected_without_an_lp_are_local(monkeypatch):
             assert min_noise_lp(box).f_min == 0.0
         if seed == 2:
             assert result.screened_trials == 3
-        total += result.screened_trials
-    assert total > 0
 
 
 def test_a_local_box_at_the_first_lp_is_still_scored_by_the_lp(monkeypatch):
