@@ -37,7 +37,7 @@ from .inequality import (
 )
 from .atoms import ATOMS
 from .lhv import CERTIFICATE_TOL, min_noise_lp
-from .optimizer import COORDINATE_TOL, GRADIENT_TOL, STEP_TOL, SWEEP_TOL, optimize
+from .optimizer import GRADIENT_TOL, ROUNDOFF_ULPS, STEP_TOL, optimize
 from .presets import (
     REFERENCE_ALICE_PHASES,
     REFERENCE_BOB_PHASES,
@@ -309,7 +309,7 @@ def _cmd_optimize(args):
     if args.method == "lp":
         tolerances = {"gradient": GRADIENT_TOL, "step": STEP_TOL}
     else:
-        tolerances = {"coordinate": COORDINATE_TOL, "sweep_improvement": SWEEP_TOL}
+        tolerances = {"sweep_ulps": ROUNDOFF_ULPS}
     return EXIT_OK, None, results, tolerances
 
 

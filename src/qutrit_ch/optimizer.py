@@ -18,8 +18,16 @@ baked into the returned settings. One column per relabeling class
 L0 / (L0 - FLAT_LHS) rises with L0, so each evaluation crosses the noise
 once, at the largest of the 432 functional values.
 
-The analytic method runs coordinate-wise ascent: a coarse periodic scan of
-``GRID_POINTS`` per coordinate, then golden-section refinement.
+The analytic method runs coordinate-wise ascent on the largest class value.
+Along one phase t every probability is |a + b e^{it}|^2, so every class
+value is A + Re(H e^{it}), a single first harmonic (as in Rotosolve,
+Ostaszewski, Grant & Benedetti, Quantum 5, 391 (2021)). Samples at offsets
+0, 2 pi / 3 and 4 pi / 3 give A as their mean and H as 2/3 of their sum
+weighted by e^{-it}, so the line's exact maximum is max_c A_c + |H_c|, at
+t = -arg H_c. One more evaluation confirms each move, which is kept unless
+the largest class value falls. The restart ends after a sweep over the free
+phases that raises it by at most ``ROUNDOFF_ULPS`` ulps, and its noise is
+crossed once, at the end.
 
 The LP method runs a modified Newton ascent on f_min. Within one LP basis
 f = g / (1 + g) with g the dual ``lhv.threshold_gradient`` reads times the
@@ -54,21 +62,21 @@ from .inequality import CLASS_CH, CLASS_FIRSTS, FLAT_LHS, analytic_threshold, no
 from .lhv import NoiseBound, _min_noise_lp, min_noise_lp, threshold_gradient
 from .simplex import SimplexFailure
 
-# coordinate ascent, for the analytic method
-GRID_POINTS = 12
-COORDINATE_TOL = 1e-4
-SWEEP_TOL = 1e-7
 # Newton ascent, for the LP method
 GRADIENT_TOL = 1e-9
 STEP_TOL = 1e-12  # radians
 ARMIJO = 1e-4  # the share of the predicted gain a step must realize
-ROUNDOFF_ULPS = 4  # a step that moves the value by at most this is accepted
+# a Newton step that moves the value by at most this many ulps is accepted,
+# and a coordinate sweep that raises it by no more ends the analytic ascent
+ROUNDOFF_ULPS = 4
 CURVATURE_FLOOR = 1e-3  # relative to the largest curvature
 FREE_INDICES = np.array([1, 2, 4, 5, 7, 8, 10, 11])
 FREE_INDICES.setflags(write=False)
 _FREE_BLOCK = np.ix_(FREE_INDICES, FREE_INDICES)
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# the coordinate ascent's sample offsets along a phase, and the weights
+# that turn its three samples into a first harmonic's coefficient
+LINE_OFFSETS = np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+_HARMONIC_WEIGHTS = (2.0 / 3.0) * np.exp(-1j * LINE_OFFSETS)
 
 
 @dataclass(frozen=True)
@@ -116,52 +124,35 @@ def _relabel_maxed_scores(exp0) -> np.ndarray:
     return noise_crossing(exp0.vector() @ CLASS_CH, FLAT_LHS)
 
 
-def _relabel_max(exp0) -> float:
-    """``_relabel_maxed_scores(exp0).max()``, by one crossing at the
-    largest class value."""
-    return noise_crossing((exp0.vector() @ CLASS_CH).max(), FLAT_LHS)
-
-
-def _refine_coordinate(fn, x: np.ndarray, index: int, current: float) -> float:
-    """Maximize fn along one coordinate in place; returns the new best value."""
-    step = 2.0 * np.pi / GRID_POINTS
-    best = [current, x[index]]
-
-    def probe(position: float) -> float:
-        x[index] = position
-        value = fn(x)
-        if value > best[0]:
-            best[:] = value, position
-        return value
-
-    origin = x[index]
-    for k in range(1, GRID_POINTS):
-        probe(origin + k * step)
-    lo, hi = best[1] - step, best[1] + step
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = probe(c), probe(d)
-    while hi - lo > COORDINATE_TOL:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = probe(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = probe(d)
-    x[index] = best[1]
-    return best[0]
+def _first_harmonic(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A and H of every column of samples, taken at ``LINE_OFFSETS`` along
+    one line, where each column is A + Re(H e^{it})."""
+    return samples.mean(axis=0), _HARMONIC_WEIGHTS @ samples
 
 
 def _coordinate_ascent(fn, x: np.ndarray) -> float:
-    current = fn(x)
+    """Maximize the largest of fn's class values over the free phases of x
+    in place, one exact line maximum at a time; returns that value."""
+    values = fn(x)
+    current = values.max()
     while True:
         sweep_start = current
         for index in FREE_INDICES:
-            current = _refine_coordinate(fn, x, index, current)
-        if current - sweep_start < SWEEP_TOL:
-            return current
+            origin = x[index]
+            samples = [values]
+            for offset in LINE_OFFSETS[1:]:
+                x[index] = origin + offset
+                samples.append(fn(x))
+            mean, harmonic = _first_harmonic(np.array(samples))
+            best = (mean + np.abs(harmonic)).argmax()
+            x[index] = origin - np.angle(harmonic[best])
+            trial = fn(x)
+            if trial.max() >= current:
+                values, current = trial, trial.max()
+            else:
+                x[index] = origin
+        if current - sweep_start <= ROUNDOFF_ULPS * np.spacing(abs(sweep_start)):
+            return float(current)
 
 
 def _newton_ascent(fn, x: np.ndarray, enough: float = np.inf) -> tuple[float, np.ndarray]:
@@ -242,10 +233,10 @@ def optimize(
     # next solve
     seed_bound: NoiseBound | None = None
 
-    def relabel_max(x: np.ndarray) -> float:
+    def class_values(x: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        return _relabel_max(_born_kernel(x)[0])
+        return _born_kernel(x)[0].vector() @ CLASS_CH
 
     def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations
@@ -290,7 +281,7 @@ def optimize(
         norm = None
         try:
             if method == "analytic":
-                value = _coordinate_ascent(relabel_max, x)
+                value = noise_crossing(_coordinate_ascent(class_values, x), FLAT_LHS)
             else:
                 # f_min is 0 wherever the box is local, so the LP's gradient
                 # is too; the largest relabeled functional value leads off

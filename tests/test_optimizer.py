@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qutrit_ch.optimizer as optimizer_module
 from qutrit_ch.atoms import INDICATOR_MATRIX, N_ATOMS
@@ -14,12 +15,21 @@ from qutrit_ch.engine import (
     apply_relabeling,
     experiment_probabilities,
 )
-from qutrit_ch.inequality import CH_VECTOR, CLASS_CH, CLASS_FIRSTS, analytic_threshold
+from qutrit_ch.inequality import (
+    CH_VECTOR,
+    CLASS_CH,
+    CLASS_FIRSTS,
+    FLAT_LHS,
+    analytic_threshold,
+    noise_crossing,
+)
 from qutrit_ch.lhv import marginals_of, min_noise_lp, threshold_gradient
 from qutrit_ch.optimizer import (
+    FREE_INDICES,
     GRADIENT_TOL,
+    LINE_OFFSETS,
     OptimizationResult,
-    _relabel_max,
+    _first_harmonic,
     _relabel_maxed_scores,
     optimize,
     threshold_objective,
@@ -110,9 +120,40 @@ def test_one_crossing_of_the_largest_class_value_is_the_best_score():
     rng = np.random.default_rng(41)
     for _ in range(300):
         exp0 = _born_kernel(rng.uniform(0, 2 * np.pi, 12))[0]
-        best = _relabel_max(exp0)
+        best = noise_crossing((exp0.vector() @ CLASS_CH).max(), FLAT_LHS)
         assert isinstance(best, float)
         assert best == _relabel_maxed_scores(exp0).max()
+
+
+def _class_values(x):
+    return _born_kernel(x)[0].vector() @ CLASS_CH
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=12, max_size=12),
+    st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+)
+def test_three_samples_give_every_class_value_along_a_phase(phases, offsets):
+    # along one phase t every class value is A + Re(H e^{it}), so three
+    # samples fix it everywhere, and max_c A_c + |H_c| is the line's maximum
+    grid = np.arange(720) * (2.0 * np.pi / 720)
+    x = np.array(phases)
+    for index in FREE_INDICES:
+        line = x.copy()
+
+        def at(t):
+            line[index] = x[index] + t
+            return _class_values(line)
+
+        mean, harmonic = _first_harmonic(np.array([at(t) for t in LINE_OFFSETS]))
+        for t in offsets:
+            assert np.abs(at(t) - (mean + (harmonic * np.exp(1j * t)).real)).max() <= 1e-13
+        peaks = mean + np.abs(harmonic)
+        best = int(peaks.argmax())
+        scanned = max(at(t).max() for t in grid)
+        assert peaks[best] >= scanned - 1e-13
+        assert at(-np.angle(harmonic[best])).max() >= scanned - 1e-13
 
 
 def test_relabel_maxed_score_recovers_the_lp_value_at_reference():
@@ -290,6 +331,13 @@ def test_every_lp_restart_ends_at_the_paper_threshold_with_a_small_gradient():
         assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-9
 
 
+def test_every_analytic_restart_ends_at_the_paper_threshold():
+    # exact line maxima climb to the paper's value from every start
+    for seed in range(50):
+        result = optimize(1, seed=seed, method="analytic")
+        assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
+
+
 def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
     result = optimize(20, seed=7, method="lp")
     assert result.failed_restarts == 0
@@ -427,7 +475,7 @@ def test_search_from_the_reference_start_keeps_the_optimum():
 
 def test_analytic_restart_rediscovers_a_near_optimal_setting():
     result = optimize(1, seed=7, method="analytic")
-    assert result.best_threshold >= REFERENCE_NOISE_THRESHOLD - 1e-3
+    assert result.best_threshold >= REFERENCE_NOISE_THRESHOLD - 1e-12
     # the winning relabeling is baked in, so the plain objective agrees
     replay = threshold_objective(result.best_settings, "analytic")
     assert abs(replay - result.best_threshold) < 1e-9
@@ -471,9 +519,9 @@ def test_raises_when_every_restart_fails(monkeypatch):
 
 def test_programming_errors_in_a_restart_propagate(monkeypatch):
     # only solver failures skip a restart; any other error is a bug to surface
-    def broken(exp0):
+    def broken(phases):
         raise RuntimeError("synthetic bug")
 
-    monkeypatch.setattr(optimizer_module, "_relabel_max", broken)
+    monkeypatch.setattr(optimizer_module, "_born_kernel", broken)
     with pytest.raises(RuntimeError, match="synthetic bug"):
         optimize(2, seed=17, method="analytic")
