@@ -347,27 +347,30 @@ _EYE3 = np.eye(3)
 
 def _born_kernel(phases: np.ndarray):
     """``experiment_probabilities`` of 12 raw phases (alice's, then bob's),
-    bit for bit, and ``derivatives(w)``: the gradient and Hessian over the
-    phases of w @ tables.ravel(), for 36 weights w or a stack of them.
+    bit for bit; ``derivatives(w)``: the gradient and Hessian over the
+    phases of w @ tables.ravel(), for 36 weights w or a stack of them; and
+    ``harmonic(i)``: each joint entry's H along raw phase i = 3 o + m.
 
     In table (k, l), alice's phase (k, m) and bob's (l, m) enter only the
     term T_m = ua_k[a, m] ub_l[b, m] / sqrt(3) of amp, as exp(i phi). So
     d|amp|^2/dphi_m = -2 Im(conj(amp) T_m) and d^2|amp|^2/dphi_m dphi_n =
     2 Re(T_m conj(T_n)) - 2 delta_mn Re(conj(amp) T_m), whose weighted
     block b_kl is the Hessian at (A_k, B_l) and (B_l, A_k); (A_k, A_k)
-    sums it over l and (B_l, B_l) over k.
+    sums it over l and (B_l, B_l) over k. Along phase i, an entry of a
+    table with observable o is |c + T_m e^{it}|^2 = A + Re(H e^{it}) with
+    c = amp - T_m, H = 2 conj(c) T_m; other entries have H = 0.
     """
     if not np.isfinite(phases).all():
         raise ValueError("phases must be finite")
     u = _observable_unitaries(phases.reshape(4, 3))
     # _born_rule's arrays are fresh and range-checked
     exp = ExperimentProbabilities._adopt(*_born_rule(u[:2], u[2:], 0.0))
+    # terms[2k + l, 3a + b, m]
+    terms = (u[:2, None, :, None, :] * u[None, 2:, None, :, :]).reshape(4, 9, 3) / _SQRT3
 
     def derivatives(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         stack = weights.shape[:-1]
         weights = weights.reshape(stack + (4, 1, 9))
-        # terms[2k + l, 3a + b, m]
-        terms = (u[:2, None, :, None, :] * u[None, 2:, None, :, :]).reshape(4, 9, 3) / _SQRT3
         # per table, sum_ab of w conj(amp) T_m and of w conj(T_m) T_n
         weighted = weights @ (terms.sum(axis=2, keepdims=True).conj() * terms)
         outer = (terms.conj().swapaxes(1, 2) * weights) @ terms
@@ -376,7 +379,13 @@ def _born_kernel(phases: np.ndarray):
         hessian = (_INCIDENT_PAIRS.T @ blocks.reshape(stack + (4, 9))).reshape(stack + (4, 4, 3, 3))
         return gradient.reshape(stack + (12,)), hessian.swapaxes(-3, -2).reshape(stack + (12, 12))
 
-    return exp, derivatives
+    def harmonic(index: int) -> np.ndarray:
+        observable, m = divmod(index, 3)
+        term = terms[..., m]
+        rest = terms.sum(axis=2) - term
+        return ((2.0 * _INCIDENCE[:, observable, None]) * (rest.conj() * term)).ravel()
+
+    return exp, derivatives, harmonic
 
 
 def find_matching_relabeling(

@@ -15,19 +15,17 @@ functional, maximized over all 6^4 outcome relabelings so that, like the LP,
 it does not depend on how outcomes are labeled; the maximizing relabeling is
 baked into the returned settings. One column per relabeling class
 (``inequality.CLASS_CH``) scores all 1296. As FLAT_LHS < 0,
-L0 / (L0 - FLAT_LHS) rises with L0, so each evaluation crosses the noise
-once, at the largest of the 432 functional values.
+L0 / (L0 - FLAT_LHS) rises with L0, so a score crosses the noise once,
+at the largest of the 432 functional values.
 
 The analytic method runs coordinate-wise ascent on the largest class value.
-Along one phase t every probability is |a + b e^{it}|^2, so every class
-value is A + Re(H e^{it}), a single first harmonic (as in Rotosolve,
-Ostaszewski, Grant & Benedetti, Quantum 5, 391 (2021)). Samples at offsets
-0, 2 pi / 3 and 4 pi / 3 give A as their mean and H as 2/3 of their sum
-weighted by e^{-it}, so the line's exact maximum is max_c A_c + |H_c|, at
-t = -arg H_c. One more evaluation confirms each move, which is kept unless
-the largest class value falls. The restart ends after a sweep over the free
-phases that raises it by at most ``ROUNDOFF_ULPS`` ulps, and its noise is
-crossed once, at the end.
+Along one phase t every class value is A + Re(H e^{it}) (as in Rotosolve,
+Ostaszewski, Grant & Benedetti, Quantum 5, 391 (2021)), with H from the
+kernel's ``harmonic`` and A = value - Re H. So one evaluation, at
+t = -arg H_c for the c with the largest A_c + |H_c|, reaches the line's
+exact maximum; it is kept unless the largest class value falls. A sweep
+over the free phases that raises it by at most ``ROUNDOFF_ULPS`` ulps ends
+the restart, and its noise is crossed once, at the end.
 
 The LP method runs a modified Newton ascent on f_min. Within one LP basis
 f = g / (1 + g) with g the dual ``lhv.threshold_gradient`` reads times the
@@ -73,10 +71,6 @@ CURVATURE_FLOOR = 1e-3  # relative to the largest curvature
 FREE_INDICES = np.array([1, 2, 4, 5, 7, 8, 10, 11])
 FREE_INDICES.setflags(write=False)
 _FREE_BLOCK = np.ix_(FREE_INDICES, FREE_INDICES)
-# the coordinate ascent's sample offsets along a phase, and the weights
-# that turn its three samples into a first harmonic's coefficient
-LINE_OFFSETS = np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
-_HARMONIC_WEIGHTS = (2.0 / 3.0) * np.exp(-1j * LINE_OFFSETS)
 
 
 @dataclass(frozen=True)
@@ -124,31 +118,25 @@ def _relabel_maxed_scores(exp0) -> np.ndarray:
     return noise_crossing(exp0.vector() @ CLASS_CH, FLAT_LHS)
 
 
-def _first_harmonic(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A and H of every column of samples, taken at ``LINE_OFFSETS`` along
-    one line, where each column is A + Re(H e^{it})."""
-    return samples.mean(axis=0), _HARMONIC_WEIGHTS @ samples
-
-
 def _coordinate_ascent(fn, x: np.ndarray) -> float:
     """Maximize the largest of fn's class values over the free phases of x
-    in place, one exact line maximum at a time; returns that value."""
-    values = fn(x)
+    in place, one exact line maximum at a time; returns that value.
+
+    fn(x) returns the 432 class values and the kernel's ``harmonic``.
+    """
+    values, harmonic = fn(x)
     current = values.max()
     while True:
         sweep_start = current
         for index in FREE_INDICES:
+            # every class's H, as its real and imaginary parts
+            real, imag = harmonic(index).view(float).reshape(36, 2).T @ CLASS_CH[:36]
+            best = (values - real + np.hypot(real, imag)).argmax()
             origin = x[index]
-            samples = [values]
-            for offset in LINE_OFFSETS[1:]:
-                x[index] = origin + offset
-                samples.append(fn(x))
-            mean, harmonic = _first_harmonic(np.array(samples))
-            best = (mean + np.abs(harmonic)).argmax()
-            x[index] = origin - np.angle(harmonic[best])
-            trial = fn(x)
+            x[index] = origin - np.arctan2(imag[best], real[best])
+            trial, trial_harmonic = fn(x)
             if trial.max() >= current:
-                values, current = trial, trial.max()
+                values, harmonic, current = trial, trial_harmonic, trial.max()
             else:
                 x[index] = origin
         if current - sweep_start <= ROUNDOFF_ULPS * np.spacing(abs(sweep_start)):
@@ -233,15 +221,16 @@ def optimize(
     # next solve
     seed_bound: NoiseBound | None = None
 
-    def class_values(x: np.ndarray) -> np.ndarray:
+    def class_values(x: np.ndarray) -> tuple:
         nonlocal evaluations
         evaluations += 1
-        return _born_kernel(x)[0].vector() @ CLASS_CH
+        exp0, _, harmonic = _born_kernel(x)
+        return exp0.vector() @ CLASS_CH, harmonic
 
     def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
-        exp0, derivatives = _born_kernel(x)
+        exp0, derivatives, _ = _born_kernel(x)
         values = exp0.vector() @ CLASS_CH
         best = int(values.argmax())
         return float(values[best]), *derivatives(CLASS_CH[:36, best])
@@ -249,7 +238,7 @@ def optimize(
     def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations, lp_pivots, screened_trials, seed_bound
         evaluations += 1
-        exp0, derivatives = _born_kernel(x)
+        exp0, derivatives, _ = _born_kernel(x)
         if seed_bound is not None and (exp0.vector() @ CLASS_CH).max() <= 0.0:
             # rejected unsolved: the line search never accepts -inf
             screened_trials += 1

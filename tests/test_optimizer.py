@@ -27,9 +27,7 @@ from qutrit_ch.lhv import marginals_of, min_noise_lp, threshold_gradient
 from qutrit_ch.optimizer import (
     FREE_INDICES,
     GRADIENT_TOL,
-    LINE_OFFSETS,
     OptimizationResult,
-    _first_harmonic,
     _relabel_maxed_scores,
     optimize,
     threshold_objective,
@@ -125,35 +123,39 @@ def test_one_crossing_of_the_largest_class_value_is_the_best_score():
         assert best == _relabel_maxed_scores(exp0).max()
 
 
-def _class_values(x):
-    return _born_kernel(x)[0].vector() @ CLASS_CH
-
-
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(
     st.lists(st.floats(-10.0, 10.0), min_size=12, max_size=12),
     st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
 )
-def test_three_samples_give_every_class_value_along_a_phase(phases, offsets):
-    # along one phase t every class value is A + Re(H e^{it}), so three
-    # samples fix it everywhere, and max_c A_c + |H_c| is the line's maximum
+def test_the_kernels_harmonic_gives_every_value_along_a_phase(phases, offsets):
+    # along raw phase i every joint entry is A + Re(H e^{it}), with H the
+    # kernel's harmonic(i) and A = p - Re H, and every single stays put; so
+    # each class value is a first harmonic too, whose largest peak
+    # max_c A_c + |H_c| is the line's maximum, at t = -arg H_c
     grid = np.arange(720) * (2.0 * np.pi / 720)
     x = np.array(phases)
-    for index in FREE_INDICES:
+    exp0, _, harmonic = _born_kernel(x)
+    for index in range(12):
         line = x.copy()
 
         def at(t):
             line[index] = x[index] + t
-            return _class_values(line)
+            return _born_kernel(line)[0].vector()
 
-        mean, harmonic = _first_harmonic(np.array([at(t) for t in LINE_OFFSETS]))
+        entries = harmonic(index)
+        assert entries.shape == (36,)
+        mean = exp0.tables.ravel() - entries.real
         for t in offsets:
-            assert np.abs(at(t) - (mean + (harmonic * np.exp(1j * t)).real)).max() <= 1e-13
-        peaks = mean + np.abs(harmonic)
+            moved = at(t)
+            assert np.abs(moved[:36] - (mean + (entries * np.exp(1j * t)).real)).max() <= 1e-13
+            assert np.abs(moved[36:] - exp0.vector()[36:]).max() <= 1e-13
+        classes = entries @ CLASS_CH[:36]
+        peaks = exp0.vector() @ CLASS_CH - classes.real + np.abs(classes)
         best = int(peaks.argmax())
-        scanned = max(at(t).max() for t in grid)
+        scanned = (np.array([at(t) for t in grid]) @ CLASS_CH).max()
         assert peaks[best] >= scanned - 1e-13
-        assert at(-np.angle(harmonic[best])).max() >= scanned - 1e-13
+        assert (at(-np.angle(classes[best])) @ CLASS_CH).max() >= scanned - 1e-13
 
 
 def test_relabel_maxed_score_recovers_the_lp_value_at_reference():
@@ -268,9 +270,9 @@ def test_trials_rejected_without_an_lp_are_local(monkeypatch):
     kernel, solve = optimizer_module._born_kernel, optimizer_module._min_noise_lp
 
     def recorded_kernel(x):
-        exp0, derivatives = kernel(x)
+        exp0, derivatives, harmonic = kernel(x)
         boxes.append(exp0)
-        return exp0, derivatives
+        return exp0, derivatives, harmonic
 
     def recorded_solve(exp0, start=None):
         solved.append(exp0)
@@ -331,11 +333,26 @@ def test_every_lp_restart_ends_at_the_paper_threshold_with_a_small_gradient():
         assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-9
 
 
+# evaluations of optimize(1, seed, "analytic"), the restarts of the
+# search-analytic benchmark: one kernel call per coordinate step, where
+# sampling each line at three points and confirming the move took 289 each
+ANALYTIC_SEARCH_EVALUATIONS = {2: 97, 9: 89}
+
+
+def test_analytic_search_evaluations_are_pinned():
+    for seed, evaluations in ANALYTIC_SEARCH_EVALUATIONS.items():
+        result = optimize(1, seed=seed, method="analytic")
+        assert result.evaluations == evaluations
+        assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
+
+
 def test_every_analytic_restart_ends_at_the_paper_threshold():
-    # exact line maxima climb to the paper's value from every start
+    # exact line maxima climb to the paper's value from every start, with
+    # one evaluation at the start and one per coordinate step
     for seed in range(50):
         result = optimize(1, seed=seed, method="analytic")
         assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
+        assert (result.evaluations - 1) % len(FREE_INDICES) == 0
 
 
 def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
@@ -385,7 +402,7 @@ def test_born_kernel_hessian_matches_central_differences_of_its_gradient():
     checked = 0
     while checked < 10:
         phases = rng.uniform(0, 2 * np.pi, 12)
-        exp0, derivatives = _born_kernel(phases)
+        exp0, derivatives, _ = _born_kernel(phases)
         bound = min_noise_lp(exp0)
         if bound.f_min == 0.0:
             continue
@@ -412,7 +429,7 @@ def test_born_kernel_hessian_matches_central_differences_of_its_gradient():
         hessian -= 2.0 / (1.0 - bound.f_min) * np.outer(gradient, gradient)
 
         def lp_gradient(x):
-            exp, kernel_derivatives = _born_kernel(x)
+            exp, kernel_derivatives, _ = _born_kernel(x)
             return kernel_derivatives(threshold_gradient(min_noise_lp(exp, start=bound)))[0]
 
         central = np.array([
