@@ -145,10 +145,10 @@ def test_the_kernels_harmonic_gives_every_value_along_a_phase(phases, offsets):
 
         entries = harmonic(index)
         assert entries.shape == (36,)
-        mean = exp0.tables.ravel() - entries.real
+        constant = exp0.tables.ravel() - entries.real
         for t in offsets:
             moved = at(t)
-            assert np.abs(moved[:36] - (mean + (entries * np.exp(1j * t)).real)).max() <= 1e-13
+            assert np.abs(moved[:36] - (constant + (entries * np.exp(1j * t)).real)).max() <= 1e-13
             assert np.abs(moved[36:] - exp0.vector()[36:]).max() <= 1e-13
         classes = entries @ CLASS_CH[:36]
         peaks = exp0.vector() @ CLASS_CH - classes.real + np.abs(classes)
