@@ -3,12 +3,13 @@
 # The twelve phase shifts (minus gauge freedom) parametrize all available
 # measurement pairs. A coordinate ascent with random restarts maximizes the
 # largest of the 432 relabeling classes' functional values, so a restart
-# cannot get stuck in a relabeling-induced local optimum. Along one phase
-# every class value is a single first harmonic, A + Re(H e^{it}), whose H
-# the probability kernel reads off its amplitudes, so one evaluation per
-# step gives each line's exact maximum. The noise is crossed once, at the
-# end, and the search rediscovers the reference threshold
-# (11-6*sqrt(3))/2 ~ 0.3038 to within a few ulps.
+# cannot get stuck in a relabeling-induced local optimum. Every joint
+# probability is a trigonometric polynomial in the phases with 25 shared
+# frequencies, so along one phase every class value is a single first
+# harmonic, A + Re(H e^{it}), whose H is 4 terms of that polynomial, and
+# one evaluation per step gives each line's exact maximum. The noise is
+# crossed once, at the end, and the search rediscovers the reference
+# threshold (11-6*sqrt(3))/2 ~ 0.3038 to within a few ulps.
 #
 # usage: python3 demos/optimize_phases.py
 

@@ -11,6 +11,7 @@ here is a pure function of its inputs; returned arrays are marked read-only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -338,52 +339,57 @@ def experiment_probabilities(
     return apply_relabeling(exp, settings.relabel)
 
 
-# row 2k + l marks the observables (A1, A2, B1, B2) of table (k, l), A_k
-# and B_l; _INCIDENT_PAIRS holds each row's outer product with itself
-_INCIDENCE = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=float)
-_INCIDENT_PAIRS = np.einsum("pi,pj->pij", _INCIDENCE, _INCIDENCE).reshape(4, 16)
-_EYE3 = np.eye(3)
+@functools.cache
+def _fourier_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies K (25, 12) in {-1, 0, 1}, coefficients C (25, 36) and the
+    4 rows with K = 1 per phase: joint j is Re sum_t C_tj exp(i K_t . phases).
+
+    Entry (a, b) of table (k, l) is |sum_m T_m|^2 with T_m = tritter[a, m]
+    tritter[b, m] exp(i (alpha_km + beta_lm)) / sqrt(3). Its terms
+    T_m conj(T_n) with m != n take one row each, and those with m = n add
+    up to the constant row 0.
+    """
+    terms = (_TRITTER[:, None] * _TRITTER[None]).reshape(9, 3) / _SQRT3
+    frequencies, coefficients = np.zeros((25, 12)), np.zeros((25, 4, 9), dtype=complex)
+    coefficients[0] = np.sum(np.abs(terms) ** 2, axis=1)
+    pairs = itertools.product(range(2), range(2), itertools.permutations(range(3), 2))
+    for row, (k, l, (m, n)) in enumerate(pairs, start=1):
+        frequencies[row, [3 * k + m, 6 + 3 * l + m]] = 1.0
+        frequencies[row, [3 * k + n, 6 + 3 * l + n]] = -1.0
+        coefficients[row, 2 * k + l] = terms[:, m] * terms[:, n].conj()
+    rows = np.nonzero(frequencies.T == 1.0)[1].reshape(12, 4)
+    for table in (frequencies, coefficients, rows):
+        table.setflags(write=False)
+    return frequencies, coefficients.reshape(25, 36), rows
 
 
 def _born_kernel(phases: np.ndarray):
     """``experiment_probabilities`` of 12 raw phases (alice's, then bob's),
-    bit for bit; ``derivatives(w)``: the gradient and Hessian over the
-    phases of w @ tables.ravel(), for 36 weights w or a stack of them; and
-    ``harmonic(i)``: each joint entry's H along raw phase i = 3 o + m.
+    bit for bit, and the derivatives of its weighted sums.
 
-    In table (k, l), alice's phase (k, m) and bob's (l, m) enter only the
-    term T_m = ua_k[a, m] ub_l[b, m] / sqrt(3) of amp, as exp(i phi). So
-    d|amp|^2/dphi_m = -2 Im(conj(amp) T_m) and d^2|amp|^2/dphi_m dphi_n =
-    2 Re(T_m conj(T_n)) - 2 delta_mn Re(conj(amp) T_m), whose weighted
-    block b_kl is the Hessian at (A_k, B_l) and (B_l, A_k); (A_k, A_k)
-    sums it over l and (B_l, B_l) over k. Along phase i, an entry of a
-    table with observable o is |c + T_m e^{it}|^2 = A + Re(H e^{it}) with
-    c = amp - T_m, H = 2 conj(c) T_m; other entries have H = 0.
+    With ``_fourier_table``'s K and C, w @ tables.ravel() is Re sum_t c_t,
+    c = (C w) exp(i K phases), for 36 weights w or a stack of them.
+    ``derivatives(w)`` returns its gradient -K^T Im c and Hessian
+    -K^T diag(Re c) K. Along raw phase i it is A + Re(H e^{it}), H the sum
+    of 2 c_t over the 4 rows with K_ti = 1; ``harmonic(i, C @ W)`` returns
+    the H of every column of W.
     """
     if not np.isfinite(phases).all():
         raise ValueError("phases must be finite")
     u = _observable_unitaries(phases.reshape(4, 3))
     # _born_rule's arrays are fresh and range-checked
     exp = ExperimentProbabilities._adopt(*_born_rule(u[:2], u[2:], 0.0))
-    # terms[2k + l, 3a + b, m]
-    terms = (u[:2, None, :, None, :] * u[None, 2:, None, :, :]).reshape(4, 9, 3) / _SQRT3
+    frequencies, coefficients, rows = _fourier_table()
+    phasors = np.exp(1j * (frequencies @ phases))
 
     def derivatives(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        stack = weights.shape[:-1]
-        weights = weights.reshape(stack + (4, 1, 9))
-        # per table, sum_ab of w conj(amp) T_m and of w conj(T_m) T_n
-        weighted = weights @ (terms.sum(axis=2, keepdims=True).conj() * terms)
-        outer = (terms.conj().swapaxes(1, 2) * weights) @ terms
-        blocks = 2.0 * (outer.real - _EYE3 * weighted.real)
-        gradient = _INCIDENCE.T @ (-2.0 * weighted.imag[..., 0, :])
-        hessian = (_INCIDENT_PAIRS.T @ blocks.reshape(stack + (4, 9))).reshape(stack + (4, 4, 3, 3))
-        return gradient.reshape(stack + (12,)), hessian.swapaxes(-3, -2).reshape(stack + (12, 12))
+        # column vectors, so that each weight of a stack takes the same path
+        terms = (coefficients @ weights[..., None])[..., 0] * phasors
+        hessian = (frequencies.T * terms.real[..., None, :]) @ frequencies
+        return -(frequencies.T @ terms.imag[..., None])[..., 0], -hessian
 
-    def harmonic(index: int) -> np.ndarray:
-        observable, m = divmod(index, 3)
-        term = terms[..., m]
-        rest = terms.sum(axis=2) - term
-        return ((2.0 * _INCIDENCE[:, observable, None]) * (rest.conj() * term)).ravel()
+    def harmonic(index: int, product: np.ndarray) -> np.ndarray:
+        return 2.0 * (phasors[rows[index]] @ product[rows[index]])
 
     return exp, derivatives, harmonic
 

@@ -20,12 +20,13 @@ at the largest of the 432 functional values.
 
 The analytic method runs coordinate-wise ascent on the largest class value.
 Along one phase t every class value is A + Re(H e^{it}) (as in Rotosolve,
-Ostaszewski, Grant & Benedetti, Quantum 5, 391 (2021)), with H from the
-kernel's ``harmonic`` and A = value - Re H. So one evaluation, at
-t = -arg H_c for the c with the largest A_c + |H_c|, reaches the line's
-exact maximum; it is kept unless the largest class value falls. A sweep
-over the free phases that raises it by at most ``ROUNDOFF_ULPS`` ulps ends
-the restart, and its noise is crossed once, at the end.
+Ostaszewski, Grant & Benedetti, Quantum 5, 391 (2021)), with H from 4 terms
+of the box's Fourier table (``engine._fourier_table``) and A = value - Re H.
+So one evaluation, at t = -arg H_c for the c with the largest A_c + |H_c|,
+reaches the line's exact maximum; it is kept unless the largest class value
+falls. A sweep over the free phases that raises it by at most
+``ROUNDOFF_ULPS`` ulps ends the restart, and its noise is crossed once, at
+the end.
 
 The LP method runs a modified Newton ascent on f_min. Within one LP basis
 f = g / (1 + g) with g the dual ``lhv.threshold_gradient`` reads times the
@@ -45,6 +46,7 @@ reported as a first-order certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +55,7 @@ from .engine import (
     IDENTITY_RELABELING,
     PhaseSettings,
     _born_kernel,
+    _fourier_table,
     experiment_probabilities,
     relabeling_at,
 )
@@ -118,6 +121,14 @@ def _relabel_maxed_scores(exp0) -> np.ndarray:
     return noise_crossing(exp0.vector() @ CLASS_CH, FLAT_LHS)
 
 
+@functools.cache
+def _class_product() -> np.ndarray:
+    """C @ CLASS_CH[:36] (25, 432) for ``engine._fourier_table``'s C, built
+    on first use; numpy's complex-by-real matmul is slow at this size."""
+    coefficients, weights = _fourier_table()[1], CLASS_CH[:36]
+    return coefficients.real @ weights + 1j * (coefficients.imag @ weights)
+
+
 def _coordinate_ascent(fn, x: np.ndarray) -> float:
     """Maximize the largest of fn's class values over the free phases of x
     in place, one exact line maximum at a time; returns that value.
@@ -129,11 +140,10 @@ def _coordinate_ascent(fn, x: np.ndarray) -> float:
     while True:
         sweep_start = current
         for index in FREE_INDICES:
-            # every class's H, as its real and imaginary parts
-            real, imag = harmonic(index).view(float).reshape(36, 2).T @ CLASS_CH[:36]
-            best = (values - real + np.hypot(real, imag)).argmax()
+            harmonics = harmonic(index, _class_product())
+            best = (values - harmonics.real + np.abs(harmonics)).argmax()
             origin = x[index]
-            x[index] = origin - np.arctan2(imag[best], real[best])
+            x[index] = origin - np.angle(harmonics[best])
             trial, trial_harmonic = fn(x)
             if trial.max() >= current:
                 values, harmonic, current = trial, trial_harmonic, trial.max()

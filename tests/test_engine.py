@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qutrit_ch.engine import (
     FLAT_VECTOR,
@@ -11,6 +12,7 @@ from qutrit_ch.engine import (
     RELABEL_DESTINATIONS,
     PhaseSettings,
     _born_kernel,
+    _fourier_table,
     apply_relabeling,
     experiment_probabilities,
     find_matching_relabeling,
@@ -177,6 +179,22 @@ def test_born_kernel_tables_are_experiment_probabilities_bit_for_bit():
         )
         assert exp.vector().tobytes() == reference.vector().tobytes()
         assert not exp.tables.flags.writeable
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-20.0, 20.0), min_size=12, max_size=12))
+def test_fourier_table_is_the_born_rule(phases):
+    # 25 distinct frequencies in {-1, 0, 1}^12, the constant and 24 others,
+    # whose trigonometric polynomial gives every joint of the Born rule
+    frequencies, coefficients, rows = _fourier_table()
+    assert frequencies.shape == (25, 12) and coefficients.shape == (25, 36)
+    assert set(np.unique(frequencies)) <= {-1.0, 0.0, 1.0}
+    assert len({tuple(k) for k in frequencies}) == 25 and not frequencies[0].any()
+    assert (frequencies[rows, np.arange(12)[:, None]] == 1.0).all()
+    assert ((frequencies == 1.0).sum(axis=0) == 4).all()
+    x = np.array(phases)
+    joints = (np.exp(1j * (frequencies @ x)) @ coefficients).real
+    assert np.abs(joints - _born_kernel(x)[0].tables.ravel()).max() <= 1e-15
 
 
 def test_born_kernel_rejects_non_finite_phases():

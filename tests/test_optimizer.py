@@ -28,6 +28,7 @@ from qutrit_ch.optimizer import (
     FREE_INDICES,
     GRADIENT_TOL,
     OptimizationResult,
+    _class_product,
     _relabel_maxed_scores,
     optimize,
     threshold_objective,
@@ -129,33 +130,30 @@ def test_one_crossing_of_the_largest_class_value_is_the_best_score():
     st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
 )
 def test_the_kernels_harmonic_gives_every_value_along_a_phase(phases, offsets):
-    # along raw phase i every joint entry is A + Re(H e^{it}), with H the
-    # kernel's harmonic(i) and A = p - Re H, and every single stays put; so
-    # each class value is a first harmonic too, whose largest peak
-    # max_c A_c + |H_c| is the line's maximum, at t = -arg H_c
+    # along raw phase i every class value is A + Re(H e^{it}), with H the
+    # kernel's harmonic(i, C @ CLASS_CH[:36]) and A = value - Re H; so the
+    # largest peak max_c A_c + |H_c| is the line's maximum, at t = -arg H_c
     grid = np.arange(720) * (2.0 * np.pi / 720)
     x = np.array(phases)
     exp0, _, harmonic = _born_kernel(x)
+    values = exp0.vector() @ CLASS_CH
     for index in range(12):
         line = x.copy()
 
         def at(t):
             line[index] = x[index] + t
-            return _born_kernel(line)[0].vector()
+            return _born_kernel(line)[0].vector() @ CLASS_CH
 
-        entries = harmonic(index)
-        assert entries.shape == (36,)
-        constant = exp0.tables.ravel() - entries.real
+        classes = harmonic(index, _class_product())
+        assert classes.shape == (432,)
+        constant = values - classes.real
         for t in offsets:
-            moved = at(t)
-            assert np.abs(moved[:36] - (constant + (entries * np.exp(1j * t)).real)).max() <= 1e-13
-            assert np.abs(moved[36:] - exp0.vector()[36:]).max() <= 1e-13
-        classes = entries @ CLASS_CH[:36]
-        peaks = exp0.vector() @ CLASS_CH - classes.real + np.abs(classes)
+            assert np.abs(at(t) - (constant + (classes * np.exp(1j * t)).real)).max() <= 1e-13
+        peaks = constant + np.abs(classes)
         best = int(peaks.argmax())
-        scanned = (np.array([at(t) for t in grid]) @ CLASS_CH).max()
+        scanned = np.array([at(t) for t in grid]).max()
         assert peaks[best] >= scanned - 1e-13
-        assert (at(-np.angle(classes[best])) @ CLASS_CH).max() >= scanned - 1e-13
+        assert at(-np.angle(classes[best])).max() >= scanned - 1e-13
 
 
 def test_relabel_maxed_score_recovers_the_lp_value_at_reference():
@@ -335,8 +333,11 @@ def test_every_lp_restart_ends_at_the_paper_threshold_with_a_small_gradient():
 
 # evaluations of optimize(1, seed, "analytic"), the restarts of the
 # search-analytic benchmark: one kernel call per coordinate step, where
-# sampling each line at three points and confirming the move took 289 each
-ANALYTIC_SEARCH_EVALUATIONS = {2: 97, 9: 89}
+# sampling each line at three points and confirming the move took 289 each.
+# Seed 2 took 97 with H from the amplitudes: there its twelfth sweep gained
+# 4 ulps, which ends the restart, and with H from the Fourier table, which
+# differs in the last bits, it gains 6, so a thirteenth sweep runs
+ANALYTIC_SEARCH_EVALUATIONS = {2: 105, 9: 89}
 
 
 def test_analytic_search_evaluations_are_pinned():
@@ -362,7 +363,7 @@ def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
     assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
     # Newton steps on the exact Hessian: 206 evaluations, where BFGS took 469
     assert result.evaluations <= 250
-    # 300 pivots, where solving the trials that violate no CGLMP inequality
+    # 298 pivots, where solving the trials that violate no CGLMP inequality
     # took 799, and starting each restart from the flat box's basis 1315
     assert result.lp_pivots <= 350
     assert result.gradient_norm <= GRADIENT_TOL
