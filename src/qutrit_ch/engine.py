@@ -151,13 +151,14 @@ def singles(u: np.ndarray) -> np.ndarray:
 
 
 def _validate_relabeling(relabel) -> tuple[tuple[int, int, int], ...]:
+    """The ``PERMUTATIONS`` entries ``relabel`` lists, one per observable."""
     relabel = tuple(tuple(int(x) for x in perm) for perm in relabel)
     if len(relabel) != 4:
         raise ValueError("relabel must give one permutation per observable")
     for perm in relabel:
-        if sorted(perm) != [1, 2, 3]:
+        if perm not in PERMUTATIONS:
             raise ValueError(f"relabel entry {perm} is not a permutation of (1, 2, 3)")
-    return relabel
+    return tuple(PERMUTATIONS[PERMUTATIONS.index(perm)] for perm in relabel)
 
 
 @dataclass(frozen=True)
@@ -340,9 +341,10 @@ def experiment_probabilities(
 
 
 @functools.cache
-def _fourier_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequencies K (25, 12) in {-1, 0, 1}, coefficients C (25, 36) and the
-    4 rows with K = 1 per phase: joint j is Re sum_t C_tj exp(i K_t . phases).
+def _fourier_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies K (25, 12) in {-1, 0, 1}, coefficients C (25, 36), the
+    4 rows with K = 1 per phase, and C as a contiguous real (50, 36) stack
+    of rows Re C_t, -Im C_t: joint j is Re sum_t C_tj exp(i K_t . phases).
 
     Entry (a, b) of table (k, l) is |sum_m T_m|^2 with T_m = tritter[a, m]
     tritter[b, m] exp(i (alpha_km + beta_lm)) / sqrt(3). Its terms
@@ -358,9 +360,12 @@ def _fourier_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         frequencies[row, [3 * k + n, 6 + 3 * l + n]] = -1.0
         coefficients[row, 2 * k + l] = terms[:, m] * terms[:, n].conj()
     rows = np.nonzero(frequencies.T == 1.0)[1].reshape(12, 4)
-    for table in (frequencies, coefficients, rows):
+    coefficients = coefficients.reshape(25, 36)
+    stacked = np.stack([coefficients.real, -coefficients.imag], axis=1).reshape(50, 36)
+    tables = (frequencies, coefficients, rows, stacked)
+    for table in tables:
         table.setflags(write=False)
-    return frequencies, coefficients.reshape(25, 36), rows
+    return tables
 
 
 def _born_kernel(phases: np.ndarray):
@@ -370,16 +375,14 @@ def _born_kernel(phases: np.ndarray):
     With ``_fourier_table``'s K and C, w @ tables.ravel() is Re sum_t c_t,
     c = (C w) exp(i K phases), for 36 weights w or a stack of them.
     ``derivatives(w)`` returns its gradient -K^T Im c and Hessian
-    -K^T diag(Re c) K. Along raw phase i it is A + Re(H e^{it}), H the sum
-    of 2 c_t over the 4 rows with K_ti = 1; ``harmonic(i, C @ W)`` returns
-    the H of every column of W.
+    -K^T diag(Re c) K.
     """
     if not np.isfinite(phases).all():
         raise ValueError("phases must be finite")
     u = _observable_unitaries(phases.reshape(4, 3))
     # _born_rule's arrays are fresh and range-checked
     exp = ExperimentProbabilities._adopt(*_born_rule(u[:2], u[2:], 0.0))
-    frequencies, coefficients, rows = _fourier_table()
+    frequencies, coefficients = _fourier_table()[:2]
     phasors = np.exp(1j * (frequencies @ phases))
 
     def derivatives(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,10 +391,30 @@ def _born_kernel(phases: np.ndarray):
         hessian = (frequencies.T * terms.real[..., None, :]) @ frequencies
         return -(frequencies.T @ terms.imag[..., None])[..., 0], -hessian
 
+    return exp, derivatives
+
+
+def _fourier_kernel(phases: np.ndarray):
+    """The 36 joints of ``_born_kernel``'s box from ``_fourier_table`` alone,
+    Re sum_t E_t C_t with E = exp(i K phases), range-checked, and their
+    first harmonics along each raw phase.
+
+    Along raw phase i, w @ joints is A + Re(H e^{it}), H the sum of
+    2 E_t (C w)_t over the 4 rows with K_ti = 1; ``harmonic(i, C @ W)``
+    returns the H of every column of W.
+    """
+    if not np.isfinite(phases).all():
+        raise ValueError("phases must be finite")
+    frequencies, _, rows, stacked = _fourier_table()
+    phasors = np.exp(1j * (frequencies @ phases))
+    # pairs (Re E_t, Im E_t) against the rows (Re C_t, -Im C_t)
+    joints = _clamp01(phasors.view(float) @ stacked)
+    joints.setflags(write=False)
+
     def harmonic(index: int, product: np.ndarray) -> np.ndarray:
         return 2.0 * (phasors[rows[index]] @ product[rows[index]])
 
-    return exp, derivatives, harmonic
+    return joints, harmonic
 
 
 def find_matching_relabeling(

@@ -18,15 +18,17 @@ baked into the returned settings. One column per relabeling class
 L0 / (L0 - FLAT_LHS) rises with L0, so a score crosses the noise once,
 at the largest of the 432 functional values.
 
-The analytic method runs coordinate-wise ascent on the largest class value.
-Along one phase t every class value is A + Re(H e^{it}) (as in Rotosolve,
-Ostaszewski, Grant & Benedetti, Quantum 5, 391 (2021)), with H from 4 terms
-of the box's Fourier table (``engine._fourier_table``) and A = value - Re H.
-So one evaluation, at t = -arg H_c for the c with the largest A_c + |H_c|,
-reaches the line's exact maximum; it is kept unless the largest class value
-falls. A sweep over the free phases that raises it by at most
-``ROUNDOFF_ULPS`` ulps ends the restart, and its noise is crossed once, at
-the end.
+The analytic method runs coordinate-wise ascent on the largest class value,
+with the joints and harmonics read from the box's Fourier table
+(``engine._fourier_kernel``), not the Born rule. Along one phase t every
+class value is A + Re(H e^{it}) (as in Rotosolve, Ostaszewski, Grant &
+Benedetti, Quantum 5, 391 (2021)), with H from 4 terms of the table and
+A = value - Re H. So one evaluation, at t = -arg H_c for the c with the
+largest A_c + |H_c|, reaches the line's exact maximum; it is kept unless
+the largest class value falls. A sweep over the free phases that raises it
+by at most ``ROUNDOFF_ULPS`` ulps ends the restart, and its noise is
+crossed once, at the end. The best restart's relabeling and threshold are
+read from ``engine._born_kernel``'s box.
 
 The LP method runs a modified Newton ascent on f_min. Within one LP basis
 f = g / (1 + g) with g the dual ``lhv.threshold_gradient`` reads times the
@@ -52,9 +54,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
+    FLAT_VECTOR,
     IDENTITY_RELABELING,
     PhaseSettings,
     _born_kernel,
+    _fourier_kernel,
     _fourier_table,
     experiment_probabilities,
     relabeling_at,
@@ -133,7 +137,8 @@ def _coordinate_ascent(fn, x: np.ndarray) -> float:
     """Maximize the largest of fn's class values over the free phases of x
     in place, one exact line maximum at a time; returns that value.
 
-    fn(x) returns the 432 class values and the kernel's ``harmonic``.
+    fn(x) returns the 432 class values and ``engine._fourier_kernel``'s
+    ``harmonic``.
     """
     values, harmonic = fn(x)
     current = values.max()
@@ -231,16 +236,19 @@ def optimize(
     # next solve
     seed_bound: NoiseBound | None = None
 
+    # every single is 1/3, so the singles add a constant to each class value
+    singles_share = FLAT_VECTOR[36:] @ CLASS_CH[36:]
+
     def class_values(x: np.ndarray) -> tuple:
         nonlocal evaluations
         evaluations += 1
-        exp0, _, harmonic = _born_kernel(x)
-        return exp0.vector() @ CLASS_CH, harmonic
+        joints, harmonic = _fourier_kernel(x)
+        return joints @ CLASS_CH[:36] + singles_share, harmonic
 
     def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
-        exp0, derivatives, _ = _born_kernel(x)
+        exp0, derivatives = _born_kernel(x)
         values = exp0.vector() @ CLASS_CH
         best = int(values.argmax())
         return float(values[best]), *derivatives(CLASS_CH[:36, best])
@@ -248,7 +256,7 @@ def optimize(
     def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations, lp_pivots, screened_trials, seed_bound
         evaluations += 1
-        exp0, derivatives, _ = _born_kernel(x)
+        exp0, derivatives = _born_kernel(x)
         if seed_bound is not None and (exp0.vector() @ CLASS_CH).max() <= 0.0:
             # rejected unsolved: the line search never accepts -inf
             screened_trials += 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qutrit_ch.engine as engine_module
 from qutrit_ch.engine import (
     FLAT_VECTOR,
     ExperimentProbabilities,
@@ -12,6 +13,7 @@ from qutrit_ch.engine import (
     RELABEL_DESTINATIONS,
     PhaseSettings,
     _born_kernel,
+    _fourier_kernel,
     _fourier_table,
     apply_relabeling,
     experiment_probabilities,
@@ -23,6 +25,7 @@ from qutrit_ch.engine import (
     singles,
     tritter_matrix,
 )
+from qutrit_ch.inequality import CLASS_CH
 
 
 def random_settings(rng):
@@ -116,6 +119,15 @@ def test_phase_settings_validation():
         PhaseSettings(np.zeros((2, 3)), np.zeros((2, 3)), relabel=((1, 2, 3),) * 3)
 
 
+def test_relabeled_settings_share_the_module_permutations():
+    # validated relabelings hold PERMUTATIONS' own tuples, not copies of them
+    relabel = [[2, 3, 1], np.array([1, 3, 2]), (3.0, 1.0, 2.0), (1, 2, 3)]
+    settings = PhaseSettings(np.zeros((2, 3)), np.zeros((2, 3)), relabel=relabel)
+    assert settings.relabel == ((2, 3, 1), (1, 3, 2), (3, 1, 2), (1, 2, 3))
+    for perm in settings.relabel:
+        assert any(perm is known for known in PERMUTATIONS)
+
+
 def test_phase_settings_copies_and_freezes():
     alice = np.zeros((2, 3))
     s = PhaseSettings(alice, np.zeros((2, 3)))
@@ -186,15 +198,24 @@ def test_born_kernel_tables_are_experiment_probabilities_bit_for_bit():
 def test_fourier_table_is_the_born_rule(phases):
     # 25 distinct frequencies in {-1, 0, 1}^12, the constant and 24 others,
     # whose trigonometric polynomial gives every joint of the Born rule
-    frequencies, coefficients, rows = _fourier_table()
+    frequencies, coefficients, rows, stacked = _fourier_table()
     assert frequencies.shape == (25, 12) and coefficients.shape == (25, 36)
     assert set(np.unique(frequencies)) <= {-1.0, 0.0, 1.0}
     assert len({tuple(k) for k in frequencies}) == 25 and not frequencies[0].any()
     assert (frequencies[rows, np.arange(12)[:, None]] == 1.0).all()
     assert ((frequencies == 1.0).sum(axis=0) == 4).all()
+    assert stacked.flags.c_contiguous and stacked.dtype == float
+    assert (stacked[::2] == coefficients.real).all() and (stacked[1::2] == -coefficients.imag).all()
     x = np.array(phases)
+    born = _born_kernel(x)[0]
     joints = (np.exp(1j * (frequencies @ x)) @ coefficients).real
-    assert np.abs(joints - _born_kernel(x)[0].tables.ravel()).max() <= 1e-15
+    assert np.abs(joints - born.tables.ravel()).max() <= 1e-15
+    # the evaluator's joints, with the singles' constant 1/3, give the
+    # Born rule's class values
+    table_joints = _fourier_kernel(x)[0]
+    assert not table_joints.flags.writeable
+    values = table_joints @ CLASS_CH[:36] + FLAT_VECTOR[36:] @ CLASS_CH[36:]
+    assert np.abs(values - born.vector() @ CLASS_CH).max() <= 1e-14
 
 
 def test_born_kernel_rejects_non_finite_phases():
@@ -203,6 +224,19 @@ def test_born_kernel_rejects_non_finite_phases():
         phases[7] = bad
         with pytest.raises(ValueError, match="finite"):
             _born_kernel(phases)
+        with pytest.raises(ValueError, match="finite"):
+            _fourier_kernel(phases)
+
+
+def test_fourier_kernel_range_checks_its_joints(monkeypatch):
+    # each table's 9 joints sum to 1, so with C scaled by 10 some joint
+    # exceeds 1 by far more than _CLAMP_TOL
+    table = _fourier_table()
+    scaled = (*table[:3], 10.0 * table[3])
+    monkeypatch.setattr(engine_module, "_fourier_table", lambda: scaled)
+    phases = np.random.default_rng(47).uniform(0, 2 * np.pi, 12)
+    with pytest.raises(RuntimeError, match="outside"):
+        _fourier_kernel(phases)
 
 
 def test_validate_catches_bad_normalization_and_signaling():
