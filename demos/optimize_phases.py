@@ -8,9 +8,10 @@
 # frequencies, so along one phase every class value is a single first
 # harmonic, A + Re(H e^{it}), whose H is 4 terms of that polynomial, and
 # one evaluation of the polynomial per step gives each line's class values
-# and exact maximum, with no Born-rule call until the final relabeling
-# pick. The noise is crossed once, at the end, and the search rediscovers
-# the reference threshold (11-6*sqrt(3))/2 ~ 0.3038 to within a few ulps.
+# and exact maximum; the search never runs the Born rule, not even for the
+# final relabeling pick. The noise is crossed once, at the end, and the
+# search rediscovers the reference threshold (11-6*sqrt(3))/2 ~ 0.3038 to
+# within a few ulps.
 #
 # usage: python3 demos/optimize_phases.py
 

@@ -161,7 +161,7 @@ def _validate_relabeling(relabel) -> tuple[tuple[int, int, int], ...]:
     return tuple(PERMUTATIONS[PERMUTATIONS.index(perm)] for perm in relabel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseSettings:
     """Two phase triples per observer plus optional outcome relabelings.
 
@@ -226,10 +226,10 @@ class ExperimentProbabilities:
     def _adopt(
         cls, tables: np.ndarray, alice_singles: np.ndarray, bob_singles: np.ndarray
     ) -> "ExperimentProbabilities":
-        """Wrap fresh arrays that no caller holds, already shaped and with
-        no tiny negatives left to clamp, without copying or scanning them;
-        they are frozen in place. The public constructor copies and checks
-        instead."""
+        """Wrap arrays that no caller holds writable (fresh ones, or ones
+        already read-only), already shaped and with no tiny negatives left
+        to clamp, without copying or scanning them; they are frozen in
+        place. The public constructor copies and checks instead."""
         exp = object.__new__(cls)
         for name, arr in (
             ("tables", tables), ("alice_singles", alice_singles), ("bob_singles", bob_singles)
@@ -368,22 +368,25 @@ def _fourier_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _born_kernel(phases: np.ndarray):
-    """``experiment_probabilities`` of 12 raw phases (alice's, then bob's),
-    bit for bit, and the derivatives of its weighted sums.
+def _fourier_kernel(phases: np.ndarray):
+    """The 36 joints of the box at 12 raw phases (alice's, then bob's) from
+    ``_fourier_table``, Re sum_t E_t C_t with E = exp(i K phases),
+    range-checked, with the derivatives of their weighted sums and their
+    first harmonics along each raw phase.
 
-    With ``_fourier_table``'s K and C, w @ tables.ravel() is Re sum_t c_t,
-    c = (C w) exp(i K phases), for 36 weights w or a stack of them.
-    ``derivatives(w)`` returns its gradient -K^T Im c and Hessian
-    -K^T diag(Re c) K.
+    For 36 weights w, or a stack of them, w @ joints is Re sum_t c_t with
+    c = (C w) E; ``derivatives(w)`` returns its gradient -K^T Im c and
+    Hessian -K^T diag(Re c) K. Along raw phase i, w @ joints is
+    A + Re(H e^{it}), H the sum of 2 E_t (C w)_t over the 4 rows with
+    K_ti = 1; ``harmonic(i, C @ W)`` returns the H of every column of W.
     """
     if not np.isfinite(phases).all():
         raise ValueError("phases must be finite")
-    u = _observable_unitaries(phases.reshape(4, 3))
-    # _born_rule's arrays are fresh and range-checked
-    exp = ExperimentProbabilities._adopt(*_born_rule(u[:2], u[2:], 0.0))
-    frequencies, coefficients = _fourier_table()[:2]
+    frequencies, coefficients, rows, stacked = _fourier_table()
     phasors = np.exp(1j * (frequencies @ phases))
+    # pairs (Re E_t, Im E_t) against the rows (Re C_t, -Im C_t)
+    joints = _clamp01(phasors.view(float) @ stacked)
+    joints.setflags(write=False)
 
     def derivatives(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # column vectors, so that each weight of a stack takes the same path
@@ -391,30 +394,19 @@ def _born_kernel(phases: np.ndarray):
         hessian = (frequencies.T * terms.real[..., None, :]) @ frequencies
         return -(frequencies.T @ terms.imag[..., None])[..., 0], -hessian
 
-    return exp, derivatives
-
-
-def _fourier_kernel(phases: np.ndarray):
-    """The 36 joints of ``_born_kernel``'s box from ``_fourier_table`` alone,
-    Re sum_t E_t C_t with E = exp(i K phases), range-checked, and their
-    first harmonics along each raw phase.
-
-    Along raw phase i, w @ joints is A + Re(H e^{it}), H the sum of
-    2 E_t (C w)_t over the 4 rows with K_ti = 1; ``harmonic(i, C @ W)``
-    returns the H of every column of W.
-    """
-    if not np.isfinite(phases).all():
-        raise ValueError("phases must be finite")
-    frequencies, _, rows, stacked = _fourier_table()
-    phasors = np.exp(1j * (frequencies @ phases))
-    # pairs (Re E_t, Im E_t) against the rows (Re C_t, -Im C_t)
-    joints = _clamp01(phasors.view(float) @ stacked)
-    joints.setflags(write=False)
-
     def harmonic(index: int, product: np.ndarray) -> np.ndarray:
         return 2.0 * (phasors[rows[index]] @ product[rows[index]])
 
-    return joints, harmonic
+    return joints, derivatives, harmonic
+
+
+def _kernel_box(joints: np.ndarray) -> ExperimentProbabilities:
+    """The box of ``_fourier_kernel``'s joints, whose singles are exactly
+    1/3 on the maximally entangled state. Every array it adopts is already
+    read-only, so nothing is copied or scanned."""
+    return ExperimentProbabilities._adopt(
+        joints.reshape(2, 2, 3, 3), *FLAT_VECTOR[36:].reshape(2, 2, 3)
+    )
 
 
 def find_matching_relabeling(

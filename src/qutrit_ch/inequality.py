@@ -167,22 +167,12 @@ def noise_crossing(lhs0, lhs1) -> float | np.ndarray:
     (the fully mixed point still violates). NaN stays NaN. Takes scalars,
     returning a float, or arrays, returning an array.
     """
-    if np.ndim(lhs0) == 0 and np.ndim(lhs1) == 0:
-        # the same formula on Python floats, which skip numpy's per-call
-        # overhead; lhs0 > 0 < denom leaves only the upper clip to apply
-        lhs0 = float(lhs0)
-        denom = lhs0 - float(lhs1)
-        if lhs0 <= 0.0:
-            return 0.0
-        if denom <= 0.0:
-            return 1.0
-        ratio = lhs0 / denom
-        return 1.0 if ratio > 1.0 else ratio
     lhs0 = np.asarray(lhs0, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = lhs0 - np.asarray(lhs1, dtype=float)
         ratio = np.clip(lhs0 / denom, 0.0, 1.0)
-    return np.where(lhs0 <= 0.0, 0.0, np.where(denom <= 0.0, 1.0, ratio))
+    crossing = np.where(lhs0 <= 0.0, 0.0, np.where(denom <= 0.0, 1.0, ratio))
+    return float(crossing) if crossing.ndim == 0 else crossing
 
 
 def analytic_threshold(exp0: ExperimentProbabilities) -> ThresholdResult:

@@ -35,8 +35,9 @@ class's ``_witness_basis`` if its largest relabeling class value
 ``_ANCHOR_BASIS``. The result does not depend on the start.
 If the cold solve fails too, ``min_noise_lp`` raises SimplexFailure
 naming the cause. The optimizer passes its bounds through
-``_min_noise_lp``, which skips the input check: its tables come from
-``engine._born_kernel`` and are valid by construction.
+``_min_noise_lp``, which skips the input check: its boxes are
+``engine._fourier_kernel``'s range-checked joints with singles of exactly
+1/3, valid by construction.
 
 The carried inverse also gives the LP's dual, and with it the exact
 gradient of f_min with respect to the joint tables

@@ -18,22 +18,27 @@ baked into the returned settings. One column per relabeling class
 L0 / (L0 - FLAT_LHS) rises with L0, so a score crosses the noise once,
 at the largest of the 432 functional values.
 
-The analytic method runs coordinate-wise ascent on the largest class value,
-with the joints and harmonics read from the box's Fourier table
-(``engine._fourier_kernel``), not the Born rule. Along one phase t every
-class value is A + Re(H e^{it}) (as in Rotosolve, Ostaszewski, Grant &
-Benedetti, Quantum 5, 391 (2021)), with H from 4 terms of the table and
+Both methods read every box from its Fourier table
+(``engine._fourier_kernel``), never from the Born rule: class values as
+joints @ CLASS_CH[:36] plus the constant share of the singles, which are
+all 1/3. Only the LP solves and the final relabeling pick wrap the joints
+in an ``ExperimentProbabilities`` (``engine._kernel_box``).
+
+The analytic method runs coordinate-wise ascent on the largest class value.
+Along one phase t every class value is A + Re(H e^{it}) (as in Rotosolve,
+Ostaszewski, Grant & Benedetti, Quantum 5, 391 (2021)), with H from 4 terms
+of the table (the kernel's ``harmonic``) and
 A = value - Re H. So one evaluation, at t = -arg H_c for the c with the
 largest A_c + |H_c|, reaches the line's exact maximum; it is kept unless
 the largest class value falls. A sweep over the free phases that raises it
 by at most ``ROUNDOFF_ULPS`` ulps ends the restart, and its noise is
 crossed once, at the end. The best restart's relabeling and threshold are
-read from ``engine._born_kernel``'s box.
+read from its box.
 
 The LP method runs a modified Newton ascent on f_min. Within one LP basis
 f = g / (1 + g) with g the dual ``lhv.threshold_gradient`` reads times the
-tables, so ``engine._born_kernel`` gives its exact gradient and Hessian from
-the raw phases. f_min and its gradient are 0 where the box is local, so
+tables, so the kernel's ``derivatives`` give its exact gradient and Hessian
+from the raw phases. f_min and its gradient are 0 where the box is local, so
 each restart first ascends the largest relabeled functional value,
 max_c (CH read through relabeling c) @ p, until it is positive. Every
 reported score is a certified LP value. After each restart's first solve,
@@ -57,9 +62,9 @@ from .engine import (
     FLAT_VECTOR,
     IDENTITY_RELABELING,
     PhaseSettings,
-    _born_kernel,
     _fourier_kernel,
     _fourier_table,
+    _kernel_box,
     experiment_probabilities,
     relabeling_at,
 )
@@ -80,7 +85,7 @@ FREE_INDICES.setflags(write=False)
 _FREE_BLOCK = np.ix_(FREE_INDICES, FREE_INDICES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimizationResult:
     """Best settings found, their score, and the search's bookkeeping.
 
@@ -242,27 +247,27 @@ def optimize(
     def class_values(x: np.ndarray) -> tuple:
         nonlocal evaluations
         evaluations += 1
-        joints, harmonic = _fourier_kernel(x)
+        joints, _, harmonic = _fourier_kernel(x)
         return joints @ CLASS_CH[:36] + singles_share, harmonic
 
     def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
-        exp0, derivatives = _born_kernel(x)
-        values = exp0.vector() @ CLASS_CH
+        joints, derivatives, _ = _fourier_kernel(x)
+        values = joints @ CLASS_CH[:36] + singles_share
         best = int(values.argmax())
         return float(values[best]), *derivatives(CLASS_CH[:36, best])
 
     def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations, lp_pivots, screened_trials, seed_bound
         evaluations += 1
-        exp0, derivatives = _born_kernel(x)
-        if seed_bound is not None and (exp0.vector() @ CLASS_CH).max() <= 0.0:
+        joints, derivatives, _ = _fourier_kernel(x)
+        if seed_bound is not None and (joints @ CLASS_CH[:36] + singles_share).max() <= 0.0:
             # rejected unsolved: the line search never accepts -inf
             screened_trials += 1
             return -np.inf, None, None
         # valid by construction, so the input check is skipped
-        bound = _min_noise_lp(exp0, start=seed_bound)
+        bound = _min_noise_lp(_kernel_box(joints), start=seed_bound)
         lp_starts[bound.start] = lp_starts.get(bound.start, 0) + 1
         lp_pivots += bound.iterations
         if seed_bound is None or bound.f_min >= seed_bound.f_min:
@@ -306,7 +311,7 @@ def optimize(
         raise RuntimeError("every restart failed")
     relabel = IDENTITY_RELABELING
     if method == "analytic":
-        scores = _relabel_maxed_scores(_born_kernel(best_x)[0])
+        scores = _relabel_maxed_scores(_kernel_box(_fourier_kernel(best_x)[0]))
         relabel = relabeling_at(int(CLASS_FIRSTS[np.argmax(scores)]))
         best_val = float(scores.max())
     settings = PhaseSettings(best_x[:6].reshape(2, 3), best_x[6:].reshape(2, 3), relabel)

@@ -12,9 +12,9 @@ from qutrit_ch.engine import (
     PERMUTATIONS,
     RELABEL_DESTINATIONS,
     PhaseSettings,
-    _born_kernel,
     _fourier_kernel,
     _fourier_table,
+    _kernel_box,
     apply_relabeling,
     experiment_probabilities,
     find_matching_relabeling,
@@ -164,33 +164,29 @@ def test_born_rule_output_is_adopted_frozen_and_unchanged():
             assert adopted.tobytes() == getattr(copied, name).tobytes()
 
 
+def _born_rule_box(phases):
+    """experiment_probabilities of 12 raw phases, alice's then bob's: the
+    Born rule, which does not read the Fourier table."""
+    return experiment_probabilities(
+        PhaseSettings(phases[:6].reshape(2, 3), phases[6:].reshape(2, 3))
+    )
+
+
 def test_probability_jacobian_matches_central_differences():
     # the kernel's gradients for the 36 unit weights, which the optimizer
-    # reads, against central differences of the kernel's own tables
+    # reads, against central differences of the Born rule's tables
     rng = np.random.default_rng(41)
     step = 1e-6
     for _ in range(6):
         phases = rng.uniform(0, 2 * np.pi, 12)
-        jacobian = _born_kernel(phases)[1](np.eye(36))[0]
+        jacobian = _fourier_kernel(phases)[1](np.eye(36))[0]
         assert jacobian.shape == (36, 12)
         for j, shift in enumerate(np.eye(12) * step):
             central = (
-                _born_kernel(phases + shift)[0].tables.ravel()
-                - _born_kernel(phases - shift)[0].tables.ravel()
+                _born_rule_box(phases + shift).tables.ravel()
+                - _born_rule_box(phases - shift).tables.ravel()
             ) / (2 * step)
             assert np.abs(jacobian[:, j] - central).max() < 1e-8
-
-
-def test_born_kernel_tables_are_experiment_probabilities_bit_for_bit():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        phases = rng.uniform(-20, 20, 12)
-        exp = _born_kernel(phases)[0]
-        reference = experiment_probabilities(
-            PhaseSettings(phases[:6].reshape(2, 3), phases[6:].reshape(2, 3))
-        )
-        assert exp.vector().tobytes() == reference.vector().tobytes()
-        assert not exp.tables.flags.writeable
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -207,23 +203,31 @@ def test_fourier_table_is_the_born_rule(phases):
     assert stacked.flags.c_contiguous and stacked.dtype == float
     assert (stacked[::2] == coefficients.real).all() and (stacked[1::2] == -coefficients.imag).all()
     x = np.array(phases)
-    born = _born_kernel(x)[0]
+    born = _born_rule_box(x)
     joints = (np.exp(1j * (frequencies @ x)) @ coefficients).real
     assert np.abs(joints - born.tables.ravel()).max() <= 1e-15
-    # the evaluator's joints, with the singles' constant 1/3, give the
-    # Born rule's class values
-    table_joints = _fourier_kernel(x)[0]
-    assert not table_joints.flags.writeable
-    values = table_joints @ CLASS_CH[:36] + FLAT_VECTOR[36:] @ CLASS_CH[36:]
-    assert np.abs(values - born.vector() @ CLASS_CH).max() <= 1e-14
+    # the kernel's read-only joints, with the singles' constant 1/3, give
+    # the Born rule's box and class values
+    box = _kernel_box(_fourier_kernel(x)[0])
+    for array in (box.tables, box.alice_singles, box.bob_singles):
+        assert not array.flags.writeable
+    assert np.abs(box.vector() - born.vector()).max() <= 1e-15
+    assert np.abs(box.vector() @ CLASS_CH - born.vector() @ CLASS_CH).max() <= 1e-14
 
 
-def test_born_kernel_rejects_non_finite_phases():
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-20.0, 20.0), min_size=12, max_size=12))
+def test_the_kernels_box_is_valid(phases):
+    # the search hands this box to the LP without its input check
+    box = _kernel_box(_fourier_kernel(np.array(phases))[0])
+    box.validate()
+    assert (box.alice_singles == 1.0 / 3.0).all() and (box.bob_singles == 1.0 / 3.0).all()
+
+
+def test_fourier_kernel_rejects_non_finite_phases():
     for bad in (np.nan, np.inf, -np.inf):
         phases = np.zeros(12)
         phases[7] = bad
-        with pytest.raises(ValueError, match="finite"):
-            _born_kernel(phases)
         with pytest.raises(ValueError, match="finite"):
             _fourier_kernel(phases)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qutrit_ch.engine as engine_module
 import qutrit_ch.optimizer as optimizer_module
 from qutrit_ch.atoms import INDICATOR_MATRIX, N_ATOMS
 from qutrit_ch.engine import (
@@ -11,8 +12,8 @@ from qutrit_ch.engine import (
     RELABEL_DESTINATIONS,
     ExperimentProbabilities,
     PhaseSettings,
-    _born_kernel,
     _fourier_kernel,
+    _kernel_box,
     apply_relabeling,
     experiment_probabilities,
 )
@@ -119,7 +120,7 @@ def test_one_crossing_of_the_largest_class_value_is_the_best_score():
     # of the 432 values gives the largest of their crossings, bit for bit
     rng = np.random.default_rng(41)
     for _ in range(300):
-        exp0 = _born_kernel(rng.uniform(0, 2 * np.pi, 12))[0]
+        exp0 = _kernel_box(_fourier_kernel(rng.uniform(0, 2 * np.pi, 12))[0])
         best = noise_crossing((exp0.vector() @ CLASS_CH).max(), FLAT_LHS)
         assert isinstance(best, float)
         assert best == _relabel_maxed_scores(exp0).max()
@@ -137,14 +138,14 @@ def test_the_kernels_harmonic_gives_every_value_along_a_phase(phases, offsets):
     # t = -arg H_c. The Born rule's values along the line are the oracle
     grid = np.arange(720) * (2.0 * np.pi / 720)
     x = np.array(phases)
-    harmonic = _fourier_kernel(x)[1]
-    values = _born_kernel(x)[0].vector() @ CLASS_CH
+    harmonic = _fourier_kernel(x)[2]
+    values = experiment_probabilities(_phase_settings(x)).vector() @ CLASS_CH
     for index in range(12):
         line = x.copy()
 
         def at(t):
             line[index] = x[index] + t
-            return _born_kernel(line)[0].vector() @ CLASS_CH
+            return experiment_probabilities(_phase_settings(line)).vector() @ CLASS_CH
 
         classes = harmonic(index, _class_product())
         assert classes.shape == (432,)
@@ -191,6 +192,16 @@ def test_optimize_is_deterministic_and_self_consistent():
     # re-evaluating the returned settings reproduces the reported score
     replay = threshold_objective(first.best_settings, "analytic")
     assert abs(replay - first.best_threshold) < 1e-9
+
+
+def test_results_and_their_settings_carry_no_instance_dict():
+    # slotted, so that each retained result stays small
+    for method in ("lp", "analytic"):
+        result = optimize(1, seed=2, method=method)
+        for kept in (result, result.best_settings):
+            assert not hasattr(kept, "__dict__")
+        with pytest.raises(AttributeError):
+            result.best_settings.relabel = None
 
 
 def test_lp_search_is_deterministic_with_warm_started_solves():
@@ -266,26 +277,31 @@ def test_trials_rejected_without_an_lp_are_local(monkeypatch):
     # a restart's kernel boxes after its first LP solve that reach no LP are
     # the screened trials: each violates no CGLMP inequality, and the LP
     # certifies it local
-    boxes, solved = [], []
-    kernel, solve = optimizer_module._born_kernel, optimizer_module._min_noise_lp
+    joints, solved = [], []
+    kernel, solve = optimizer_module._fourier_kernel, optimizer_module._min_noise_lp
 
     def recorded_kernel(x):
-        exp0, derivatives = kernel(x)
-        boxes.append(exp0)
-        return exp0, derivatives
+        evaluation = kernel(x)
+        joints.append(evaluation[0])
+        return evaluation
 
     def recorded_solve(exp0, start=None):
         solved.append(exp0)
         return solve(exp0, start=start)
 
-    monkeypatch.setattr(optimizer_module, "_born_kernel", recorded_kernel)
+    def reaches_the_lp(table):
+        # the box a solve reads is a view of its evaluation's joints
+        return any(np.shares_memory(exp0.tables, table) for exp0 in solved)
+
+    monkeypatch.setattr(optimizer_module, "_fourier_kernel", recorded_kernel)
     monkeypatch.setattr(optimizer_module, "_min_noise_lp", recorded_solve)
     for seed in range(50):
-        boxes.clear()
+        joints.clear()
         solved.clear()
         result = optimize(1, seed=seed, method="lp")
-        stage_2 = boxes[next(i for i, box in enumerate(boxes) if box is solved[0]):]
-        screened = [box for box in stage_2 if not any(box is s for s in solved)]
+        first = next(i for i, table in enumerate(joints) if reaches_the_lp(table))
+        stage_2 = joints[first:]
+        screened = [_kernel_box(table) for table in stage_2 if not reaches_the_lp(table)]
         assert len(screened) == result.screened_trials
         assert len(stage_2) == len(solved) + len(screened)
         for box in screened:
@@ -368,7 +384,7 @@ def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
     assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
     # Newton steps on the exact Hessian: 206 evaluations, where BFGS took 469
     assert result.evaluations <= 250
-    # 298 pivots, where solving the trials that violate no CGLMP inequality
+    # 305 pivots, where solving the trials that violate no CGLMP inequality
     # took 799, and starting each restart from the flat box's basis 1315
     assert result.lp_pivots <= 350
     assert result.gradient_norm <= GRADIENT_TOL
@@ -391,7 +407,7 @@ def test_lp_dual_gradient_matches_central_differences():
         if bound.f_min == 0.0:
             continue
         checked += 1
-        gradient = threshold_gradient(bound) @ _born_kernel(phases)[1](np.eye(36))[0]
+        gradient = threshold_gradient(bound) @ _fourier_kernel(phases)[1](np.eye(36))[0]
         central = np.array([
             threshold_objective(_phase_settings(phases + shift), "lp")
             - threshold_objective(_phase_settings(phases - shift), "lp")
@@ -400,7 +416,7 @@ def test_lp_dual_gradient_matches_central_differences():
         assert np.linalg.norm(gradient - central) <= 1e-6 * np.linalg.norm(gradient)
 
 
-def test_born_kernel_hessian_matches_central_differences_of_its_gradient():
+def test_kernel_hessian_matches_central_differences_of_its_gradient():
     # the weights the search uses: the LP dual at a violating setting, and
     # the functional read through the relabeling that maximizes it there
     rng = np.random.default_rng(29)
@@ -408,7 +424,8 @@ def test_born_kernel_hessian_matches_central_differences_of_its_gradient():
     checked = 0
     while checked < 10:
         phases = rng.uniform(0, 2 * np.pi, 12)
-        exp0, derivatives = _born_kernel(phases)
+        joints, derivatives, _ = _fourier_kernel(phases)
+        exp0 = _kernel_box(joints)
         bound = min_noise_lp(exp0)
         if bound.f_min == 0.0:
             continue
@@ -417,8 +434,8 @@ def test_born_kernel_hessian_matches_central_differences_of_its_gradient():
         for weights in (threshold_gradient(bound), CLASS_CH[:36, best]):
             gradient, hessian = derivatives(weights)
             central = np.array([
-                _born_kernel(phases + shift)[1](weights)[0]
-                - _born_kernel(phases - shift)[1](weights)[0]
+                _fourier_kernel(phases + shift)[1](weights)[0]
+                - _fourier_kernel(phases - shift)[1](weights)[0]
                 for shift in np.eye(12) * step
             ]) / (2 * step)
             scale = np.abs(hessian).max()
@@ -435,8 +452,9 @@ def test_born_kernel_hessian_matches_central_differences_of_its_gradient():
         hessian -= 2.0 / (1.0 - bound.f_min) * np.outer(gradient, gradient)
 
         def lp_gradient(x):
-            exp, kernel_derivatives = _born_kernel(x)
-            return kernel_derivatives(threshold_gradient(min_noise_lp(exp, start=bound)))[0]
+            joints, kernel_derivatives, _ = _fourier_kernel(x)
+            bound_at_x = min_noise_lp(_kernel_box(joints), start=bound)
+            return kernel_derivatives(threshold_gradient(bound_at_x))[0]
 
         central = np.array([
             lp_gradient(phases + shift) - lp_gradient(phases - shift)
@@ -550,20 +568,20 @@ def test_programming_errors_in_a_restart_propagate(monkeypatch):
         optimize(2, seed=17, method="analytic")
 
 
-def test_the_analytic_search_reads_the_born_rule_once(monkeypatch):
-    # every coordinate step reads the Fourier kernel; only the final
-    # relabeling pick reads the Born rule
-    calls = []
-    kernel = optimizer_module._born_kernel
+def test_neither_search_calls_the_born_rule(monkeypatch):
+    # every evaluation, the final relabeling pick included, reads the box
+    # from the Fourier table
+    def refused(*args):
+        raise AssertionError("the search called the Born rule")
 
-    def counted(phases):
-        calls.append(phases.copy())
-        return kernel(phases)
-
-    monkeypatch.setattr(optimizer_module, "_born_kernel", counted)
+    monkeypatch.setattr(engine_module, "_born_rule", refused)
+    with pytest.raises(AssertionError, match="Born rule"):
+        threshold_objective(reference_settings(), "lp")
     for seed in (2, 9):
-        calls.clear()
-        result = optimize(1, seed=seed, method="analytic")
-        assert len(calls) == 1
-        settings = result.best_settings
-        assert np.array_equal(calls[0], np.concatenate([settings.alice.ravel(), settings.bob.ravel()]))
+        lp = optimize(1, seed=seed, method="lp")
+        assert (lp.evaluations, sum(lp.lp_starts.values())) == GRADIENT_SEARCH_FIXTURES[seed]
+        assert lp.lp_pivots == GRADIENT_SEARCH_PIVOTS[seed]
+        analytic = optimize(1, seed=seed, method="analytic")
+        assert analytic.evaluations == ANALYTIC_SEARCH_EVALUATIONS[seed]
+        for result in (lp, analytic):
+            assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
