@@ -1,11 +1,12 @@
 """Dense two-phase simplex for small equality-form linear programs.
 
-Solves min c @ x subject to A x = b, x >= 0. Every phase carries one
-state: the basis, its basic values B^-1 b and the rows [B^-1; -c_B B^-1],
-where B^-1 is the explicit inverse of the basis matrix. A tableau column
-or the reduced costs c - c_B B^-1 A are products of these rows with the
-original data, and a pivot updates rows and values by row operations.
-Primal variable selection is Bland's rule with two numerical concessions:
+Solves min c @ x subject to A x = b, x >= 0. Every phase pivots one
+state: the basis, the explicit inverse B^-1 of its basis matrix, the basic
+values B^-1 b and the reduced costs c - c_B B^-1 A. One pivot updates all
+of it from the pivot column B^-1 a_j and the pivot row B^-1_r A: row
+operations on B^-1 and the basic values, and the reduced costs less the
+multiple of the row that zeroes their entry j. One loop makes the pivots
+of every phase, up to the iteration cap. Primal variable selection is Bland's rule with two numerical concessions:
 the ratio test only accepts pivot elements above ``PIVOT_TOL`` (elements
 near 1e-10 on degenerate rows left nearly singular bases behind), and
 among rows essentially tied in it the largest pivot element wins. The
@@ -35,15 +36,14 @@ start outcomes:
   products with B^-1 and no factorization; otherwise phase 2 runs from it.
 - "repaired": the basis is primal infeasible but dual feasible, as an
   optimal basis stays when only the right-hand side moves. Dual simplex
-  pivots on B^-1 restore primal feasibility: the most negative basic value
-  B^-1 b leaves, the entering column minimizes |d_j / a_rj| over nonbasic
-  j with a_rj < -PIVOT_TOL (ties to the lowest index), and each pivot
-  computes the row a_r = B^-1_r A, divides by a_rj and updates B^-1 and
-  the reduced costs d, carried from the start, by row operations. The
-  result is confirmed like a start: B^-1 is checked again (and
-  refactorized if it drifted), and the basic values and reduced costs are
-  recomputed from the original data. A basis that fails that check goes on
-  to phase 2.
+  pivots on the same state restore primal feasibility: the most negative
+  basic value leaves, read from B^-1 b computed afresh rather than from
+  the carried values (whose roundoff would change the pivot paths), and
+  the entering column minimizes |d_j / a_rj| over nonbasic j with
+  a_rj < -PIVOT_TOL (ties to the lowest index). The result is confirmed
+  like a start: the carried B^-1 is checked again (and refactorized if it
+  drifted), and the basic values and reduced costs are recomputed from the
+  original data. A basis that fails that check goes on to phase 2.
 - "cold": any other start (wrong shape, singular, dual infeasible, no
   entering column, or a failure on the way) and no start at all give the
   cold two-phase solve, with the same result as if no start were given.
@@ -64,6 +64,10 @@ _RATIO_WINDOW = 1e-9
 _REDUNDANT_TOL = 1e-7
 _FEASIBILITY_DRIFT = 1e-7
 _START_FEASIBILITY = 1e-12
+
+# what every pivot updates: B^-1, the basic values B^-1 b and the reduced
+# costs c - c_B B^-1 A
+State = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class SimplexFailure(RuntimeError):
@@ -110,7 +114,7 @@ def _factorize(footprint: np.ndarray) -> np.ndarray:
 def _confirmed(
     matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
     inverse: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> State:
     """B^-1 (``inverse`` if it inverts the basis matrix to within
     ``INVERSE_TOL``, else a fresh factorization), the basic values B^-1 b
     and the reduced costs c - c_B B^-1 A, all from the original data."""
@@ -130,12 +134,6 @@ def _confirmed(
     return inverse, inverse @ rhs, reduced
 
 
-def _extended(inverse: np.ndarray, basic_cost: np.ndarray) -> np.ndarray:
-    """[B^-1; -c_B B^-1]: the row operations that take the rows of the
-    original data [A | b] and the cost row [c | 0] to the tableau."""
-    return np.vstack([inverse, -basic_cost @ inverse])
-
-
 def _primal_feasible(values: np.ndarray, tol: float) -> bool:
     """Whether no basic value is below -tol; if so, zeroes the negative ones."""
     low = values.min()
@@ -146,29 +144,38 @@ def _primal_feasible(values: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _eta(array: np.ndarray, row: int, column: np.ndarray) -> None:
-    """Apply to ``array`` the row operations that turn ``column``, the pivot
-    column over its rows, into the unit vector of ``row``; overwrites
+def _pivot(
+    state: State, basis: np.ndarray, leaving: int, entering: int,
+    column: np.ndarray, row: np.ndarray,
+) -> None:
+    """Bring column ``entering`` into ``basis`` at row ``leaving``. ``column``
+    is the tableau column B^-1 a_entering, whose ``leaving`` entry is the
+    pivot element, and ``row`` the tableau row B^-1_leaving A, both of the
+    old basis. Row operations take ``column`` to the unit vector of
+    ``leaving`` in B^-1 and the basic values, and the reduced costs lose the
+    multiple of ``row`` that zeroes their ``entering`` entry. Overwrites
     ``column``."""
-    array[row] /= column[row]
-    column[row] = 0.0
-    array -= column[:, None] * array[row]
+    inverse, values, reduced = state
+    pivot = column[leaving]
+    reduced -= (reduced[entering] / pivot) * row
+    inverse[leaving] /= pivot
+    values[leaving] /= pivot
+    column[leaving] = 0.0
+    inverse -= column[:, None] * inverse[leaving]
+    values -= column * values[leaving]
+    basis[leaving] = entering
 
 
-def _bland_step(
-    extended: np.ndarray, values: np.ndarray, basis: np.ndarray,
-    matrix: np.ndarray, cost: np.ndarray, reduced: np.ndarray,
-) -> bool:
-    """Perform one primal pivot on ``_extended`` rows and the basic values;
-    False when no reduced cost is below -PIVOT_TOL."""
+def _bland_step(state: State, basis: np.ndarray, matrix: np.ndarray, _rhs: np.ndarray) -> bool:
+    """Perform one primal pivot, with the ratio test on the carried basic
+    values; False when no reduced cost is below -PIVOT_TOL."""
+    inverse, values, reduced = state
     improving = np.flatnonzero(reduced < -PIVOT_TOL)
     if improving.size == 0:
         return False
     entering = int(improving[0])
-    # the tableau column: B^-1 a_j over the reduced cost of j
-    column = extended @ matrix[:, entering]
-    column[-1] += cost[entering]
-    candidates = np.flatnonzero(column[:-1] > PIVOT_TOL)
+    column = inverse @ matrix[:, entering]
+    candidates = np.flatnonzero(column > PIVOT_TOL)
     if candidates.size == 0:
         raise SimplexFailure("objective is unbounded below")
     ratios = values[candidates] / column[candidates]
@@ -177,23 +184,18 @@ def _bland_step(
     # prefer the numerically largest pivot among the tied rows, then the
     # lowest basis index so the choice is deterministic
     strength = column[tied]
-    best = strength.max()
-    strongest = tied[strength >= best * (1.0 - 1e-12)]
+    strongest = tied[strength >= strength.max() * (1.0 - 1e-12)]
     leaving = int(min(strongest, key=lambda i: basis[i]))
-    values[leaving] /= column[leaving]
-    _eta(extended, leaving, column)
-    values -= column[:-1] * values[leaving]
-    basis[leaving] = entering
+    _pivot(state, basis, leaving, entering, column, inverse[leaving] @ matrix)
     return True
 
 
-def _dual_step(
-    inverse: np.ndarray, reduced: np.ndarray, basis: np.ndarray,
-    matrix: np.ndarray, rhs: np.ndarray,
-) -> bool:
-    """Perform one dual simplex pivot on B^-1 and the reduced costs; False
-    once the basis is primal feasible. Raises SimplexFailure if no column
-    can enter."""
+def _dual_step(state: State, basis: np.ndarray, matrix: np.ndarray, rhs: np.ndarray) -> bool:
+    """Perform one dual simplex pivot; False once the basis is primal
+    feasible. The leaving row is picked from B^-1 b computed afresh, not
+    from the carried basic values (see the module docstring). Raises
+    SimplexFailure if no column can enter."""
+    inverse, _, reduced = state
     values = inverse @ rhs
     leaving = int(values.argmin())
     if values[leaving] >= -_START_FEASIBILITY:
@@ -206,40 +208,49 @@ def _dual_step(
         raise SimplexFailure("no column can enter the dual ratio test")
     ratios = np.abs(reduced[candidates] / row[candidates])
     entering = int(candidates[ratios.argmin()])
-    reduced -= (reduced[entering] / row[entering]) * row
     column = inverse @ matrix[:, entering]
     column[leaving] = row[entering]
-    _eta(inverse, leaving, column)
-    basis[leaving] = entering
+    _pivot(state, basis, leaving, entering, column, row)
     return True
+
+
+def _run(
+    step, matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
+    state: State, iterations: int, max_iterations: int,
+) -> tuple[State, int]:
+    """Pivot ``state``, that of ``basis``, by ``step`` until the step
+    stops; returns the last state and the pivot count, ``iterations`` plus
+    the pivots made here. Past ``max_iterations`` pivots it raises
+    SimplexFailure. The state is recomputed on a fresh factorization every
+    ``REFACTOR_EVERY`` pivots."""
+    state = (state[0].copy(), *state[1:])  # a carried B^-1 is read-only
+    start = iterations
+    while step(state, basis, matrix, rhs):
+        iterations += 1
+        if iterations > max_iterations:
+            raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
+        if (iterations - start) % REFACTOR_EVERY == 0:
+            state = _confirmed(matrix, rhs, cost, basis, None)
+    return state, iterations
 
 
 def _primal(
     matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
     inverse: np.ndarray | None, iterations: int, max_iterations: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[State, int]:
     """Bland pivots from ``basis`` (B^-1 ``inverse``, if known) to an optimum
-    confirmed by ``_confirmed``; returns its basic values, its B^-1 and the
-    pivot count."""
+    confirmed by ``_confirmed``; returns its state and the pivot count."""
     while True:
-        inverse, values, reduced = _confirmed(matrix, rhs, cost, basis, inverse)
-        if not _primal_feasible(values, _FEASIBILITY_DRIFT):
+        state = _confirmed(matrix, rhs, cost, basis, inverse)
+        if not _primal_feasible(state[1], _FEASIBILITY_DRIFT):
             raise SimplexFailure("basis lost feasibility")
-        extended = _extended(inverse, cost[basis])
-        pivots = 0
-        while pivots < REFACTOR_EVERY and _bland_step(
-            extended, values, basis, matrix, cost, reduced
-        ):
-            pivots += 1
-            iterations += 1
-            if iterations > max_iterations:
-                raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
-            reduced = extended[-1] @ matrix + cost
-        if pivots == 0:
-            return values, inverse, iterations
-        # refactorize every REFACTOR_EVERY pivots, and confirm a claimed
-        # optimum on a fresh factorization
-        inverse = None
+        confirmed_at = iterations
+        _, iterations = _run(
+            _bland_step, matrix, rhs, cost, basis, state, iterations, max_iterations
+        )
+        if iterations == confirmed_at:
+            return state, iterations
+        inverse = None  # confirm a claimed optimum on a fresh factorization
 
 
 def _warm(
@@ -259,28 +270,26 @@ def _warm(
         or basis.max() >= n_vars
     ):
         return None
-    inverse, values, reduced = _confirmed(matrix, rhs, cost, basis, inverse)
+    state = _confirmed(matrix, rhs, cost, basis, inverse)
+    inverse, values, reduced = state
+    dual_feasible = reduced.min() >= -PIVOT_TOL
     iterations = 0
     if _primal_feasible(values, _START_FEASIBILITY):
         outcome = "accepted"
-    elif reduced.min() < -PIVOT_TOL:
+        if dual_feasible:
+            return basis, values, inverse, outcome, iterations
+    elif not dual_feasible:
         return None
     else:
         outcome = "repaired"
-        inverse = inverse.copy()  # a carried inverse is read-only
-        while _dual_step(inverse, reduced, basis, matrix, rhs):
-            iterations += 1
-            if iterations > max_iterations:
-                raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
-            if iterations % REFACTOR_EVERY == 0:
-                inverse, _, reduced = _confirmed(matrix, rhs, cost, basis, None)
-        inverse, values, reduced = _confirmed(matrix, rhs, cost, basis, inverse)
-        if not _primal_feasible(values, _FEASIBILITY_DRIFT):
-            raise SimplexFailure("basis lost feasibility")
-    if reduced.min() < -PIVOT_TOL:
-        values, inverse, iterations = _primal(
-            matrix, rhs, cost, basis, inverse, iterations, max_iterations
+        state, iterations = _run(
+            _dual_step, matrix, rhs, cost, basis, state, iterations, max_iterations
         )
+    # Bland pivots from here if needed; a repaired basis is confirmed on its
+    # carried inverse
+    (inverse, values, _), iterations = _primal(
+        matrix, rhs, cost, basis, state[0], iterations, max_iterations
+    )
     return basis, values, inverse, outcome, iterations
 
 
@@ -376,16 +385,17 @@ def _solve(
     phase1_matrix = np.column_stack([matrix, artificials])
     phase1_cost = np.concatenate([np.zeros(n_vars), np.ones(n_rows)])
     basis = np.arange(n_vars, n_vars + n_rows)
-    values, inverse, iterations = _primal(
+    state, iterations = _primal(
         phase1_matrix, rhs, phase1_cost, basis, artificials, 0, max_iterations
     )
+    inverse, values, _ = state
 
     if phase1_cost[basis] @ values > INFEASIBILITY_TOL:
         return LpSolution("infeasible", None, None, iterations)
 
-    # drive leftover artificials out of the basis by pivots on B^-1; a row
-    # whose structural entries have all been eliminated is redundant and
-    # gets dropped
+    # drive leftover artificials out of the basis by pivots on phase 1's
+    # state; a row whose structural entries have all been eliminated is
+    # redundant and gets dropped
     in_basis = np.zeros(n_vars, dtype=bool)
     in_basis[basis[basis < n_vars]] = True
     kept: list[int] = []
@@ -393,24 +403,22 @@ def _solve(
         if basis[i] < n_vars:
             kept.append(i)
             continue
-        row = np.abs(inverse[i] @ matrix)
-        row[in_basis] = 0.0
-        j = int(np.argmax(row))
-        if row[j] <= _REDUNDANT_TOL:
+        row = inverse[i] @ phase1_matrix
+        magnitude = np.where(in_basis, 0.0, np.abs(row[:n_vars]))
+        j = int(np.argmax(magnitude))
+        if magnitude[j] <= _REDUNDANT_TOL:
             continue
-        _eta(inverse, i, inverse @ matrix[:, j])
-        basis[i] = j
+        _pivot(state, basis, i, j, inverse @ matrix[:, j], row)
         in_basis[j] = True
         kept.append(i)
 
     # phase 2 on the surviving rows, original objective, from phase 1's
     # B^-1 unless a row was dropped
     basis = basis[kept]
-    if len(kept) < n_rows:
-        inverse = None
-    values, inverse, iterations = _primal(
-        matrix[kept], rhs[kept], cost, basis, inverse, iterations, max_iterations
+    dropped = len(kept) < n_rows
+    (inverse, values, _), iterations = _primal(
+        matrix[kept], rhs[kept], cost, basis, None if dropped else inverse,
+        iterations, max_iterations,
     )
-    if len(kept) < n_rows:
-        inverse = None  # no basis with one column per row to hand on
-    return _optimum(cost, basis, values, inverse, "cold", iterations)
+    # after a dropped row there is no basis with one column per row to hand on
+    return _optimum(cost, basis, values, None if dropped else inverse, "cold", iterations)

@@ -327,15 +327,16 @@ def test_drift_in_a_repaired_inverse_is_refactorized_away(monkeypatch):
     # roundoff in the updated inverse far beyond INVERSE_TOL must not reach
     # the result: the repaired basis is confirmed from the original data
     calls = []
-    factorize, eta = simplex_module._factorize, simplex_module._eta
+    factorize, pivot = simplex_module._factorize, simplex_module._pivot
 
     def counted(*args):
         calls.append(args)
         return factorize(*args)
 
-    def drifting(array, row, column):
-        eta(array, row, column)
-        array += 1e-8
+    def drifting(state, *args):
+        pivot(state, *args)
+        inverse, _, _ = state
+        inverse += 1e-8
 
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -345,13 +346,49 @@ def test_drift_in_a_repaired_inverse_is_refactorized_away(monkeypatch):
         cold = solve(c, a, moved_b)
         with monkeypatch.context() as patch:
             patch.setattr(simplex_module, "_factorize", counted)
-            patch.setattr(simplex_module, "_eta", drifting)
+            patch.setattr(simplex_module, "_pivot", drifting)
             calls.clear()
             warm = solve(c, a, moved_b, start=first.basis, inverse=first.inverse)
         assert warm.start == "repaired"
         assert len(calls) == 1
         assert abs(warm.objective_value - cold.objective_value) < 1e-12
         assert np.max(np.abs(a @ warm.x - moved_b)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 10), st.integers(2, 20))
+def test_every_pivot_carries_the_state_of_its_basis(seed, m, extra):
+    # after each pivot of a cold solve (phase 1, the drive-out, phase 2) and
+    # of a repair, the carried basic values and reduced costs are those the
+    # original data give for the new basis
+    c, a, b = _random_feasible_problem(seed, m, m + extra)
+    n = m + extra
+    phase1 = (
+        np.column_stack([a, np.diag(np.where(b < 0.0, -1.0, 1.0))]),
+        np.concatenate([np.zeros(n), np.ones(m)]),
+    )
+    pivot = simplex_module._pivot
+    after = []
+
+    def recorded(state, basis, *args):
+        pivot(state, basis, *args)
+        after.append((basis.copy(), *(array.copy() for array in state)))
+
+    moved_b = a @ np.abs(np.random.default_rng([seed, 1]).normal(size=n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex_module, "_pivot", recorded)
+        first = solve(c, a, b)
+        cold_pivots = len(after)
+        warm = solve(c, a, moved_b, start=first.basis, inverse=first.inverse)
+    assert first.status == "optimal" and cold_pivots > 0
+    for k, (basis, _, values, reduced) in enumerate(after):
+        matrix, cost = phase1 if len(reduced) == n + m else (a, c)
+        rhs = b if k < cold_pivots else moved_b
+        _, fresh_values, fresh_reduced = simplex_module._confirmed(matrix, rhs, cost, basis, None)
+        assert np.abs(values - fresh_values).max() <= 1e-9
+        assert np.abs(reduced - fresh_reduced).max() <= 1e-9
+    if warm.start == "repaired":
+        assert len(after) > cold_pivots
 
 
 def test_a_dual_feasible_start_on_an_infeasible_problem_reports_infeasible(monkeypatch):
