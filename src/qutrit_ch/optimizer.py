@@ -79,6 +79,10 @@ ARMIJO = 1e-4  # the share of the predicted gain a step must realize
 # a Newton step that moves the value by at most this many ulps is accepted,
 # and a coordinate sweep that raises it by no more ends the analytic ascent
 ROUNDOFF_ULPS = 4
+# near the optimum the LP's f_min scatters by about 2e-15, some 36 ulps at
+# 0.30, between nearby boxes; a Newton trial that lands this close to the
+# current value with a gradient norm at most GRADIENT_TOL is accepted
+LP_ROUNDOFF_ULPS = 64
 CURVATURE_FLOOR = 1e-3  # relative to the largest curvature
 FREE_INDICES = np.array([1, 2, 4, 5, 7, 8, 10, 11])
 FREE_INDICES.setflags(write=False)
@@ -173,7 +177,9 @@ def _newton_ascent(fn, x: np.ndarray, enough: float = np.inf) -> tuple[float, np
     largest (Nocedal & Wright, *Numerical Optimization*, 3.4), or follows
     the gradient if all are 0. It halves until it meets the Armijo
     condition or moves the value by at most ``ROUNDOFF_ULPS`` ulps, all a
-    gain below rounding can show. The ascent stops once the value exceeds
+    gain below rounding can show, or by at most ``LP_ROUNDOFF_ULPS`` ulps to
+    a gradient norm at most ``GRADIENT_TOL``, an optimum that the LP's
+    roundoff hides. The ascent stops once the value exceeds
     ``enough``, the gradient norm is at most ``GRADIENT_TOL``, or no step
     of at least ``STEP_TOL`` radians is accepted.
     """
@@ -189,12 +195,18 @@ def _newton_ascent(fn, x: np.ndarray, enough: float = np.inf) -> tuple[float, np
             direction = gradient
         slope = gradient @ direction
         rounding = ROUNDOFF_ULPS * np.spacing(abs(value))
+        scatter = LP_ROUNDOFF_ULPS * np.spacing(abs(value))
         origin = x[FREE_INDICES]
         step = 1.0
         while True:
             x[FREE_INDICES] = origin + step * direction
             trial, trial_gradient, hessian = fn(x)
-            if trial >= value + ARMIJO * step * slope or abs(trial - value) <= rounding:
+            if (
+                trial >= value + ARMIJO * step * slope
+                or abs(trial - value) <= rounding
+                or abs(trial - value) <= scatter
+                and np.linalg.norm(trial_gradient[FREE_INDICES]) <= GRADIENT_TOL
+            ):
                 break
             step *= 0.5
             if step * np.linalg.norm(direction) < STEP_TOL:

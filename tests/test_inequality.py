@@ -208,8 +208,8 @@ def test_analytic_threshold_degenerate_branch():
 
 
 def test_scalar_and_array_crossings_agree():
-    # the float path for scalars and the array path must give the same
-    # value, to the bit, on every branch of the formula
+    # a scalar call must return a float equal, to the bit, to the same
+    # pair's entry of an array call, on every branch of the formula
     nan, inf = float("nan"), float("inf")
     pairs = [
         (-0.1, FLAT_LHS), (-0.1, 0.3), (-inf, FLAT_LHS),  # lhs0 < 0

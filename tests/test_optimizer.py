@@ -342,7 +342,10 @@ def test_a_local_box_at_the_first_lp_is_still_scored_by_the_lp(monkeypatch):
 
 
 def test_every_lp_restart_ends_at_the_paper_threshold_with_a_small_gradient():
-    for seed in range(50):
+    # seed 131's Newton step reaches the optimum, but the LP reads its value
+    # 1.2e-15 low; unless such a trial is accepted, the restart ends at a
+    # gradient norm of 3.5e-9
+    for seed in range(200):
         result = optimize(1, seed=seed, method="lp")
         assert result.failed_restarts == 0
         assert result.gradient_norm <= GRADIENT_TOL
