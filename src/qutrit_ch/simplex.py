@@ -5,14 +5,16 @@ state: the basis, the explicit inverse B^-1 of its basis matrix, the basic
 values B^-1 b and the reduced costs c - c_B B^-1 A. One pivot updates all
 of it from the pivot column B^-1 a_j and the pivot row B^-1_r A: row
 operations on B^-1 and the basic values, and the reduced costs less the
-multiple of the row that zeroes their entry j. One loop makes the pivots
-of every phase, up to the iteration cap. Primal variable selection is Bland's rule with two numerical concessions:
-the ratio test only accepts pivot elements above ``PIVOT_TOL`` (elements
-near 1e-10 on degenerate rows left nearly singular bases behind), and
-among rows essentially tied in it the largest pivot element wins. The
-basis is factorized afresh every ``REFACTOR_EVERY`` pivots and whenever
-the solver believes it is optimal after pivoting, so a claimed optimum is
-always confirmed from the original data, free of accumulated roundoff;
+multiple of the row that zeroes their entry j. Primal variable selection
+is Bland's rule with two numerical concessions: the ratio test only
+accepts pivot elements above ``PIVOT_TOL`` (elements near 1e-10 on
+degenerate rows left nearly singular bases behind), and among rows
+essentially tied in it the largest pivot element wins. One loop makes the
+primal and the dual pivots alike: it raises SimplexFailure past the
+iteration cap and recomputes the state on a fresh factorization every
+``REFACTOR_EVERY`` pivots. The basis is also factorized afresh whenever
+the primal pivots believe it optimal, so a claimed optimum is always
+confirmed from the original data, free of accumulated roundoff;
 non-finite reduced costs there raise SimplexFailure.
 Phase 1 gives each row an artificial column signed like its right-hand
 side, so the artificial basis is feasible for the rows as given and is its
