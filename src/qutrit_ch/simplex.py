@@ -2,10 +2,11 @@
 
 Solves min c @ x subject to A x = b, x >= 0. Every phase pivots one
 state: the basis, the explicit inverse B^-1 of its basis matrix, the basic
-values B^-1 b and the reduced costs c - c_B B^-1 A. One pivot updates all
-of it from the pivot column B^-1 a_j and the pivot row B^-1_r A: row
-operations on B^-1 and the basic values, and the reduced costs less the
-multiple of the row that zeroes their entry j. Primal variable selection
+values B^-1 b and the reduced costs c - c_B B^-1 A. B^-1 and the basic
+values are kept side by side as [B^-1 | B^-1 b]. One pivot updates all of
+it from the pivot column B^-1 a_j and the pivot row B^-1_r A: row
+operations on [B^-1 | B^-1 b], and the reduced costs less the multiple of
+the row that zeroes their entry j. Primal variable selection
 is Bland's rule with two numerical concessions: the ratio test only
 accepts pivot elements above ``PIVOT_TOL`` (elements near 1e-10 on
 degenerate rows left nearly singular bases behind), and among rows
@@ -67,9 +68,9 @@ _REDUNDANT_TOL = 1e-7
 _FEASIBILITY_DRIFT = 1e-7
 _START_FEASIBILITY = 1e-12
 
-# what every pivot updates: B^-1, the basic values B^-1 b and the reduced
-# costs c - c_B B^-1 A
-State = tuple[np.ndarray, np.ndarray, np.ndarray]
+# what every pivot updates: the tableau [B^-1 | B^-1 b], B^-1 beside the
+# basic values, and the reduced costs c - c_B B^-1 A
+State = tuple[np.ndarray, np.ndarray]
 
 
 class SimplexFailure(RuntimeError):
@@ -116,7 +117,7 @@ def _factorize(footprint: np.ndarray) -> np.ndarray:
 def _confirmed(
     matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
     inverse: np.ndarray | None,
-) -> State:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B^-1 (``inverse`` if it inverts the basis matrix to within
     ``INVERSE_TOL``, else a fresh factorization), the basic values B^-1 b
     and the reduced costs c - c_B B^-1 A, all from the original data."""
@@ -153,34 +154,31 @@ def _pivot(
     """Bring column ``entering`` into ``basis`` at row ``leaving``. ``column``
     is the tableau column B^-1 a_entering, whose ``leaving`` entry is the
     pivot element, and ``row`` the tableau row B^-1_leaving A, both of the
-    old basis. Row operations take ``column`` to the unit vector of
-    ``leaving`` in B^-1 and the basic values, and the reduced costs lose the
-    multiple of ``row`` that zeroes their ``entering`` entry. Overwrites
-    ``column``."""
-    inverse, values, reduced = state
+    old basis. Row operations on [B^-1 | B^-1 b] take ``column`` to the
+    unit vector of ``leaving``, and the reduced costs lose the multiple of
+    ``row`` that zeroes their ``entering`` entry. Overwrites ``column``."""
+    tableau, reduced = state
     pivot = column[leaving]
     reduced -= (reduced[entering] / pivot) * row
-    inverse[leaving] /= pivot
-    values[leaving] /= pivot
+    tableau[leaving] /= pivot
     column[leaving] = 0.0
-    inverse -= column[:, None] * inverse[leaving]
-    values -= column * values[leaving]
+    tableau -= column[:, None] * tableau[leaving]
     basis[leaving] = entering
 
 
 def _bland_step(state: State, basis: np.ndarray, matrix: np.ndarray, _rhs: np.ndarray) -> bool:
     """Perform one primal pivot, with the ratio test on the carried basic
     values; False when no reduced cost is below -PIVOT_TOL."""
-    inverse, values, reduced = state
+    tableau, reduced = state
     improving = np.flatnonzero(reduced < -PIVOT_TOL)
     if improving.size == 0:
         return False
     entering = int(improving[0])
-    column = inverse @ matrix[:, entering]
+    column = tableau[:, :-1] @ matrix[:, entering]
     candidates = np.flatnonzero(column > PIVOT_TOL)
     if candidates.size == 0:
         raise SimplexFailure("objective is unbounded below")
-    ratios = values[candidates] / column[candidates]
+    ratios = tableau[candidates, -1] / column[candidates]
     window = ratios.min() + _RATIO_WINDOW * (1.0 + abs(ratios.min()))
     tied = candidates[ratios <= window]
     # prefer the numerically largest pivot among the tied rows, then the
@@ -188,7 +186,7 @@ def _bland_step(state: State, basis: np.ndarray, matrix: np.ndarray, _rhs: np.nd
     strength = column[tied]
     strongest = tied[strength >= strength.max() * (1.0 - 1e-12)]
     leaving = int(min(strongest, key=lambda i: basis[i]))
-    _pivot(state, basis, leaving, entering, column, inverse[leaving] @ matrix)
+    _pivot(state, basis, leaving, entering, column, tableau[leaving, :-1] @ matrix)
     return True
 
 
@@ -197,7 +195,7 @@ def _dual_step(state: State, basis: np.ndarray, matrix: np.ndarray, rhs: np.ndar
     feasible. The leaving row is picked from B^-1 b computed afresh, not
     from the carried basic values (see the module docstring). Raises
     SimplexFailure if no column can enter."""
-    inverse, _, reduced = state
+    inverse, reduced = state[0][:, :-1], state[1]
     values = inverse @ rhs
     leaving = int(values.argmin())
     if values[leaving] >= -_START_FEASIBILITY:
@@ -216,42 +214,49 @@ def _dual_step(state: State, basis: np.ndarray, matrix: np.ndarray, rhs: np.ndar
     return True
 
 
+def _state(inverse: np.ndarray, values: np.ndarray, reduced: np.ndarray) -> State:
+    """The state that pivots from a confirmation: the new array
+    [B^-1 | B^-1 b] and the reduced costs."""
+    return np.concatenate((inverse, values[:, None]), axis=1), reduced
+
+
 def _run(
     step, matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
-    state: State, iterations: int, max_iterations: int,
-) -> tuple[State, int]:
-    """Pivot ``state``, that of ``basis``, by ``step`` until the step
-    stops; returns the last state and the pivot count, ``iterations`` plus
-    the pivots made here. Past ``max_iterations`` pivots it raises
-    SimplexFailure. The state is recomputed on a fresh factorization every
-    ``REFACTOR_EVERY`` pivots."""
-    state = (state[0].copy(), *state[1:])  # a carried B^-1 is read-only
+    confirmed: tuple[np.ndarray, np.ndarray, np.ndarray], iterations: int,
+    max_iterations: int,
+) -> tuple[np.ndarray, int]:
+    """Pivot by ``step`` from ``confirmed``, the B^-1, basic values and
+    reduced costs of ``basis``, until the step stops; returns the last B^-1
+    and the pivot count, ``iterations`` plus the pivots made here. Past
+    ``max_iterations`` pivots it raises SimplexFailure. The state is
+    recomputed on a fresh factorization every ``REFACTOR_EVERY`` pivots."""
     start = iterations
+    state = _state(*confirmed)
     while step(state, basis, matrix, rhs):
         iterations += 1
         if iterations > max_iterations:
             raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
         if (iterations - start) % REFACTOR_EVERY == 0:
-            state = _confirmed(matrix, rhs, cost, basis, None)
-    return state, iterations
+            state = _state(*_confirmed(matrix, rhs, cost, basis, None))
+    return state[0][:, :-1].copy(), iterations
 
 
 def _primal(
     matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
     inverse: np.ndarray | None, iterations: int, max_iterations: int,
-) -> tuple[State, int]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
     """Bland pivots from ``basis`` (B^-1 ``inverse``, if known) to an optimum
-    confirmed by ``_confirmed``; returns its state and the pivot count."""
+    confirmed by ``_confirmed``; returns the confirmation and the pivot
+    count."""
     while True:
-        state = _confirmed(matrix, rhs, cost, basis, inverse)
-        if not _primal_feasible(state[1], _FEASIBILITY_DRIFT):
+        confirmed = _confirmed(matrix, rhs, cost, basis, inverse)
+        if not _primal_feasible(confirmed[1], _FEASIBILITY_DRIFT):
             raise SimplexFailure("basis lost feasibility")
-        confirmed_at = iterations
+        if confirmed[2].min() >= -PIVOT_TOL:
+            return confirmed, iterations
         _, iterations = _run(
-            _bland_step, matrix, rhs, cost, basis, state, iterations, max_iterations
+            _bland_step, matrix, rhs, cost, basis, confirmed, iterations, max_iterations
         )
-        if iterations == confirmed_at:
-            return state, iterations
         inverse = None  # confirm a claimed optimum on a fresh factorization
 
 
@@ -272,8 +277,8 @@ def _warm(
         or basis.max() >= n_vars
     ):
         return None
-    state = _confirmed(matrix, rhs, cost, basis, inverse)
-    inverse, values, reduced = state
+    confirmed = _confirmed(matrix, rhs, cost, basis, inverse)
+    inverse, values, reduced = confirmed
     dual_feasible = reduced.min() >= -PIVOT_TOL
     iterations = 0
     if _primal_feasible(values, _START_FEASIBILITY):
@@ -284,13 +289,13 @@ def _warm(
         return None
     else:
         outcome = "repaired"
-        state, iterations = _run(
-            _dual_step, matrix, rhs, cost, basis, state, iterations, max_iterations
+        inverse, iterations = _run(
+            _dual_step, matrix, rhs, cost, basis, confirmed, iterations, max_iterations
         )
     # Bland pivots from here if needed; a repaired basis is confirmed on its
     # carried inverse
     (inverse, values, _), iterations = _primal(
-        matrix, rhs, cost, basis, state[0], iterations, max_iterations
+        matrix, rhs, cost, basis, inverse, iterations, max_iterations
     )
     return basis, values, inverse, outcome, iterations
 
@@ -387,10 +392,9 @@ def _solve(
     phase1_matrix = np.column_stack([matrix, artificials])
     phase1_cost = np.concatenate([np.zeros(n_vars), np.ones(n_rows)])
     basis = np.arange(n_vars, n_vars + n_rows)
-    state, iterations = _primal(
+    (inverse, values, reduced), iterations = _primal(
         phase1_matrix, rhs, phase1_cost, basis, artificials, 0, max_iterations
     )
-    inverse, values, _ = state
 
     if phase1_cost[basis] @ values > INFEASIBILITY_TOL:
         return LpSolution("infeasible", None, None, iterations)
@@ -398,6 +402,8 @@ def _solve(
     # drive leftover artificials out of the basis by pivots on phase 1's
     # state; a row whose structural entries have all been eliminated is
     # redundant and gets dropped
+    state = _state(inverse, values, reduced)
+    tableau = state[0]
     in_basis = np.zeros(n_vars, dtype=bool)
     in_basis[basis[basis < n_vars]] = True
     kept: list[int] = []
@@ -405,12 +411,12 @@ def _solve(
         if basis[i] < n_vars:
             kept.append(i)
             continue
-        row = inverse[i] @ phase1_matrix
+        row = tableau[i, :-1] @ phase1_matrix
         magnitude = np.where(in_basis, 0.0, np.abs(row[:n_vars]))
         j = int(np.argmax(magnitude))
         if magnitude[j] <= _REDUNDANT_TOL:
             continue
-        _pivot(state, basis, i, j, inverse @ matrix[:, j], row)
+        _pivot(state, basis, i, j, tableau[:, :-1] @ matrix[:, j], row)
         in_basis[j] = True
         kept.append(i)
 
@@ -419,7 +425,7 @@ def _solve(
     basis = basis[kept]
     dropped = len(kept) < n_rows
     (inverse, values, _), iterations = _primal(
-        matrix[kept], rhs[kept], cost, basis, None if dropped else inverse,
+        matrix[kept], rhs[kept], cost, basis, None if dropped else tableau[:, :-1].copy(),
         iterations, max_iterations,
     )
     # after a dropped row there is no basis with one column per row to hand on

@@ -335,8 +335,8 @@ def test_drift_in_a_repaired_inverse_is_refactorized_away(monkeypatch):
 
     def drifting(state, *args):
         pivot(state, *args)
-        inverse, _, _ = state
-        inverse += 1e-8
+        tableau, _ = state
+        tableau[:, :-1] += 1e-8  # B^-1
 
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -372,7 +372,8 @@ def test_every_pivot_carries_the_state_of_its_basis(seed, m, extra):
 
     def recorded(state, basis, *args):
         pivot(state, basis, *args)
-        after.append((basis.copy(), *(array.copy() for array in state)))
+        tableau, reduced = state  # [B^-1 | B^-1 b] and the reduced costs
+        after.append((basis.copy(), tableau[:, -1].copy(), reduced.copy()))
 
     moved_b = a @ np.abs(np.random.default_rng([seed, 1]).normal(size=n))
     with pytest.MonkeyPatch.context() as patch:
@@ -381,7 +382,7 @@ def test_every_pivot_carries_the_state_of_its_basis(seed, m, extra):
         cold_pivots = len(after)
         warm = solve(c, a, moved_b, start=first.basis, inverse=first.inverse)
     assert first.status == "optimal" and cold_pivots > 0
-    for k, (basis, _, values, reduced) in enumerate(after):
+    for k, (basis, values, reduced) in enumerate(after):
         matrix, cost = phase1 if len(reduced) == n + m else (a, c)
         rhs = b if k < cold_pivots else moved_b
         _, fresh_values, fresh_reduced = simplex_module._confirmed(matrix, rhs, cost, basis, None)
