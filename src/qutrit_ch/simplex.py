@@ -1,22 +1,20 @@
 """Dense two-phase simplex for small equality-form linear programs.
 
-Solves min c @ x subject to A x = b, x >= 0. Every phase pivots one
-state: the basis, the explicit inverse B^-1 of its basis matrix, the basic
-values B^-1 b and the reduced costs c - c_B B^-1 A. B^-1 and the basic
-values are kept side by side as [B^-1 | B^-1 b]. One pivot updates all of
-it from the pivot column B^-1 a_j and the pivot row B^-1_r A: row
-operations on [B^-1 | B^-1 b], and the reduced costs less the multiple of
-the row that zeroes their entry j. Primal variable selection
-is Bland's rule with two numerical concessions: the ratio test only
-accepts pivot elements above ``PIVOT_TOL`` (elements near 1e-10 on
-degenerate rows left nearly singular bases behind), and among rows
-essentially tied in it the largest pivot element wins. One loop makes the
-primal and the dual pivots alike: it raises SimplexFailure past the
-iteration cap and recomputes the state on a fresh factorization every
+Solves min c @ x subject to A x = b, x >= 0. Every phase pivots one state:
+the basis, [B^-1 | B^-1 b] (the explicit inverse of the basis matrix
+beside the basic values) and the reduced costs c - c_B B^-1 A. A pivot
+applies row operations to [B^-1 | B^-1 b] by the pivot column B^-1 a_j,
+and subtracts from the reduced costs the multiple of the pivot row
+B^-1_r A that zeroes their entry j. Primal variable selection is Bland's
+rule with two numerical concessions: the ratio test only accepts pivot
+elements above ``PIVOT_TOL`` (elements near 1e-10 on degenerate rows left
+nearly singular bases behind), and among rows essentially tied in it the
+largest pivot element wins. One loop makes all pivots: it raises
+SimplexFailure past the iteration cap and refactorizes every
 ``REFACTOR_EVERY`` pivots. The basis is also factorized afresh whenever
 the primal pivots believe it optimal, so a claimed optimum is always
-confirmed from the original data, free of accumulated roundoff;
-non-finite reduced costs there raise SimplexFailure.
+confirmed from the original data, free of accumulated roundoff; non-finite
+reduced costs there raise SimplexFailure.
 Phase 1 gives each row an artificial column signed like its right-hand
 side, so the artificial basis is feasible for the rows as given and is its
 own inverse; no row is negated. A problem is infeasible when phase 1
@@ -68,8 +66,7 @@ _REDUNDANT_TOL = 1e-7
 _FEASIBILITY_DRIFT = 1e-7
 _START_FEASIBILITY = 1e-12
 
-# what every pivot updates: the tableau [B^-1 | B^-1 b], B^-1 beside the
-# basic values, and the reduced costs c - c_B B^-1 A
+# what a pivot updates: [B^-1 | B^-1 b] and the reduced costs
 State = tuple[np.ndarray, np.ndarray]
 
 
@@ -151,12 +148,9 @@ def _pivot(
     state: State, basis: np.ndarray, leaving: int, entering: int,
     column: np.ndarray, row: np.ndarray,
 ) -> None:
-    """Bring column ``entering`` into ``basis`` at row ``leaving``. ``column``
-    is the tableau column B^-1 a_entering, whose ``leaving`` entry is the
-    pivot element, and ``row`` the tableau row B^-1_leaving A, both of the
-    old basis. Row operations on [B^-1 | B^-1 b] take ``column`` to the
-    unit vector of ``leaving``, and the reduced costs lose the multiple of
-    ``row`` that zeroes their ``entering`` entry. Overwrites ``column``."""
+    """Pivot column ``entering`` into ``basis`` at row ``leaving``, given the
+    old basis's tableau column B^-1 a_entering (``column``, overwritten),
+    whose ``leaving`` entry is the pivot, and tableau row B^-1_leaving A."""
     tableau, reduced = state
     pivot = column[leaving]
     reduced -= (reduced[entering] / pivot) * row
@@ -191,9 +185,8 @@ def _bland_step(state: State, basis: np.ndarray, matrix: np.ndarray, _rhs: np.nd
 
 
 def _dual_step(state: State, basis: np.ndarray, matrix: np.ndarray, rhs: np.ndarray) -> bool:
-    """Perform one dual simplex pivot; False once the basis is primal
-    feasible. The leaving row is picked from B^-1 b computed afresh, not
-    from the carried basic values (see the module docstring). Raises
+    """Perform one dual simplex pivot, its leaving row read from B^-1 b
+    computed afresh; False once the basis is primal feasible. Raises
     SimplexFailure if no column can enter."""
     inverse, reduced = state[0][:, :-1], state[1]
     values = inverse @ rhs
@@ -215,8 +208,7 @@ def _dual_step(state: State, basis: np.ndarray, matrix: np.ndarray, rhs: np.ndar
 
 
 def _state(inverse: np.ndarray, values: np.ndarray, reduced: np.ndarray) -> State:
-    """The state that pivots from a confirmation: the new array
-    [B^-1 | B^-1 b] and the reduced costs."""
+    """A new [B^-1 | B^-1 b] and the reduced costs: the state a run pivots."""
     return np.concatenate((inverse, values[:, None]), axis=1), reduced
 
 
@@ -225,11 +217,10 @@ def _run(
     confirmed: tuple[np.ndarray, np.ndarray, np.ndarray], iterations: int,
     max_iterations: int,
 ) -> tuple[np.ndarray, int]:
-    """Pivot by ``step`` from ``confirmed``, the B^-1, basic values and
-    reduced costs of ``basis``, until the step stops; returns the last B^-1
-    and the pivot count, ``iterations`` plus the pivots made here. Past
-    ``max_iterations`` pivots it raises SimplexFailure. The state is
-    recomputed on a fresh factorization every ``REFACTOR_EVERY`` pivots."""
+    """Pivot by ``step`` from ``confirmed`` (B^-1, basic values and reduced
+    costs of ``basis``) until the step stops, refactorizing every
+    ``REFACTOR_EVERY`` pivots; returns the last B^-1 and the pivot count.
+    Raises SimplexFailure past ``max_iterations`` pivots."""
     start = iterations
     state = _state(*confirmed)
     while step(state, basis, matrix, rhs):
