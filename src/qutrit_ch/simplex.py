@@ -12,7 +12,8 @@ nearly singular bases behind), and among rows essentially tied in it the
 largest pivot element wins. One loop makes all pivots: it raises
 SimplexFailure past the iteration cap and refactorizes every
 ``REFACTOR_EVERY`` pivots. The basis is also factorized afresh whenever
-the primal pivots believe it optimal, so a claimed optimum is always
+the primal pivots believe it optimal (a run that stops right after a
+periodic refactorization reuses that one), so a claimed optimum is always
 confirmed from the original data, free of accumulated roundoff; non-finite
 reduced costs there raise SimplexFailure.
 Phase 1 gives each row an artificial column signed like its right-hand
@@ -154,9 +155,10 @@ def _pivot(
     tableau, reduced = state
     pivot = column[leaving]
     reduced -= (reduced[entering] / pivot) * row
-    tableau[leaving] /= pivot
+    pivot_row = tableau[leaving]
+    pivot_row /= pivot
     column[leaving] = 0.0
-    tableau -= column[:, None] * tableau[leaving]
+    tableau -= column[:, None] * pivot_row
     basis[leaving] = entering
 
 
@@ -164,22 +166,25 @@ def _bland_step(state: State, basis: np.ndarray, matrix: np.ndarray, _rhs: np.nd
     """Perform one primal pivot, with the ratio test on the carried basic
     values; False when no reduced cost is below -PIVOT_TOL."""
     tableau, reduced = state
-    improving = np.flatnonzero(reduced < -PIVOT_TOL)
-    if improving.size == 0:
+    improving = reduced < -PIVOT_TOL
+    entering = int(improving.argmax())  # the lowest improving index, if any
+    if not improving[entering]:
         return False
-    entering = int(improving[0])
     column = tableau[:, :-1] @ matrix[:, entering]
-    candidates = np.flatnonzero(column > PIVOT_TOL)
+    (candidates,) = (column > PIVOT_TOL).nonzero()
     if candidates.size == 0:
         raise SimplexFailure("objective is unbounded below")
     ratios = tableau[candidates, -1] / column[candidates]
-    window = ratios.min() + _RATIO_WINDOW * (1.0 + abs(ratios.min()))
-    tied = candidates[ratios <= window]
-    # prefer the numerically largest pivot among the tied rows, then the
-    # lowest basis index so the choice is deterministic
-    strength = column[tied]
-    strongest = tied[strength >= strength.max() * (1.0 - 1e-12)]
-    leaving = int(min(strongest, key=lambda i: basis[i]))
+    least = ratios.min()
+    tied = candidates[ratios <= least + _RATIO_WINDOW * (1.0 + abs(least))]
+    if tied.size == 1:
+        leaving = int(tied[0])
+    else:
+        # prefer the numerically largest pivot among the tied rows, then the
+        # lowest basis index so the choice is deterministic
+        strength = column[tied]
+        strongest = tied[strength >= strength.max() * (1.0 - 1e-12)]
+        leaving = int(strongest[basis[strongest].argmin()])
     _pivot(state, basis, leaving, entering, column, tableau[leaving, :-1] @ matrix)
     return True
 
@@ -209,27 +214,35 @@ def _dual_step(state: State, basis: np.ndarray, matrix: np.ndarray, rhs: np.ndar
 
 def _state(inverse: np.ndarray, values: np.ndarray, reduced: np.ndarray) -> State:
     """A new [B^-1 | B^-1 b] and the reduced costs: the state a run pivots."""
-    return np.concatenate((inverse, values[:, None]), axis=1), reduced
+    tableau = np.empty((len(values), len(values) + 1))
+    tableau[:, :-1] = inverse
+    tableau[:, -1] = values
+    return tableau, reduced
 
 
 def _run(
     step, matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
     confirmed: tuple[np.ndarray, np.ndarray, np.ndarray], iterations: int,
     max_iterations: int,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None, int]:
     """Pivot by ``step`` from ``confirmed`` (B^-1, basic values and reduced
     costs of ``basis``) until the step stops, refactorizing every
-    ``REFACTOR_EVERY`` pivots; returns the last B^-1 and the pivot count.
-    Raises SimplexFailure past ``max_iterations`` pivots."""
+    ``REFACTOR_EVERY`` pivots. Returns the last B^-1 (a view into the
+    state), the last refactorization's confirmation if no pivot followed it
+    (else None) and the pivot count. Raises SimplexFailure past
+    ``max_iterations`` pivots."""
     start = iterations
     state = _state(*confirmed)
+    fresh = None
     while step(state, basis, matrix, rhs):
+        fresh = None
         iterations += 1
         if iterations > max_iterations:
             raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
         if (iterations - start) % REFACTOR_EVERY == 0:
-            state = _state(*_confirmed(matrix, rhs, cost, basis, None))
-    return state[0][:, :-1].copy(), iterations
+            fresh = _confirmed(matrix, rhs, cost, basis, None)
+            state = _state(*fresh)
+    return state[0][:, :-1], fresh, iterations
 
 
 def _primal(
@@ -239,16 +252,20 @@ def _primal(
     """Bland pivots from ``basis`` (B^-1 ``inverse``, if known) to an optimum
     confirmed by ``_confirmed``; returns the confirmation and the pivot
     count."""
+    confirmed = _confirmed(matrix, rhs, cost, basis, inverse)
     while True:
-        confirmed = _confirmed(matrix, rhs, cost, basis, inverse)
         if not _primal_feasible(confirmed[1], _FEASIBILITY_DRIFT):
             raise SimplexFailure("basis lost feasibility")
         if confirmed[2].min() >= -PIVOT_TOL:
             return confirmed, iterations
-        _, iterations = _run(
+        _, fresh, iterations = _run(
             _bland_step, matrix, rhs, cost, basis, confirmed, iterations, max_iterations
         )
-        inverse = None  # confirm a claimed optimum on a fresh factorization
+        # confirm a claimed optimum on a fresh factorization; a run that
+        # stopped right after its periodic refactorization already made one
+        if fresh is None:
+            fresh = _confirmed(matrix, rhs, cost, basis, None)
+        confirmed = fresh
 
 
 def _warm(
@@ -280,7 +297,7 @@ def _warm(
         return None
     else:
         outcome = "repaired"
-        inverse, iterations = _run(
+        inverse, _, iterations = _run(
             _dual_step, matrix, rhs, cost, basis, confirmed, iterations, max_iterations
         )
     # Bland pivots from here if needed; a repaired basis is confirmed on its

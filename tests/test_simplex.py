@@ -448,6 +448,104 @@ def test_a_short_cold_solve_factorizes_at_most_twice(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_a_run_that_stops_at_its_periodic_refactorization_is_not_factorized_again(monkeypatch):
+    # phase 2 of this problem stops right after its REFACTOR_EVERY-th pivot,
+    # so that refactorization confirms the optimum: one factorization
+    # confirms phase 1 and the other is the periodic one
+    c, a, b = _random_feasible_problem(51, 10, 30)
+    calls, pivots = [], []
+    factorize, run = simplex_module._factorize, simplex_module._run
+
+    def counted(*args):
+        calls.append(args)
+        return factorize(*args)
+
+    def recorded(step, matrix, rhs, cost, basis, confirmed, iterations, max_iterations):
+        result = run(step, matrix, rhs, cost, basis, confirmed, iterations, max_iterations)
+        pivots.append(result[-1] - iterations)
+        return result
+
+    monkeypatch.setattr(simplex_module, "_factorize", counted)
+    monkeypatch.setattr(simplex_module, "_run", recorded)
+    sol = solve(c, a, b)
+    assert sol.status == "optimal"
+    assert pivots[-1] == simplex_module.REFACTOR_EVERY
+    assert len(calls) == 2
+    # the same x and B^-1, to the bit, as a second fresh confirmation gives
+    basis = np.array(sol.basis)
+    inverse, values, _ = simplex_module._confirmed(a, b, c, basis, None)
+    assert simplex_module._primal_feasible(values, simplex_module._FEASIBILITY_DRIFT)
+    x = np.zeros(len(c))
+    x[basis] = values
+    assert np.array_equal(sol.x, x)
+    assert np.array_equal(sol.inverse, inverse)
+
+
+def _bland_reference(tableau, reduced, basis, matrix):
+    """Bland's rule as the module docstring states it, one entry at a time:
+    (entering, leaving, rows in the ratio window), (entering, None, 0) when
+    no row limits the step, None when no reduced cost is below -PIVOT_TOL."""
+    improving = [j for j in range(len(reduced)) if reduced[j] < -simplex_module.PIVOT_TOL]
+    if not improving:
+        return None
+    entering = improving[0]
+    column = tableau[:, :-1] @ matrix[:, entering]
+    rows = [i for i in range(len(column)) if column[i] > simplex_module.PIVOT_TOL]
+    if not rows:
+        return entering, None, 0
+    ratios = {i: tableau[i, -1] / column[i] for i in rows}
+    least = min(ratios.values())
+    window = least + simplex_module._RATIO_WINDOW * (1.0 + abs(least))
+    tied = [i for i in rows if ratios[i] <= window]
+    largest = max(column[i] for i in tied)
+    strongest = [i for i in tied if column[i] >= largest * (1.0 - 1e-12)]
+    return entering, min(strongest, key=lambda i: basis[i]), len(tied)
+
+
+def test_the_bland_step_keeps_blands_rule():
+    # random states, half of them with a unit B^-1 and small integer data so
+    # that ratios and pivot strengths tie exactly
+    windows = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 10), st.booleans())
+    def check(seed, m, extra, integral):
+        rng = np.random.default_rng(seed)
+        n = m + extra
+        if integral:
+            matrix = rng.integers(-2, 3, size=(m, n)).astype(float)
+            tableau = np.column_stack([np.eye(m), rng.integers(0, 3, size=m).astype(float)])
+            reduced = rng.integers(-2, 3, size=n).astype(float)
+        else:
+            matrix = rng.normal(size=(m, n))
+            tableau = np.column_stack([rng.normal(size=(m, m)), np.abs(rng.normal(size=m))])
+            reduced = rng.normal(size=n)
+        basis = rng.permutation(n)[:m]
+        reduced[basis] = 0.0
+        expected = _bland_reference(tableau, reduced, basis, matrix)
+        made = []
+
+        def recorded(state, basis, leaving, entering, *_):
+            made.append((entering, leaving))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simplex_module, "_pivot", recorded)
+            if expected is not None and expected[1] is None:
+                with pytest.raises(SimplexFailure, match="unbounded"):
+                    simplex_module._bland_step((tableau, reduced), basis, matrix, None)
+                return
+            pivoted = simplex_module._bland_step((tableau, reduced), basis, matrix, None)
+        if expected is None:
+            assert not pivoted and not made
+            return
+        assert pivoted and made == [expected[:2]]
+        windows.append(expected[2])
+
+    check()
+    assert 1 in windows  # exactly one row in the ratio window leaves
+    assert max(windows) > 1  # the tie-break chose among several
+
+
 def test_a_cold_solve_with_negative_rhs_hands_on_an_inverse_of_the_given_rows():
     c, a, b = _random_feasible_problem(1)
     a[::2], b[::2] = -a[::2], -b[::2]
