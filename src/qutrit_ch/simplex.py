@@ -263,9 +263,7 @@ def _primal(
         )
         # confirm a claimed optimum on a fresh factorization; a run that
         # stopped right after its periodic refactorization already made one
-        if fresh is None:
-            fresh = _confirmed(matrix, rhs, cost, basis, None)
-        confirmed = fresh
+        confirmed = fresh if fresh is not None else _confirmed(matrix, rhs, cost, basis, None)
 
 
 def _warm(
