@@ -21,6 +21,14 @@ checked against all 36 joint entries and a weight sum of 1, to within
 ``CERTIFICATE_TOL``. Bisection halves the noise interval ``BISECTION_STEPS``
 times.
 
+``lhv_weights`` answers None by one of two certificates. A box whose
+largest CGLMP class value (``inequality.CLASS_CH``) exceeds
+``VIOLATION_MARGIN`` violates a Bell inequality by more than any model that
+passes the certificate check could, so no LP runs. Every other box gets the
+cold feasibility LP, and None means that LP is infeasible.
+``min_noise_bisection`` calls that LP directly, unscreened, so it stays
+independent of the screen.
+
 The noise point is ``engine.FLAT_VECTOR``: the LP's g column and the
 certificate check read it, and bisection mixes it in with
 ``mix_with_noise``.
@@ -52,13 +60,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import ALICE_INDICATOR, BOB_INDICATOR, JOINT_INDICATOR, MARGINAL_MATRIX, N_ATOMS
-from .engine import FLAT_VECTOR, RELABEL_DESTINATIONS, ExperimentProbabilities, mix_with_noise
+from .engine import (
+    FLAT_VECTOR,
+    RELABEL_DESTINATIONS,
+    VALIDATION_TOL,
+    ExperimentProbabilities,
+    mix_with_noise,
+)
 from .inequality import CLASS_CH, CLASS_FIRSTS
 from .presets import reference_joint_tables
 from .simplex import LpProblem, SimplexFailure, _check_finite, _solve, simplex_solve
 
 BISECTION_STEPS = 40
 CERTIFICATE_TOL = 1e-7
+# the most weights passing _check_certificate can raise a CGLMP class value:
+# weights down to -CERTIFICATE_TOL on all 81 atoms, whose class values reach
+# -2, then the entry residuals through a column's 12 joint signs and its 4
+# single signs, each single a sum of 3 joint entries that validate() lets
+# stray by VALIDATION_TOL; about 1.9e-5
+VIOLATION_MARGIN = (2 * N_ATOMS + 12 + 4 * 3) * CERTIFICATE_TOL + 4 * VALIDATION_TOL
 
 # the 25 independent rows of MARGINAL_MATRIX, see the module docstring
 _K, _L, _A, _B = np.indices((2, 2, 3, 3)).reshape(4, 36)
@@ -152,10 +172,15 @@ def _feasibility(exp: ExperimentProbabilities):
 def lhv_weights(exp: ExperimentProbabilities) -> np.ndarray | None:
     """Strategy weights reproducing the joint tables, or None if impossible.
 
-    The weights are checked against all 36 joint entries and a sum of 1 to
-    within ``CERTIFICATE_TOL`` before they are returned.
+    None is certified either by a CGLMP class value above
+    ``VIOLATION_MARGIN``, found without an LP, or by the infeasible
+    feasibility LP (see the module docstring). The weights are checked
+    against all 36 joint entries and a sum of 1 to within
+    ``CERTIFICATE_TOL`` before they are returned.
     """
     exp.validate()
+    if (exp.vector() @ CLASS_CH).max() > VIOLATION_MARGIN:
+        return None
     solution = _feasibility(exp)
     if solution.status != "optimal":
         return None
@@ -164,7 +189,9 @@ def lhv_weights(exp: ExperimentProbabilities) -> np.ndarray | None:
 
 
 def lhv_feasible(exp: ExperimentProbabilities) -> bool:
-    """Whether the joint tables admit a local realistic model."""
+    """Whether the joint tables admit a local realistic model; False is
+    certified by a violated CGLMP inequality or an infeasible LP, as in
+    ``lhv_weights``."""
     return lhv_weights(exp) is not None
 
 

@@ -235,7 +235,9 @@ def optimize(
     ``initial_phases`` replaces the random start of restart 0 only (the
     relabeling field of the given settings is ignored; gauge is re-pinned).
     A restart whose solve fails is skipped and counted in the result's
-    ``failed_restarts``. Ties keep the earliest restart.
+    ``failed_restarts``. Ties keep the earliest restart: a later one is
+    kept only if it beats it by more than the method's roundoff,
+    ``ROUNDOFF_ULPS`` ulps for analytic and ``LP_ROUNDOFF_ULPS`` for lp.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -289,6 +291,7 @@ def optimize(
         hessian -= (2.0 / (1.0 - bound.f_min)) * np.outer(gradient, gradient)
         return bound.f_min, gradient, hessian
 
+    tie_ulps = ROUNDOFF_ULPS if method == "analytic" else LP_ROUNDOFF_ULPS
     best_val = -np.inf
     best_x: np.ndarray | None = None
     best_norm: float | None = None
@@ -316,7 +319,7 @@ def optimize(
         except SimplexFailure:
             failed_restarts += 1
             continue
-        if value > best_val:
+        if best_x is None or value - best_val > tie_ulps * np.spacing(abs(best_val)):
             best_val, best_x, best_norm = value, x.copy(), norm
 
     if best_x is None:

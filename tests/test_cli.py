@@ -1,4 +1,7 @@
 import json
+import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +230,9 @@ def test_a_failing_simplex_exits_two_naming_the_cause(preset_file, capsys, monke
     assert code == 2
     assert out == ""
     assert "noise minimization LP failed: basis matrix is singular" in err
+
+
+def test_the_console_script_entry_point_is_cli_main():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^qutrit-ch = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert pkgutil.resolve_name(target) is main

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 import qutrit_ch.lhv as lhv_module
 
-from qutrit_ch.atoms import MARGINAL_MATRIX, N_ATOMS, atom_index
+from qutrit_ch.atoms import INDICATOR_MATRIX, MARGINAL_MATRIX, N_ATOMS, atom_index
 from qutrit_ch.engine import (
     ExperimentProbabilities,
     PERMUTATIONS,
@@ -16,7 +16,7 @@ from qutrit_ch.engine import (
     experiment_probabilities,
     mix_with_noise,
 )
-from qutrit_ch.inequality import CLASS_CH, CLASS_FIRSTS
+from qutrit_ch.inequality import CLASS_CH, CLASS_FIRSTS, FLAT_LHS
 from qutrit_ch.lhv import (
     INDEPENDENT_ROWS,
     NoiseBound,
@@ -286,14 +286,18 @@ def test_lhv_weights_reproduce_every_joint_entry_of_a_local_mixture():
 
 
 def test_lhv_weights_are_checked_before_they_are_returned(monkeypatch):
-    # weights that match none of the tables must raise, not be returned
+    # weights that match none of the tables must raise, not be returned; the
+    # box is local, so the CGLMP screen hands it on to the LP
+    exp0 = experiment_probabilities(reference_settings())
+    exp = mix_with_noise(exp0, min_noise_lp(exp0).f_min + 1e-4)
+    assert (exp.vector() @ CLASS_CH).max() <= lhv_module.VIOLATION_MARGIN
     bad = np.zeros(N_ATOMS)
     bad[0] = 1.0
     monkeypatch.setattr(
         lhv_module, "_feasibility", lambda exp: LpSolution("optimal", bad, 0.0, 0)
     )
     with pytest.raises(RuntimeError, match="certificate residual"):
-        lhv_weights(experiment_probabilities(reference_settings()))
+        lhv_weights(exp)
 
 
 def test_a_negative_certificate_weight_is_named_as_the_cause(monkeypatch):
@@ -311,6 +315,102 @@ def test_a_negative_certificate_weight_is_named_as_the_cause(monkeypatch):
     )
     with pytest.raises(RuntimeError, match=f"negative weight {weights.min():.3e}"):
         lhv_weights(mix_with_noise(exp, bound.f_min))
+
+
+def scipy_feasible(exp):
+    """Whether scipy finds weights for the 25 independent joint entries."""
+    t = exp.tables.reshape(36)[INDEPENDENT_ROWS]
+    out = linprog(np.zeros(N_ATOMS), A_eq=MARGINAL_MATRIX[INDEPENDENT_ROWS], b_eq=t,
+                  bounds=(0, None), method="highs")
+    assert out.status in (0, 2)
+    return out.status == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["noisy", "relabeled", "local mixture"]),
+    st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5, 1e-6]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_lhv_feasible_agrees_with_scipy_on_either_side_of_f_min(kind, delta, above, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "local mixture":
+        exp = local_experiment(rng.dirichlet(np.full(N_ATOMS, 0.3)))
+    else:
+        reference = reference_settings()
+        exp0 = experiment_probabilities(PhaseSettings(
+            reference.alice + rng.normal(0.0, 0.3, (2, 3)),
+            reference.bob + rng.normal(0.0, 0.3, (2, 3)),
+        ))
+        if kind == "relabeled":
+            exp0 = apply_relabeling(exp0, tuple(PERMUTATIONS[i] for i in rng.integers(0, 6, size=4)))
+        f = min_noise_lp(exp0).f_min
+        exp = mix_with_noise(exp0, min(max(f + (delta if above else -delta), 0.0), 1.0))
+    assert lhv_feasible(exp) == scipy_feasible(exp)
+
+
+def counted_feasibility(monkeypatch):
+    """Patch ``_feasibility`` to record the boxes it is called on."""
+    calls = []
+    feasibility = lhv_module._feasibility
+
+    def counted(exp):
+        calls.append(exp)
+        return feasibility(exp)
+
+    monkeypatch.setattr(lhv_module, "_feasibility", counted)
+    return calls
+
+
+def box_with_top_class_value(value):
+    """The preset's box mixed with noise until its largest class value is
+    ``value``: every class value moves linearly to FLAT_LHS."""
+    exp0 = experiment_probabilities(reference_settings())
+    top = (exp0.vector() @ CLASS_CH).max()
+    exp = mix_with_noise(exp0, (top - value) / (top - FLAT_LHS))
+    return exp, (exp.vector() @ CLASS_CH).max()
+
+
+def test_the_violation_margin_bounds_what_a_certificate_could_raise():
+    # every atom's class values lie in [-2, 0], and every column has 12 joint
+    # and 4 single signs, the terms of VIOLATION_MARGIN
+    atom_values = CLASS_CH.T @ INDICATOR_MATRIX
+    assert (atom_values.min(), atom_values.max()) == (-2.0, 0.0)
+    assert set(np.abs(CLASS_CH[:36]).sum(axis=0)) == {12.0}
+    assert set(np.abs(CLASS_CH[36:]).sum(axis=0)) == {4.0}
+    assert 1.8e-5 < lhv_module.VIOLATION_MARGIN < 1.9e-5
+
+
+def test_a_box_just_beyond_the_margin_is_answered_without_an_lp(monkeypatch):
+    calls = counted_feasibility(monkeypatch)
+    exp, top = box_with_top_class_value(lhv_module.VIOLATION_MARGIN * (1.0 + 1e-6))
+    assert top > lhv_module.VIOLATION_MARGIN
+    assert lhv_weights(exp) is None
+    assert not lhv_feasible(exp)
+    assert calls == []
+
+
+def test_a_box_just_within_the_margin_reaches_the_lp(monkeypatch):
+    calls = counted_feasibility(monkeypatch)
+    exp, top = box_with_top_class_value(lhv_module.VIOLATION_MARGIN * (1.0 - 1e-6))
+    assert 0.0 < top <= lhv_module.VIOLATION_MARGIN
+    # still not local: the LP certifies it
+    assert not lhv_feasible(exp)
+    assert calls == [exp]
+
+
+def test_a_local_box_always_reaches_the_lp(monkeypatch):
+    rng = np.random.default_rng(47)
+    exp0 = experiment_probabilities(reference_settings())
+    f = min_noise_lp(exp0).f_min
+    local = [mix_with_noise(exp0, f + delta) for delta in (1e-2, 1e-4, 1e-6)]
+    local += [anchored_box(kind, rng) for kind in ("dirichlet", "one setting")]
+    local.append(mix_with_noise(exp0, 1.0))
+    calls = counted_feasibility(monkeypatch)
+    for exp in local:
+        assert lhv_feasible(exp)
+    assert calls == local
 
 
 def test_noise_keeps_a_local_mixture_with_biased_singles_local():

@@ -29,6 +29,7 @@ from qutrit_ch.lhv import marginals_of, min_noise_lp, threshold_gradient
 from qutrit_ch.optimizer import (
     FREE_INDICES,
     GRADIENT_TOL,
+    LP_ROUNDOFF_ULPS,
     OptimizationResult,
     _class_product,
     _relabel_maxed_scores,
@@ -192,6 +193,41 @@ def test_optimize_is_deterministic_and_self_consistent():
     # re-evaluating the returned settings reproduces the reported score
     replay = threshold_objective(first.best_settings, "analytic")
     assert abs(replay - first.best_threshold) < 1e-9
+
+
+def same_settings(first, second):
+    assert np.array_equal(first.alice, second.alice)
+    assert np.array_equal(first.bob, second.bob)
+    assert first.relabel == second.relabel
+
+
+def test_restarts_that_tie_to_roundoff_keep_the_earliest():
+    # at seed 7 the analytic restart 10 ends 2 ulps above restart 0, and the
+    # lp restart 1 ends 3 ulps above it: roundoff, not a better optimum
+    for method in ("analytic", "lp"):
+        first = optimize(1, seed=7, method=method)
+        result = optimize(20, seed=7, method=method)
+        same_settings(result.best_settings, first.best_settings)
+        assert result.best_threshold == first.best_threshold
+
+
+def test_a_later_restart_is_kept_once_it_beats_the_roundoff(monkeypatch):
+    # restarts 1 and 3 tie with the one kept before them, restart 2 beats it
+    value = 0.3
+    ulp = np.spacing(value)
+    beats = 2 * LP_ROUNDOFF_ULPS + 1
+    ends = iter([value + k * ulp for k in (0, LP_ROUNDOFF_ULPS, beats, beats + LP_ROUNDOFF_ULPS)])
+
+    def ascent(fn, x, enough=np.inf):
+        # the plateau climb, then the restart's end value
+        return (0.0 if enough == 0.0 else next(ends)), np.zeros(len(FREE_INDICES))
+
+    monkeypatch.setattr(optimizer_module, "_newton_ascent", ascent)
+    result = optimize(4, seed=5, method="lp")
+    kept = optimizer_module._pin_gauge(np.random.default_rng([5, 2]).uniform(0.0, 2.0 * np.pi, size=12))
+    assert result.best_threshold == value + beats * ulp
+    assert np.array_equal(np.concatenate([result.best_settings.alice.ravel(),
+                                          result.best_settings.bob.ravel()]), kept)
 
 
 def test_results_and_their_settings_carry_no_instance_dict():
