@@ -195,19 +195,15 @@ def test_optimize_is_deterministic_and_self_consistent():
     assert abs(replay - first.best_threshold) < 1e-9
 
 
-def same_settings(first, second):
-    assert np.array_equal(first.alice, second.alice)
-    assert np.array_equal(first.bob, second.bob)
-    assert first.relabel == second.relabel
-
-
 def test_restarts_that_tie_to_roundoff_keep_the_earliest():
     # at seed 7 the analytic restart 10 ends 2 ulps above restart 0, and the
     # lp restart 1 ends 3 ulps above it: roundoff, not a better optimum
     for method in ("analytic", "lp"):
         first = optimize(1, seed=7, method=method)
         result = optimize(20, seed=7, method=method)
-        same_settings(result.best_settings, first.best_settings)
+        assert np.array_equal(result.best_settings.alice, first.best_settings.alice)
+        assert np.array_equal(result.best_settings.bob, first.best_settings.bob)
+        assert result.best_settings.relabel == first.best_settings.relabel
         assert result.best_threshold == first.best_threshold
 
 
