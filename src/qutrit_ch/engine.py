@@ -245,24 +245,57 @@ class ExperimentProbabilities:
         )
 
     def validate(self) -> None:
-        """Raise ValueError unless the entries are finite and normalization
-        and no-signaling hold to within ``VALIDATION_TOL``."""
-        if not np.all(np.isfinite(self.vector())):
+        """Raise ValueError unless the entries are finite, the joints are
+        nonnegative, and normalization and no-signaling hold to within
+        ``VALIDATION_TOL``.
+
+        The last two are the 32 rows of ``_CONSTRAINTS`` applied to
+        ``vector()`` in one product; the first row off by more than the
+        tolerance names the cause, in the order of ``_CONSTRAINT_CAUSES``.
+        """
+        vector = self.vector()
+        if not np.isfinite(vector).all():
             raise ValueError("probabilities must be finite (found NaN or inf)")
-        if self.tables.min() < 0:
+        if vector[:36].min() < 0:
             raise ValueError("negative joint probability")
-        if np.any(np.abs(self.tables.sum(axis=(2, 3)) - 1.0) > VALIDATION_TOL):
-            raise ValueError("joint tables must each sum to 1")
-        for s, name in ((self.alice_singles, "alice"), (self.bob_singles, "bob")):
-            if np.any(np.abs(s.sum(axis=1) - 1.0) > VALIDATION_TOL):
-                raise ValueError(f"{name} singles must sum to 1")
-        # marginals of every table must be setting-independent and match singles
-        rows = self.tables.sum(axis=3) - self.alice_singles[:, None]
-        if np.any(np.abs(rows) > VALIDATION_TOL):
-            raise ValueError("no-signaling violated: row sums differ from alice singles")
-        cols = self.tables.sum(axis=2) - self.bob_singles[None]
-        if np.any(np.abs(cols) > VALIDATION_TOL):
-            raise ValueError("no-signaling violated: column sums differ from bob singles")
+        # NaN from overflowing entries fails the comparison and raises too
+        within = np.abs(_CONSTRAINTS @ vector - _CONSTRAINT_TARGETS) <= VALIDATION_TOL
+        if not within.all():
+            raise ValueError(_CONSTRAINT_CAUSES[within.argmin()])
+
+
+def _constraints() -> np.ndarray:
+    """The 32 linear identities of a normalized, no-signaling box, as rows
+    against ``vector()``: the 4 table sums and the 2 alice and 2 bob single
+    sums, each 1 in ``_CONSTRAINT_TARGETS``, then the 12 row sums
+    sum_b p(a, b | k, l) - alice_k(a) in (k, l, a) order and the 12 column
+    sums sum_a p(a, b | k, l) - bob_l(b) in (k, l, b) order, each 0."""
+    k, l, a, b = np.indices((2, 2, 3, 3)).reshape(4, 36)
+    pair, joint = 2 * k + l, np.arange(36)
+    matrix = np.zeros((32, 48))
+    matrix[pair, joint] = 1.0
+    matrix[8 + 3 * pair + a, joint] = 1.0
+    matrix[20 + 3 * pair + b, joint] = 1.0
+    matrix[8 + 3 * pair + a, 36 + 3 * k + a] = -1.0
+    matrix[20 + 3 * pair + b, 42 + 3 * l + b] = -1.0
+    # observable o's 3 singles sum to 1: A1, A2, B1, B2 in vector() order
+    observable, outcome = np.indices((4, 3)).reshape(2, 12)
+    matrix[4 + observable, 36 + 3 * observable + outcome] = 1.0
+    matrix.setflags(write=False)
+    return matrix
+
+
+_CONSTRAINTS = _constraints()
+_CONSTRAINT_TARGETS = np.concatenate([np.ones(8), np.zeros(24)])
+_CONSTRAINT_TARGETS.setflags(write=False)
+# what validate() names when row i of _CONSTRAINTS fails
+_CONSTRAINT_CAUSES = (
+    ("joint tables must each sum to 1",) * 4
+    + ("alice singles must sum to 1",) * 2
+    + ("bob singles must sum to 1",) * 2
+    + ("no-signaling violated: row sums differ from alice singles",) * 12
+    + ("no-signaling violated: column sums differ from bob singles",) * 12
+)
 
 
 def _relabel_destinations() -> np.ndarray:

@@ -102,10 +102,16 @@ _ANCHOR_BASIS = (9, 41, 43, 42, 65, 51, 21, 38, 61, 59, 40, 66, 25, 47, 19, 69,
 
 
 @functools.cache
-def _anchor_inverse() -> np.ndarray:
-    inverse = np.linalg.inv(_NOISE_MATRIX[:, _ANCHOR_BASIS])
+def _basis_inverse(basis: tuple[int, ...]) -> np.ndarray:
+    """The read-only inverse of the noise LP's basis matrix at ``basis``,
+    factorized on first use as a solve without one would factorize it."""
+    inverse = np.linalg.inv(_NOISE_MATRIX[:, basis])
     inverse.setflags(write=False)
     return inverse
+
+
+def _anchor_inverse() -> np.ndarray:
+    return _basis_inverse(_ANCHOR_BASIS)
 
 
 def _witness_box(top: int) -> np.ndarray:
@@ -123,7 +129,9 @@ def _witness_box(top: int) -> np.ndarray:
 def _witness_basis(top: int) -> tuple[int, ...] | None:
     """The noise LP's optimal basis at class ``top``'s witness box, solved
     from the anchor on first use, or None if that solve fails: a function
-    of the class alone. Each solve it starts factorizes it once."""
+    of the class alone. Every solve it starts borrows its cached
+    ``_basis_inverse`` (not the witness solve's carried inverse, so the
+    results are those of a fresh factorization), and none factorizes it."""
     t0 = _witness_box(top)[INDEPENDENT_ROWS]
     try:
         return _solve(_NOISE_MATRIX, t0, _NOISE_COST, start=_ANCHOR_BASIS,
@@ -230,7 +238,8 @@ def _min_noise_lp(
         values = exp0.vector() @ CLASS_CH
         top = int(values.argmax())
         if values[top] > 0.0 and _witness_basis(top) is not None:
-            basis, inverse = _witness_basis(top), None
+            basis = _witness_basis(top)
+            inverse = _basis_inverse(basis)
     _check_finite(eq_rhs=t0)
     try:
         solution = _solve(_NOISE_MATRIX, t0, _NOISE_COST, start=basis, inverse=inverse)

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qutrit_ch.engine as engine_module
+from qutrit_ch.atoms import INDICATOR_MATRIX, N_ATOMS
 from qutrit_ch.engine import (
     FLAT_VECTOR,
+    VALIDATION_TOL,
     ExperimentProbabilities,
     IDENTITY_RELABELING,
     PERMUTATIONS,
@@ -269,6 +271,121 @@ def test_validate_catches_bad_normalization_and_signaling():
         alice[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             ExperimentProbabilities(good.tables, alice, good.bob_singles).validate()
+
+
+def reference_validate(exp):
+    """validate() as it reads without its constraint product: six separate
+    checks, each one reduction, in the order that names the cause."""
+    if not np.all(np.isfinite(exp.vector())):
+        raise ValueError("probabilities must be finite (found NaN or inf)")
+    if exp.tables.min() < 0:
+        raise ValueError("negative joint probability")
+    if np.any(np.abs(exp.tables.sum(axis=(2, 3)) - 1.0) > VALIDATION_TOL):
+        raise ValueError("joint tables must each sum to 1")
+    for s, name in ((exp.alice_singles, "alice"), (exp.bob_singles, "bob")):
+        if np.any(np.abs(s.sum(axis=1) - 1.0) > VALIDATION_TOL):
+            raise ValueError(f"{name} singles must sum to 1")
+    rows = exp.tables.sum(axis=3) - exp.alice_singles[:, None]
+    if np.any(np.abs(rows) > VALIDATION_TOL):
+        raise ValueError("no-signaling violated: row sums differ from alice singles")
+    cols = exp.tables.sum(axis=2) - exp.bob_singles[None]
+    if np.any(np.abs(cols) > VALIDATION_TOL):
+        raise ValueError("no-signaling violated: column sums differ from bob singles")
+
+
+def reference_residuals(exp):
+    """Every quantity reference_validate compares with VALIDATION_TOL."""
+    return np.concatenate([
+        np.abs(exp.tables.sum(axis=(2, 3)) - 1.0).ravel(),
+        np.abs(exp.alice_singles.sum(axis=1) - 1.0),
+        np.abs(exp.bob_singles.sum(axis=1) - 1.0),
+        np.abs(exp.tables.sum(axis=3) - exp.alice_singles[:, None]).ravel(),
+        np.abs(exp.tables.sum(axis=2) - exp.bob_singles[None]).ravel(),
+    ])
+
+
+def verdict(check, exp):
+    """None if ``check`` accepts ``exp``, else the message of its ValueError."""
+    try:
+        check(exp)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def valid_box(kind, rng):
+    if kind == "dirichlet":
+        vector = INDICATOR_MATRIX @ rng.dirichlet(np.full(N_ATOMS, 0.3))
+        return ExperimentProbabilities(
+            vector[:36].reshape(2, 2, 3, 3), vector[36:42].reshape(2, 3), vector[42:].reshape(2, 3)
+        )
+    exp = experiment_probabilities(random_settings(rng))
+    if kind == "noisy":
+        return mix_with_noise(exp, rng.uniform(0.0, 1.0))
+    if kind == "relabeled":
+        return apply_relabeling(exp, tuple(PERMUTATIONS[i] for i in rng.integers(0, 6, size=4)))
+    return exp
+
+
+# one defect each: a shift of 0.5 or 2 VALIDATION_TOL in one table entry or
+# one single, or moved inside one table between two entries of a column
+# (the row marginals) or of a row (the column marginals); a non-finite entry
+# in each array; a negative joint
+_DEFECTS = (
+    [
+        (site, scale * sign)
+        for site in ("entry", "single", "row marginal", "column marginal")
+        for scale in (0.5, 2.0)
+        for sign in (1.0, -1.0)
+    ]
+    + [(array, bad) for array in ("tables", "alice_singles", "bob_singles")
+       for bad in (np.nan, np.inf, -np.inf)]
+    + [("negative joint", -1e-3)]
+)
+
+
+def with_defect(exp, defect, rng):
+    site, size = defect
+    tables, alice, bob = exp.tables.copy(), exp.alice_singles.copy(), exp.bob_singles.copy()
+    k, l, a, b = (int(i) for i in rng.integers(0, (2, 2, 3, 3)))
+    other = (a + int(rng.integers(1, 3))) % 3
+    shift = size * VALIDATION_TOL
+    if site == "entry":
+        tables[k, l, a, b] += shift
+    elif site == "single":
+        (alice if rng.integers(2) else bob)[k, a] += shift
+    elif site == "row marginal":
+        tables[k, l, a, b] -= shift
+        tables[k, l, other, b] += shift
+    elif site == "column marginal":
+        tables[k, l, a, b] -= shift
+        tables[k, l, a, other] += shift
+    elif site in ("negative joint", "tables"):
+        tables[k, l, a, b] = size
+    else:
+        (alice if site == "alice_singles" else bob)[k, a] = size
+    return ExperimentProbabilities(tables, alice, bob)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["born", "noisy", "relabeled", "dirichlet"]),
+    st.lists(st.sampled_from(_DEFECTS), max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_validate_matches_the_six_separate_checks(kind, defects, seed):
+    # up to two defects, so that the order of the causes is compared too
+    rng = np.random.default_rng(seed)
+    exp = valid_box(kind, rng)
+    for defect in defects:
+        exp = with_defect(exp, defect, rng)
+    # the constraint product sums in another order than the six checks, so
+    # a residual can differ from theirs by a few ulps: skip boxes where one
+    # lies within 1e-14 of the tolerance, where the verdicts may then differ
+    with np.errstate(invalid="ignore"):
+        residuals = reference_residuals(exp)
+    assume(not (np.abs(residuals - VALIDATION_TOL) <= 1e-14).any())
+    assert verdict(ExperimentProbabilities.validate, exp) == verdict(reference_validate, exp)
 
 
 def reference_like():

@@ -16,7 +16,7 @@ from qutrit_ch.engine import (
     experiment_probabilities,
     mix_with_noise,
 )
-from qutrit_ch.inequality import CLASS_CH, CLASS_FIRSTS, FLAT_LHS
+from qutrit_ch.inequality import CLASS_CH, CLASS_FIRSTS, FLAT_LHS, analytic_threshold
 from qutrit_ch.lhv import (
     INDEPENDENT_ROWS,
     NoiseBound,
@@ -26,6 +26,7 @@ from qutrit_ch.lhv import (
     min_noise_bisection,
     min_noise_lp,
 )
+from qutrit_ch.optimizer import optimize
 from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
 from qutrit_ch.simplex import INVERSE_TOL, LpProblem, LpSolution, SimplexFailure, simplex_solve
 
@@ -215,6 +216,41 @@ def test_invalid_tables_are_rejected_before_solving(solve):
     tables[1, 0, 0, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         solve(ExperimentProbabilities(tables, exp.alice_singles, exp.bob_singles))
+
+
+def counted_validations(monkeypatch):
+    """The boxes ExperimentProbabilities.validate runs on from here on."""
+    boxes = []
+    validate = ExperimentProbabilities.validate
+
+    def counted(self):
+        boxes.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ExperimentProbabilities, "validate", counted)
+    return boxes
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [min_noise_lp, min_noise_bisection, lhv_weights, lhv_feasible, analytic_threshold],
+)
+@pytest.mark.parametrize("noise", [0.2, 0.5])
+def test_each_public_entry_point_validates_its_box_once(entry, noise, monkeypatch):
+    # a non-local box, which lhv_weights answers without an LP, and a local one
+    exp = mix_with_noise(experiment_probabilities(reference_settings()), noise)
+    boxes = counted_validations(monkeypatch)
+    entry(exp)
+    assert len(boxes) == 1 and boxes[0] is exp
+
+
+@pytest.mark.parametrize("method", ["lp", "analytic"])
+def test_neither_search_validates_a_box(method, monkeypatch):
+    # its boxes are valid by construction (engine._kernel_box), so no
+    # inner-loop call checks one again
+    boxes = counted_validations(monkeypatch)
+    optimize(1, 2, method)
+    assert boxes == []
 
 
 def local_experiment(weights):
@@ -671,6 +707,37 @@ def test_only_a_violating_box_starts_from_its_class_witness_basis(monkeypatch):
     min_noise_lp(violating)
     assert starts == [lhv_module._ANCHOR_BASIS] * len(local) + [witness]
     assert witness != lhv_module._ANCHOR_BASIS
+
+
+def test_a_witness_start_borrows_its_cached_inverse(monkeypatch):
+    rng = np.random.default_rng(53)
+    boxes = [experiment_probabilities(random_settings(rng)) for _ in range(30)]
+    boxes = [exp0 for exp0 in boxes if (exp0.vector() @ CLASS_CH).max() > 0.0]
+    for exp0 in boxes:
+        # the witness solve itself runs here, before the recording starts
+        lhv_module._witness_basis(int((exp0.vector() @ CLASS_CH).argmax()))
+    solve = lhv_module._solve
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((kwargs, solve(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lhv_module, "_solve", recorded)
+    for exp0 in boxes:
+        min_noise_lp(exp0)
+    assert len(calls) == len(boxes) > 0
+    for exp0, (kwargs, solution) in zip(boxes, calls):
+        witness = kwargs["start"]
+        assert witness == lhv_module._witness_basis(int((exp0.vector() @ CLASS_CH).argmax()))
+        inverse = kwargs["inverse"]
+        assert inverse is lhv_module._basis_inverse(witness)
+        assert not inverse.flags.writeable
+        # the same bits as a solve that factorizes the witness basis itself
+        t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
+        fresh = solve(lhv_module._NOISE_MATRIX, t0, lhv_module._NOISE_COST, start=witness)
+        same_solution(solution, fresh)
+        assert np.array_equal(solution.inverse, fresh.inverse)
 
 
 def test_the_keyed_start_does_not_depend_on_earlier_solves():
