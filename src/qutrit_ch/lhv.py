@@ -14,9 +14,11 @@ The rows are the 25 independent joint probabilities of the 2-setting,
 (0-based). The 11 dropped entries and the normalization of the weights
 follow from the kept ones by normalization and no-signaling, which every
 entry point first checks with ``ExperimentProbabilities.validate()`` (it
-raises ValueError naming the cause: non-finite entries, bad normalization
-or signaling). Single-detector probabilities are row and column sums of the
-joint tables, so they match for free as well. Every returned model is still
+raises ValueError naming the cause, in this order: a non-finite entry, a
+negative joint, a table that does not sum to 1, alice's or bob's singles
+that do not, or row or column sums that differ from the singles).
+Single-detector probabilities are row and column sums of the joint
+tables, so they match for free as well. Every returned model is still
 checked against all 36 joint entries and a weight sum of 1, to within
 ``CERTIFICATE_TOL``. Bisection halves the noise interval ``BISECTION_STEPS``
 times.
@@ -94,9 +96,9 @@ _NOISE_COST[N_ATOMS] = 1.0
 _NOISE_COST.setflags(write=False)
 # checked once here, so each solve checks only its right-hand side
 _check_finite(eq_matrix=_NOISE_MATRIX, objective=_NOISE_COST)
-# the cold solve's optimal basis for the flat box, and its inverse: the
-# start of every noise LP that brings no basis. The inverse is factorized
-# by the first LP that needs it, so other processes make no LAPACK call.
+# the cold solve's optimal basis for the flat box: the start of every noise
+# LP that brings no basis. Its _basis_inverse is factorized by the first LP
+# that needs it, so other processes make no LAPACK call.
 _ANCHOR_BASIS = (9, 41, 43, 42, 65, 51, 21, 38, 61, 59, 40, 66, 25, 47, 19, 69,
                  56, 64, 18, 58, 0, 48, 60, 23, 46)
 
@@ -108,10 +110,6 @@ def _basis_inverse(basis: tuple[int, ...]) -> np.ndarray:
     inverse = np.linalg.inv(_NOISE_MATRIX[:, basis])
     inverse.setflags(write=False)
     return inverse
-
-
-def _anchor_inverse() -> np.ndarray:
-    return _basis_inverse(_ANCHOR_BASIS)
 
 
 def _witness_box(top: int) -> np.ndarray:
@@ -135,7 +133,7 @@ def _witness_basis(top: int) -> tuple[int, ...] | None:
     t0 = _witness_box(top)[INDEPENDENT_ROWS]
     try:
         return _solve(_NOISE_MATRIX, t0, _NOISE_COST, start=_ANCHOR_BASIS,
-                      inverse=_anchor_inverse()).basis
+                      inverse=_basis_inverse(_ANCHOR_BASIS)).basis
     except SimplexFailure:
         return None
 
@@ -234,7 +232,7 @@ def _min_noise_lp(
     if start is not None and start.basis is not None:
         basis, inverse = start.basis, start.inverse
     else:
-        basis, inverse = _ANCHOR_BASIS, _anchor_inverse()
+        basis, inverse = _ANCHOR_BASIS, _basis_inverse(_ANCHOR_BASIS)
         values = exp0.vector() @ CLASS_CH
         top = int(values.argmax())
         if values[top] > 0.0 and _witness_basis(top) is not None:

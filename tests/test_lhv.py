@@ -623,7 +623,7 @@ def test_the_flat_box_accepts_the_anchor_basis_as_it_stands():
     assert bound.iterations == 0
     assert bound.basis == lhv_module._ANCHOR_BASIS
     assert bound.f_min == 0.0
-    anchor_inverse = lhv_module._anchor_inverse()
+    anchor_inverse = lhv_module._basis_inverse(lhv_module._ANCHOR_BASIS)
     assert not anchor_inverse.flags.writeable
     with pytest.raises(ValueError):
         anchor_inverse[0, 0] = 0.0
@@ -787,7 +787,7 @@ def test_an_iteration_cap_below_the_repair_raises(kind):
         exp0 = anchored_box(kind, np.random.default_rng(31))
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
     problem = LpProblem(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
-    basis, inverse = lhv_module._ANCHOR_BASIS, lhv_module._anchor_inverse()
+    basis, inverse = lhv_module._ANCHOR_BASIS, lhv_module._basis_inverse(lhv_module._ANCHOR_BASIS)
     repaired = simplex_solve(problem, start=basis, inverse=inverse)
     assert repaired.start == "repaired"
     assert repaired.iterations > 1
