@@ -274,8 +274,8 @@ def test_validate_catches_bad_normalization_and_signaling():
 
 
 def reference_validate(exp):
-    """validate() as it reads without its constraint product: six separate
-    checks, each one reduction, in the order that names the cause."""
+    """A plain reading of validate(): six separate checks, one reduction
+    each, in the order that names the cause."""
     if not np.all(np.isfinite(exp.vector())):
         raise ValueError("probabilities must be finite (found NaN or inf)")
     if exp.tables.min() < 0:
