@@ -51,7 +51,7 @@ from .presets import (
     reference_joint_tables,
     reference_settings,
 )
-from .simplex import LpProblem, LpSolution, SimplexFailure, simplex_solve
+from .simplex import LpSolution, SimplexFailure, simplex_solve
 
 __version__ = "0.1.0"
 
@@ -97,7 +97,6 @@ __all__ = [
     "REFERENCE_RELABELING",
     "reference_joint_tables",
     "reference_settings",
-    "LpProblem",
     "LpSolution",
     "SimplexFailure",
     "simplex_solve",

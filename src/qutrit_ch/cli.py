@@ -52,6 +52,8 @@ EXIT_VERIFY = 3
 
 # entrywise tolerance of verify-appendix's decomposition check
 ENTRYWISE_TOL = 1e-12
+# a settings document's relabel fields, in PhaseSettings.relabel order
+RELABEL_KEYS = ("a1", "a2", "b1", "b2")
 
 
 class _UsageError(Exception):
@@ -143,11 +145,16 @@ def _load_settings(path: str) -> tuple[PhaseSettings, str]:
         if not isinstance(rel, dict):
             raise _InputError("settings file: field 'relabel' must be an object")
         perms = []
-        for key in ("a1", "a2", "b1", "b2"):
+        for key in RELABEL_KEYS:
             if key not in rel:
                 raise _InputError(f"settings file: missing field 'relabel.{key}'")
             perm = rel[key]
-            if not (isinstance(perm, list) and sorted(perm) == [1, 2, 3]):
+            # True == 1, so booleans would otherwise pass the sorted check
+            if not (
+                isinstance(perm, list)
+                and not any(isinstance(entry, bool) for entry in perm)
+                and sorted(perm) == [1, 2, 3]
+            ):
                 raise _InputError(
                     f"settings file: field 'relabel.{key}' is not a permutation"
                     " of [1, 2, 3]"
@@ -159,6 +166,15 @@ def _load_settings(path: str) -> tuple[PhaseSettings, str]:
     except ValueError as exc:
         raise _InputError(f"settings file: {exc}")
     return settings, "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
+def _settings_document(alice, bob, relabel) -> dict:
+    """A settings file's content, as ``_load_settings`` reads it."""
+    return {
+        "alice": alice,
+        "bob": bob,
+        "relabel": {key: list(perm) for key, perm in zip(RELABEL_KEYS, relabel)},
+    }
 
 
 def _noise_arg(args) -> float:
@@ -267,15 +283,9 @@ def _cmd_verify(args):
 
 def _cmd_preset(args):
     # the bare settings document, valid as --settings input elsewhere
-    relabel_keys = ("a1", "a2", "b1", "b2")
-    doc = {
-        "alice": REFERENCE_ALICE_PHASES,
-        "bob": REFERENCE_BOB_PHASES,
-        "relabel": {
-            key: list(perm) for key, perm in zip(relabel_keys, REFERENCE_RELABELING)
-        },
-    }
-    print(render_json(doc))
+    print(render_json(
+        _settings_document(REFERENCE_ALICE_PHASES, REFERENCE_BOB_PHASES, REFERENCE_RELABELING)
+    ))
     return None
 
 
@@ -286,7 +296,6 @@ def _cmd_optimize(args):
         raise _InputError(f"--seed must be nonnegative, got {args.seed}")
     result = optimize(args.restarts, args.seed, method=args.method)
     settings = result.best_settings
-    relabel_keys = ("a1", "a2", "b1", "b2")
     results = {
         "method": args.method,
         "restarts": args.restarts,
@@ -297,14 +306,7 @@ def _cmd_optimize(args):
         "lp_pivots": result.lp_pivots,
         "screened_trials": result.screened_trials,
         "gradient_norm": result.gradient_norm,
-        "best_settings": {
-            "alice": settings.alice,
-            "bob": settings.bob,
-            "relabel": {
-                key: list(perm)
-                for key, perm in zip(relabel_keys, settings.relabel)
-            },
-        },
+        "best_settings": _settings_document(settings.alice, settings.bob, settings.relabel),
     }
     if args.method == "lp":
         tolerances = {"gradient": GRADIENT_TOL, "step": STEP_TOL}

@@ -158,20 +158,21 @@ class ThresholdResult:
     violated: bool
 
 
-def noise_crossing(lhs0, lhs1) -> float | np.ndarray:
-    """Noise fraction at which a functional that is affine in the noise,
-    lhs0 at f = 0 and lhs1 at f = 1, falls to zero.
+def noise_crossing(lhs0) -> float | np.ndarray:
+    """Noise fraction at which the functional, lhs0 at f = 0 and
+    ``FLAT_LHS`` at f = 1 and affine in between, falls to zero.
 
-    The crossing is at lhs0 / (lhs0 - lhs1), clipped into [0, 1]; it is 0
-    where lhs0 <= 0 (no violation to destroy) and 1 where lhs0 - lhs1 <= 0
-    (the fully mixed point still violates). NaN stays NaN. Takes scalars,
-    returning a float, or arrays, returning an array.
+    The crossing is at lhs0 / (lhs0 - FLAT_LHS), which lies in (0, 1] for
+    lhs0 > 0 as FLAT_LHS < 0; it is 0 where lhs0 <= 0 (no violation to
+    destroy). NaN and +inf give NaN. Takes scalars, returning a float, or
+    arrays, returning an array.
     """
     lhs0 = np.asarray(lhs0, dtype=float)
+    # lhs0 = FLAT_LHS divides by zero, and -inf gives -inf / -inf; both
+    # fall where lhs0 <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = lhs0 - np.asarray(lhs1, dtype=float)
-        ratio = np.clip(lhs0 / denom, 0.0, 1.0)
-    crossing = np.where(lhs0 <= 0.0, 0.0, np.where(denom <= 0.0, 1.0, ratio))
+        ratio = lhs0 / (lhs0 - FLAT_LHS)
+    crossing = np.where(lhs0 <= 0.0, 0.0, ratio)
     return float(crossing) if crossing.ndim == 0 else crossing
 
 
@@ -185,4 +186,4 @@ def analytic_threshold(exp0: ExperimentProbabilities) -> ThresholdResult:
     """
     exp0.validate()
     lhs0 = ch_lhs(exp0)
-    return ThresholdResult(noise_crossing(lhs0, FLAT_LHS), lhs0 > 0.0)
+    return ThresholdResult(noise_crossing(lhs0), lhs0 > 0.0)

@@ -71,7 +71,7 @@ from .engine import (
 )
 from .inequality import CLASS_CH, CLASS_FIRSTS
 from .presets import reference_joint_tables
-from .simplex import LpProblem, SimplexFailure, _check_finite, _solve, simplex_solve
+from .simplex import SimplexFailure, _check_finite, _solve, simplex_solve
 
 BISECTION_STEPS = 40
 CERTIFICATE_TOL = 1e-7
@@ -172,7 +172,7 @@ def marginals_of(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _feasibility(exp: ExperimentProbabilities):
     target = exp.tables.reshape(36)[INDEPENDENT_ROWS]
-    return simplex_solve(LpProblem(np.zeros(N_ATOMS), _ROW_MATRIX, target))
+    return simplex_solve(np.zeros(N_ATOMS), _ROW_MATRIX, target)
 
 
 def lhv_weights(exp: ExperimentProbabilities) -> np.ndarray | None:

@@ -68,7 +68,7 @@ from .engine import (
     experiment_probabilities,
     relabeling_at,
 )
-from .inequality import CLASS_CH, CLASS_FIRSTS, FLAT_LHS, analytic_threshold, noise_crossing
+from .inequality import CLASS_CH, CLASS_FIRSTS, analytic_threshold, noise_crossing
 from .lhv import NoiseBound, _min_noise_lp, min_noise_lp, threshold_gradient
 from .simplex import SimplexFailure
 
@@ -131,7 +131,7 @@ def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
 def _relabel_maxed_scores(exp0) -> np.ndarray:
     """Analytic threshold of every relabeling class, as a length-432 array
     in ``CLASS_FIRSTS`` order."""
-    return noise_crossing(exp0.vector() @ CLASS_CH, FLAT_LHS)
+    return noise_crossing(exp0.vector() @ CLASS_CH)
 
 
 @functools.cache
@@ -308,7 +308,7 @@ def optimize(
         norm = None
         try:
             if method == "analytic":
-                value = noise_crossing(_coordinate_ascent(class_values, x), FLAT_LHS)
+                value = noise_crossing(_coordinate_ascent(class_values, x))
             else:
                 # f_min is 0 wherever the box is local, so the LP's gradient
                 # is too; the largest relabeled functional value leads off

@@ -20,12 +20,15 @@ Phase 1 gives each row an artificial column signed like its right-hand
 side, so the artificial basis is feasible for the rows as given and is its
 own inverse; no row is negated. A problem is infeasible when phase 1
 cannot bring the sum of the artificials below ``INFEASIBILITY_TOL``.
-Leftover artificials are pivoted out, and phase 2 starts from phase 1's
-B^-1, checked like any carried inverse (below); if a row was dropped as
-redundant, phase 2 factorizes instead and hands on no basis. The intended
-problems are tiny (tens of rows, around a hundred columns); all is dense.
+Leftover artificials are pivoted out, each on its row's largest structural
+entry outside the basis; a row with none above ``_DEPENDENT_TOL`` is a
+combination of the others, and the solve raises SimplexFailure, as the
+rows of the intended problems are linearly independent. Phase 2 starts
+from phase 1's B^-1, checked like any carried inverse (below). The
+intended problems are tiny (tens of rows, around a hundred columns); all
+is dense.
 
-A solution carries its optimal basis and B^-1, and a solve can start from
+Every optimal solution carries its basis and B^-1, and a solve can start from
 such a basis, for instance that of a nearby problem. A given inverse is
 used only if max |B^-1 B - I| <= ``INVERSE_TOL`` on the new matrix;
 otherwise, or when only the basis is given, the basis is factorized once.
@@ -63,7 +66,7 @@ PIVOT_TOL = 1e-8
 INFEASIBILITY_TOL = 1e-9
 INVERSE_TOL = 1e-9  # max |B^-1 B - I| of an inverse carried into a solve
 _RATIO_WINDOW = 1e-9
-_REDUNDANT_TOL = 1e-7
+_DEPENDENT_TOL = 1e-7
 _FEASIBILITY_DRIFT = 1e-7
 _START_FEASIBILITY = 1e-12
 
@@ -72,27 +75,20 @@ State = tuple[np.ndarray, np.ndarray]
 
 
 class SimplexFailure(RuntimeError):
-    """The solver could not certify a result (cap, unbounded, bad basis)."""
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """min objective @ x subject to eq_matrix @ x = eq_rhs, x >= 0."""
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
+    """The solver could not certify a result (cap, unbounded, bad basis,
+    linearly dependent rows)."""
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver outcome; x and objective_value are None when infeasible.
+    """Solver outcome; x, objective_value, basis and inverse are None when
+    infeasible.
 
     ``start`` is "accepted", "repaired" or "cold": what became of the given
     start basis (see the module docstring). Without a start it is "cold".
-    ``inverse`` is the read-only B^-1 of ``basis`` that confirmed the
-    optimum, for the next solve's ``inverse``; both are None when phase 1
-    dropped redundant rows.
+    An optimal solution's ``basis`` holds one column per row, and
+    ``inverse`` is its read-only B^-1 that confirmed the optimum, for the
+    next solve's ``start`` and ``inverse``.
     """
 
     status: str
@@ -308,45 +304,46 @@ def _warm(
 
 def _optimum(
     cost: np.ndarray, basis: np.ndarray, values: np.ndarray,
-    inverse: np.ndarray | None, outcome: str, iterations: int,
+    inverse: np.ndarray, outcome: str, iterations: int,
 ) -> LpSolution:
-    """The optimal solution; without ``inverse`` it carries no basis."""
+    """The optimal solution, carrying ``basis`` and its frozen ``inverse``."""
     x = np.zeros(len(cost))
     x[basis] = values
-    if inverse is not None:
-        inverse.setflags(write=False)
-        basis = tuple(basis.tolist())
-    else:
-        basis = None
-    return LpSolution("optimal", x, float(cost @ x), iterations, basis, outcome, inverse)
+    inverse.setflags(write=False)
+    return LpSolution(
+        "optimal", x, float(cost @ x), iterations, tuple(basis.tolist()), outcome, inverse
+    )
 
 
 def simplex_solve(
-    problem: LpProblem,
+    objective: np.ndarray,
+    eq_matrix: np.ndarray,
+    eq_rhs: np.ndarray,
     max_iterations: int | None = None,
     start: Sequence[int] | None = None,
     inverse: np.ndarray | None = None,
 ) -> LpSolution:
-    """Solve an equality-form LP; raises SimplexFailure if uncertifiable.
+    """Solve min objective @ x subject to eq_matrix @ x = eq_rhs, x >= 0;
+    raises SimplexFailure if uncertifiable.
 
     Status is "optimal" or "infeasible". Unboundedness, a numerically broken
-    basis, and running past the iteration cap (default 10 * (rows + columns))
-    all raise instead of returning, since none of them carries a usable
-    certificate. Data of the wrong shape or with a non-finite entry raises
-    ValueError naming the array.
+    basis, consistent but linearly dependent rows ("equality rows are
+    linearly dependent") and running past the iteration cap (default
+    10 * (rows + columns)) all raise instead of returning, since none of
+    them carries a usable certificate. Data of the wrong shape or with a
+    non-finite entry raises ValueError naming the array.
 
     ``start`` is an optional basis, one column index per row, typically the
     ``basis`` of an earlier solution of a nearby problem, and ``inverse``
     that solution's ``inverse``, used only if it still inverts the basis
     matrix. The returned ``start`` says what became of the start (see the
     module docstring); ``iterations`` counts the pivots of the path that
-    produced the result. The returned ``basis`` and ``inverse`` are None
-    when phase 1 dropped redundant rows. An accepted optimal start hands
-    back a read-only ``inverse`` as it was given, not a copy.
+    produced the result. An accepted optimal start hands back a read-only
+    ``inverse`` as it was given, not a copy.
     """
-    matrix = np.asarray(problem.eq_matrix, dtype=float)
-    rhs = np.asarray(problem.eq_rhs, dtype=float)
-    cost = np.asarray(problem.objective, dtype=float)
+    matrix = np.asarray(eq_matrix, dtype=float)
+    rhs = np.asarray(eq_rhs, dtype=float)
+    cost = np.asarray(objective, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("eq_matrix must be two dimensional")
     n_rows, n_vars = matrix.shape
@@ -406,33 +403,23 @@ def _solve(
         return LpSolution("infeasible", None, None, iterations)
 
     # drive leftover artificials out of the basis by pivots on phase 1's
-    # state; a row whose structural entries have all been eliminated is
-    # redundant and gets dropped
+    # state; a row whose structural entries have all been eliminated is a
+    # combination of the others
     state = _state(inverse, values, reduced)
     tableau = state[0]
     in_basis = np.zeros(n_vars, dtype=bool)
     in_basis[basis[basis < n_vars]] = True
-    kept: list[int] = []
-    for i in range(n_rows):
-        if basis[i] < n_vars:
-            kept.append(i)
-            continue
+    for i in np.flatnonzero(basis >= n_vars):
         row = tableau[i, :-1] @ phase1_matrix
         magnitude = np.where(in_basis, 0.0, np.abs(row[:n_vars]))
         j = int(np.argmax(magnitude))
-        if magnitude[j] <= _REDUNDANT_TOL:
-            continue
+        if magnitude[j] <= _DEPENDENT_TOL:
+            raise SimplexFailure("equality rows are linearly dependent")
         _pivot(state, basis, i, j, tableau[:, :-1] @ matrix[:, j], row)
         in_basis[j] = True
-        kept.append(i)
 
-    # phase 2 on the surviving rows, original objective, from phase 1's
-    # B^-1 unless a row was dropped
-    basis = basis[kept]
-    dropped = len(kept) < n_rows
+    # phase 2 with the original objective from phase 1's B^-1
     (inverse, values, _), iterations = _primal(
-        matrix[kept], rhs[kept], cost, basis, None if dropped else tableau[:, :-1].copy(),
-        iterations, max_iterations,
+        matrix, rhs, cost, basis, tableau[:, :-1].copy(), iterations, max_iterations
     )
-    # after a dropped row there is no basis with one column per row to hand on
-    return _optimum(cost, basis, values, None if dropped else inverse, "cold", iterations)
+    return _optimum(cost, basis, values, inverse, "cold", iterations)

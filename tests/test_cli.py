@@ -179,6 +179,12 @@ def test_malformed_settings_files_name_the_field(tmp_path, capsys):
             "'relabel.a1'",
         ),
         (
+            # sorted([True, 2, 3]) == [1, 2, 3], yet a boolean is no index
+            '{"alice": [[0,0,0],[0,0,0]], "bob": [[0,0,0],[0,0,0]],'
+            ' "relabel": {"a1": [1,2,3], "a2": [1,2,3], "b1": [true,2,3], "b2": [1,2,3]}}',
+            "'relabel.b1' is not a permutation of [1, 2, 3]",
+        ),
+        (
             '{"alice": [[0,0,0],[0,0,0]], "bob": [[0,0,0],[0,0,0]],'
             ' "relabel": {"a1": [1,2,3]}}',
             "'relabel.a2'",

@@ -28,7 +28,7 @@ from qutrit_ch.lhv import (
 )
 from qutrit_ch.optimizer import optimize
 from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
-from qutrit_ch.simplex import INVERSE_TOL, LpProblem, LpSolution, SimplexFailure, simplex_solve
+from qutrit_ch.simplex import INVERSE_TOL, LpSolution, SimplexFailure, simplex_solve
 
 
 def random_settings(rng):
@@ -55,7 +55,7 @@ def scipy_min_noise(exp0):
 def cold_min_noise(exp0):
     """f_min and weights of the noise LP solved by the two-phase path."""
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
-    solution = simplex_solve(LpProblem(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0))
+    solution = simplex_solve(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
     assert solution.start == "cold"
     g = solution.objective_value
     return g / (1.0 + g), solution.x[:N_ATOMS] / (1.0 + g)
@@ -265,6 +265,9 @@ def test_independent_rows_span_every_joint_equation():
     full = np.vstack([MARGINAL_MATRIX, np.ones((1, N_ATOMS))])
     kept = MARGINAL_MATRIX[INDEPENDENT_ROWS]
     assert np.linalg.matrix_rank(kept) == 25 == np.linalg.matrix_rank(full)
+    # full row rank is what the simplex needs: it raises on dependent rows
+    for matrix in (lhv_module._ROW_MATRIX, lhv_module._NOISE_MATRIX):
+        assert matrix.shape[0] == np.linalg.matrix_rank(matrix) == 25
     # every dropped row and the weight sum are combinations of the kept rows
     coeffs, *_ = np.linalg.lstsq(kept.T, full.T, rcond=None)
     assert np.max(np.abs(kept.T @ coeffs - full.T)) < 1e-12
@@ -615,9 +618,9 @@ def test_criterion_9_fallbacks_are_solved_by_a_repaired_warm_start(previous, fai
 def test_the_flat_box_accepts_the_anchor_basis_as_it_stands():
     flat = mix_with_noise(experiment_probabilities(reference_settings()), 1.0)
     t0 = flat.tables.reshape(36)[INDEPENDENT_ROWS]
-    problem = LpProblem(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
+    problem = (lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
     # the literal anchor is the basis the two-phase solve finds for the flat box
-    assert simplex_solve(problem).basis == lhv_module._ANCHOR_BASIS
+    assert simplex_solve(*problem).basis == lhv_module._ANCHOR_BASIS
     bound = min_noise_lp(flat)
     assert bound.start == "accepted"
     assert bound.iterations == 0
@@ -786,24 +789,24 @@ def test_an_iteration_cap_below_the_repair_raises(kind):
     else:
         exp0 = anchored_box(kind, np.random.default_rng(31))
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
-    problem = LpProblem(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
+    problem = (lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
     basis, inverse = lhv_module._ANCHOR_BASIS, lhv_module._basis_inverse(lhv_module._ANCHOR_BASIS)
-    repaired = simplex_solve(problem, start=basis, inverse=inverse)
+    repaired = simplex_solve(*problem, start=basis, inverse=inverse)
     assert repaired.start == "repaired"
     assert repaired.iterations > 1
     # the cap stops the dual pivots and then the cold fallback, which needs
     # more pivots still; neither loops
     for cap in range(1, repaired.iterations):
         with pytest.raises(SimplexFailure, match="no certified optimum within"):
-            simplex_solve(problem, max_iterations=cap, start=basis, inverse=inverse)
+            simplex_solve(*problem, max_iterations=cap, start=basis, inverse=inverse)
     # a cap of exactly the pivots a solve needs lets it finish
     same_solution(
-        simplex_solve(problem, max_iterations=repaired.iterations, start=basis, inverse=inverse),
+        simplex_solve(*problem, max_iterations=repaired.iterations, start=basis, inverse=inverse),
         repaired,
     )
-    cold = simplex_solve(problem)
-    same_solution(simplex_solve(problem, max_iterations=cold.iterations), cold)
+    cold = simplex_solve(*problem)
+    same_solution(simplex_solve(*problem, max_iterations=cold.iterations), cold)
     with pytest.raises(SimplexFailure, match="no certified optimum within"):
-        simplex_solve(problem, max_iterations=cold.iterations - 1)
+        simplex_solve(*problem, max_iterations=cold.iterations - 1)
     if kind == "reference":
         assert (repaired.iterations, cold.iterations) == (28, 63)

@@ -21,7 +21,6 @@ from qutrit_ch.inequality import (
     CH_VECTOR,
     CLASS_CH,
     CLASS_FIRSTS,
-    FLAT_LHS,
     analytic_threshold,
     noise_crossing,
 )
@@ -122,7 +121,7 @@ def test_one_crossing_of_the_largest_class_value_is_the_best_score():
     rng = np.random.default_rng(41)
     for _ in range(300):
         exp0 = _kernel_box(_fourier_kernel(rng.uniform(0, 2 * np.pi, 12))[0])
-        best = noise_crossing((exp0.vector() @ CLASS_CH).max(), FLAT_LHS)
+        best = noise_crossing((exp0.vector() @ CLASS_CH).max())
         assert isinstance(best, float)
         assert best == _relabel_maxed_scores(exp0).max()
 

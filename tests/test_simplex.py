@@ -4,11 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import qutrit_ch.simplex as simplex_module
-from qutrit_ch.simplex import LpProblem, LpSolution, SimplexFailure, simplex_solve
-
-
-def solve(c, a, b, **kw):
-    return simplex_solve(LpProblem(np.asarray(c, float), np.asarray(a, float), np.asarray(b, float)), **kw)
+from qutrit_ch.simplex import INVERSE_TOL, LpSolution, SimplexFailure
+from qutrit_ch.simplex import simplex_solve as solve  # solve(c, a, b, **kw)
 
 
 def test_simple_bounded_problem():
@@ -64,15 +61,13 @@ def test_iteration_cap_raises_instead_of_returning_garbage():
     assert sol.status == "optimal"
 
 
-def test_redundant_rows_are_tolerated():
+def test_consistent_dependent_rows_raise():
+    # the third row is the sum of the first two, and b agrees, so phase 1
+    # succeeds but leaves an artificial with no structural entry to pivot on
     a = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]]
     b = [1.0, 1.0, 2.0]
-    sol = solve([1.0, -1.0, 2.0], a, b)
-    assert sol.status == "optimal"
-    assert np.max(np.abs(np.asarray(a) @ sol.x - b)) < 1e-10
-    assert abs(sol.objective_value + 1.0) < 1e-10
-    # a dropped row leaves no basis with one column per row to start from
-    assert sol.basis is None
+    with pytest.raises(SimplexFailure, match="equality rows are linearly dependent"):
+        solve([1.0, -1.0, 2.0], a, b)
 
 
 def test_degenerate_rhs_is_handled():
@@ -124,6 +119,9 @@ def test_agrees_with_reference_solver_on_random_problems():
         assert abs(sol.objective_value - ref.fun) < 1e-7
         assert np.max(np.abs(a @ sol.x - b)) < 1e-8
         assert sol.x.min() > -1e-9
+        # every optimum hands on its basis and an inverse of it
+        gap = sol.inverse @ a[:, list(sol.basis)] - np.eye(m)
+        assert np.abs(gap).max() <= INVERSE_TOL
         solved += 1
     assert solved >= 20
 
