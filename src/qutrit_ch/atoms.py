@@ -9,8 +9,6 @@ local-hidden-variable models.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 N_ATOMS = 81
@@ -38,29 +36,24 @@ def atom_at(index: int) -> tuple[int, int, int, int]:
     return ATOMS[index]
 
 
-def _build_indicators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    outcomes = np.array(ATOMS)  # (81, 4) columns a1, a2, b1, b2
-    joint = np.zeros((2, 2, 3, 3, N_ATOMS))
-    alice = np.zeros((2, 3, N_ATOMS))
-    bob = np.zeros((2, 3, N_ATOMS))
-    for k, l, a, b in itertools.product(range(2), range(2), range(3), range(3)):
-        joint[k, l, a, b] = (outcomes[:, k] == a + 1) & (outcomes[:, 2 + l] == b + 1)
-    for k, a in itertools.product(range(2), range(3)):
-        alice[k, a] = outcomes[:, k] == a + 1
-        bob[k, a] = outcomes[:, 2 + k] == a + 1
-    return joint, alice, bob
+# row i maps strategy weights to entry i of ExperimentProbabilities.vector()
+# (36 joints, 6 alice, 6 bob singles). An alice or bob row is 1 on the atoms
+# whose observable takes that outcome, and a joint row of table (k, l) at
+# (a, b) is the product of alice's row (k, a) and bob's row (l, b). Read-only,
+# like the views below.
+_SINGLE = np.array(ATOMS).T[:, None] == np.arange(1, 4)[:, None]  # (4, 3, 81)
+_SINGLE.setflags(write=False)
+INDICATOR_MATRIX = np.concatenate([
+    (_SINGLE[:2, None, :, None] & _SINGLE[None, 2:, None, :]).reshape(36, N_ATOMS),
+    _SINGLE.reshape(12, N_ATOMS),
+], dtype=float)
+INDICATOR_MATRIX.setflags(write=False)
 
-
+# the 36 joint-marginal equations, rows in (k, l, a, b) odometer order with
+# b fastest
+MARGINAL_MATRIX = INDICATOR_MATRIX[:36]
 # indicator tensors: JOINT_INDICATOR[k,l,a,b,i] == 1 iff atom i has a_{k+1}=a+1
 # and b_{l+1}=b+1; contracting a weight vector over the last axis marginalizes
-JOINT_INDICATOR, ALICE_INDICATOR, BOB_INDICATOR = _build_indicators()
-
-# the 36 joint-marginal equations as one matrix, rows in (k, l, a, b) odometer
-# order with b fastest
-MARGINAL_MATRIX = JOINT_INDICATOR.reshape(36, N_ATOMS)
-
-# all three indicator tensors stacked: row i maps strategy weights to entry i
-# of ExperimentProbabilities.vector() (36 joints, 6 alice, 6 bob singles)
-INDICATOR_MATRIX = np.vstack(
-    [MARGINAL_MATRIX, ALICE_INDICATOR.reshape(6, -1), BOB_INDICATOR.reshape(6, -1)]
-)
+JOINT_INDICATOR = MARGINAL_MATRIX.reshape(2, 2, 3, 3, N_ATOMS)
+ALICE_INDICATOR = INDICATOR_MATRIX[36:42].reshape(2, 3, N_ATOMS)
+BOB_INDICATOR = INDICATOR_MATRIX[42:].reshape(2, 3, N_ATOMS)

@@ -100,9 +100,10 @@ def _check_noise(noise: float) -> float:
 
 def _clamp01(p: np.ndarray) -> np.ndarray:
     """``p`` clipped to [0, 1] in place; raises if it strays beyond
-    ``_CLAMP_TOL``."""
+    ``_CLAMP_TOL`` or holds NaN."""
     low, high = p.min(), p.max()
-    if low < -_CLAMP_TOL or high > 1.0 + _CLAMP_TOL:
+    # NaN fails both comparisons and raises too
+    if not (low >= -_CLAMP_TOL and high <= 1.0 + _CLAMP_TOL):
         raise RuntimeError(
             f"probability outside [0, 1] beyond tolerance: range [{low}, {high}]"
         )
@@ -151,12 +152,14 @@ def singles(u: np.ndarray) -> np.ndarray:
 
 
 def _validate_relabeling(relabel) -> tuple[tuple[int, int, int], ...]:
-    """The ``PERMUTATIONS`` entries ``relabel`` lists, one per observable."""
-    relabel = tuple(tuple(int(x) for x in perm) for perm in relabel)
+    """The ``PERMUTATIONS`` entries ``relabel`` lists, one per observable.
+    Entries are compared as given, so 1.5 or "1" is no outcome, and
+    booleans, although True == 1, are refused too."""
+    relabel = tuple(tuple(perm) for perm in relabel)
     if len(relabel) != 4:
         raise ValueError("relabel must give one permutation per observable")
     for perm in relabel:
-        if perm not in PERMUTATIONS:
+        if perm not in PERMUTATIONS or any(isinstance(x, (bool, np.bool_)) for x in perm):
             raise ValueError(f"relabel entry {perm} is not a permutation of (1, 2, 3)")
     return tuple(PERMUTATIONS[PERMUTATIONS.index(perm)] for perm in relabel)
 

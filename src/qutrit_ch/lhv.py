@@ -83,10 +83,12 @@ CERTIFICATE_TOL = 1e-7
 VIOLATION_MARGIN = (2 * N_ATOMS + 12 + 4 * 3) * CERTIFICATE_TOL + 4 * VALIDATION_TOL
 
 # the 25 independent rows of MARGINAL_MATRIX, see the module docstring
-_K, _L, _A, _B = np.indices((2, 2, 3, 3)).reshape(4, 36)
-INDEPENDENT_ROWS = np.flatnonzero(~(((_K == 1) & (_A == 2)) | ((_L == 1) & (_B == 2))))
+INDEPENDENT_ROWS = np.flatnonzero(
+    [not (k == 1 and a == 2 or l == 1 and b == 2) for k, l, a, b in np.ndindex(2, 2, 3, 3)]
+)
 INDEPENDENT_ROWS.setflags(write=False)
 _ROW_MATRIX = MARGINAL_MATRIX[INDEPENDENT_ROWS]
+_ROW_MATRIX.setflags(write=False)
 # the noise LP over (u, g), see min_noise_lp: only its right-hand side
 # depends on the experiment
 _NOISE_MATRIX = np.column_stack([_ROW_MATRIX, -FLAT_VECTOR[INDEPENDENT_ROWS]])
@@ -132,7 +134,7 @@ def _witness_basis(top: int) -> tuple[int, ...] | None:
     results are those of a fresh factorization), and none factorizes it."""
     t0 = _witness_box(top)[INDEPENDENT_ROWS]
     try:
-        return _solve(_NOISE_MATRIX, t0, _NOISE_COST, start=_ANCHOR_BASIS,
+        return _solve(_NOISE_COST, _NOISE_MATRIX, t0, start=_ANCHOR_BASIS,
                       inverse=_basis_inverse(_ANCHOR_BASIS)).basis
     except SimplexFailure:
         return None
@@ -240,7 +242,7 @@ def _min_noise_lp(
             inverse = _basis_inverse(basis)
     _check_finite(eq_rhs=t0)
     try:
-        solution = _solve(_NOISE_MATRIX, t0, _NOISE_COST, start=basis, inverse=inverse)
+        solution = _solve(_NOISE_COST, _NOISE_MATRIX, t0, start=basis, inverse=inverse)
     except SimplexFailure as exc:
         raise SimplexFailure(f"noise minimization LP failed: {exc}") from exc
     if solution.status != "optimal":
@@ -301,10 +303,8 @@ def min_noise_bisection(exp0: ExperimentProbabilities) -> NoiseBound:
             hi, best = mid, solution.x
         else:
             lo = mid
-    if best is None:
-        solution = _feasibility(mix_with_noise(exp0, hi))
-        iterations += solution.iterations
-        best = solution.x
+    # the flat box is interior to the local polytope, so some midpoint is
+    # local and sets best
     _check_certificate(exp0, hi, best)
     return NoiseBound(hi, best, iterations, "bisection")
 

@@ -302,7 +302,9 @@ def optimize(
             draw = np.concatenate(
                 [initial_phases.alice.ravel(), initial_phases.bob.ravel()]
             )
-        x = _pin_gauge(draw)
+        # reduced mod 2 pi, so that a large finite start cannot overflow the
+        # gauge shift or the kernel's phase sums; the identity on the draws
+        x = _pin_gauge(np.mod(draw, 2.0 * np.pi))
         # keeps restarts independent of each other
         seed_bound = None
         norm = None

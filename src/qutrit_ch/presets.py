@@ -21,6 +21,9 @@ REFERENCE_ALICE_PHASES = np.array(
 REFERENCE_BOB_PHASES = np.array(
     [[0.0, np.pi / 6, -np.pi / 6], [0.0, -np.pi / 6, np.pi / 6]]
 )
+# read-only, so that no caller can change what reference_settings() returns
+REFERENCE_ALICE_PHASES.setflags(write=False)
+REFERENCE_BOB_PHASES.setflags(write=False)
 
 # frozen result of find_matching_relabeling(literal engine tables, closed form)
 REFERENCE_RELABELING = ((1, 3, 2), (1, 3, 2), (1, 3, 2), (2, 1, 3))

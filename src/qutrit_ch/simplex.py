@@ -12,8 +12,7 @@ nearly singular bases behind), and among rows essentially tied in it the
 largest pivot element wins. One loop makes all pivots: it raises
 SimplexFailure past the iteration cap and refactorizes every
 ``REFACTOR_EVERY`` pivots. The basis is also factorized afresh whenever
-the primal pivots believe it optimal (a run that stops right after a
-periodic refactorization reuses that one), so a claimed optimum is always
+the primal pivots believe it optimal, so a claimed optimum is always
 confirmed from the original data, free of accumulated roundoff; non-finite
 reduced costs there raise SimplexFailure.
 Phase 1 gives each row an artificial column signed like its right-hand
@@ -220,25 +219,21 @@ def _run(
     step, matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray,
     confirmed: tuple[np.ndarray, np.ndarray, np.ndarray], iterations: int,
     max_iterations: int,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None, int]:
+) -> tuple[np.ndarray, int]:
     """Pivot by ``step`` from ``confirmed`` (B^-1, basic values and reduced
     costs of ``basis``) until the step stops, refactorizing every
     ``REFACTOR_EVERY`` pivots. Returns the last B^-1 (a view into the
-    state), the last refactorization's confirmation if no pivot followed it
-    (else None) and the pivot count. Raises SimplexFailure past
+    state) and the pivot count. Raises SimplexFailure past
     ``max_iterations`` pivots."""
     start = iterations
     state = _state(*confirmed)
-    fresh = None
     while step(state, basis, matrix, rhs):
-        fresh = None
         iterations += 1
         if iterations > max_iterations:
             raise SimplexFailure(f"no certified optimum within {max_iterations} pivots")
         if (iterations - start) % REFACTOR_EVERY == 0:
-            fresh = _confirmed(matrix, rhs, cost, basis, None)
-            state = _state(*fresh)
-    return state[0][:, :-1], fresh, iterations
+            state = _state(*_confirmed(matrix, rhs, cost, basis, None))
+    return state[0][:, :-1], iterations
 
 
 def _primal(
@@ -254,12 +249,11 @@ def _primal(
             raise SimplexFailure("basis lost feasibility")
         if confirmed[2].min() >= -PIVOT_TOL:
             return confirmed, iterations
-        _, fresh, iterations = _run(
+        _, iterations = _run(
             _bland_step, matrix, rhs, cost, basis, confirmed, iterations, max_iterations
         )
-        # confirm a claimed optimum on a fresh factorization; a run that
-        # stopped right after its periodic refactorization already made one
-        confirmed = fresh if fresh is not None else _confirmed(matrix, rhs, cost, basis, None)
+        # confirm a claimed optimum on a fresh factorization
+        confirmed = _confirmed(matrix, rhs, cost, basis, None)
 
 
 def _warm(
@@ -291,7 +285,7 @@ def _warm(
         return None
     else:
         outcome = "repaired"
-        inverse, _, iterations = _run(
+        inverse, iterations = _run(
             _dual_step, matrix, rhs, cost, basis, confirmed, iterations, max_iterations
         )
     # Bland pivots from here if needed; a repaired basis is confirmed on its
@@ -352,7 +346,7 @@ def simplex_solve(
     if cost.shape != (n_vars,):
         raise ValueError("objective length does not match eq_matrix columns")
     _check_finite(eq_matrix=matrix, eq_rhs=rhs, objective=cost)
-    return _solve(matrix, rhs, cost, max_iterations, start, inverse)
+    return _solve(cost, matrix, rhs, max_iterations, start, inverse)
 
 
 def _check_finite(**arrays: np.ndarray) -> None:
@@ -363,7 +357,7 @@ def _check_finite(**arrays: np.ndarray) -> None:
 
 
 def _solve(
-    matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray,
+    cost: np.ndarray, matrix: np.ndarray, rhs: np.ndarray,
     max_iterations: int | None = None, start: Sequence[int] | None = None,
     inverse: np.ndarray | None = None,
 ) -> LpSolution:

@@ -166,11 +166,29 @@ def test_usage_errors_exit_one(capsys):
     assert main(["threshold", "--method", "lp"]) == 1
     assert main(["nonsense"]) == 1
     assert main(["threshold", "--settings", "x.json", "--method", "bogus"]) == 1
+    capsys.readouterr()
+    for argv, needle in (
+        (["optimize", "--restarts", "0", "--seed", "1"], "--restarts must be at least 1, got 0"),
+        (["optimize", "--restarts", "1", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert needle in err
 
 
 def test_malformed_settings_files_name_the_field(tmp_path, capsys):
     cases = [
         ("not json at all", "invalid JSON"),
+        ("[[0,0,0],[0,0,0]]", "top level must be an object"),
+        (
+            '{"alice": [[0,0,0],[0,0,0]], "bob": [[0,0,0],[0,0,0]], "relabel": [[1,2,3]]}',
+            "field 'relabel' must be an object",
+        ),
+        (
+            # Python's json reads the NaN literal as a float
+            '{"alice": [[0,NaN,0],[0,0,0]], "bob": [[0,0,0],[0,0,0]]}',
+            "phases must be finite",
+        ),
         ('{"bob": [[0,0,0],[0,0,0]]}', "'alice'"),
         ('{"alice": [[0,0],[0,0,0]], "bob": [[0,0,0],[0,0,0]]}', "'alice'"),
         (

@@ -54,6 +54,9 @@ def test_observable_unitary_validates_input():
         observable_unitary(np.zeros(4))
     with pytest.raises(ValueError):
         observable_unitary(np.array([0.0, np.nan, 0.0]))
+    # is_unitary answers False, without raising, for a wrong shape or NaN
+    assert not is_unitary(np.eye(2))
+    assert not is_unitary(np.where(np.eye(3) == 1.0, np.nan, 0.0))
 
 
 def test_joint_table_is_normalized_for_random_settings():
@@ -119,6 +122,21 @@ def test_phase_settings_validation():
         PhaseSettings(np.zeros((2, 3)), np.zeros((2, 3)), relabel=((1, 2, 2),) * 4)
     with pytest.raises(ValueError):
         PhaseSettings(np.zeros((2, 3)), np.zeros((2, 3)), relabel=((1, 2, 3),) * 3)
+    # entries are compared as given, never truncated or parsed: 1.5 and "1"
+    # are no outcome, (2.9, 1, 3) is not (2, 1, 3), and True is no index
+    exp = experiment_probabilities(reference_like())
+    for bad in ((1.5, 2, 3), ("1", "2", "3"), (2.9, 1, 3), (True, 2, 3)):
+        relabel = ((1, 2, 3), bad, (1, 2, 3), (1, 2, 3))
+        with pytest.raises(ValueError, match="is not a permutation"):
+            PhaseSettings(np.zeros((2, 3)), np.zeros((2, 3)), relabel=relabel)
+        with pytest.raises(ValueError, match="is not a permutation"):
+            apply_relabeling(exp, relabel)
+    # the box's own shapes
+    uniform = np.full((2, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError, match="tables must have shape"):
+        ExperimentProbabilities(np.full((2, 3, 3), 1.0 / 9.0), uniform, uniform)
+    with pytest.raises(ValueError, match="singles must have shape"):
+        ExperimentProbabilities(np.full((2, 2, 3, 3), 1.0 / 9.0), uniform, np.full(3, 1.0 / 3.0))
 
 
 def test_relabeled_settings_share_the_module_permutations():
@@ -243,6 +261,9 @@ def test_fourier_kernel_range_checks_its_joints(monkeypatch):
     phases = np.random.default_rng(47).uniform(0, 2 * np.pi, 12)
     with pytest.raises(RuntimeError, match="outside"):
         _fourier_kernel(phases)
+    # NaN fails both range comparisons, so it raises rather than passing
+    with pytest.raises(RuntimeError, match="outside"):
+        engine_module._clamp01(np.array([0.5, np.nan, 0.25]))
 
 
 def test_validate_catches_bad_normalization_and_signaling():

@@ -699,9 +699,11 @@ def test_only_a_violating_box_starts_from_its_class_witness_basis(monkeypatch):
     starts = []
     solve = lhv_module._solve
 
-    def recorded(*args, **kwargs):
+    def recorded(cost, matrix, rhs, **kwargs):
+        # every noise LP passes (cost, matrix, rhs), as simplex_solve takes them
+        assert cost is lhv_module._NOISE_COST and matrix is lhv_module._NOISE_MATRIX
         starts.append(kwargs["start"])
-        return solve(*args, **kwargs)
+        return solve(cost, matrix, rhs, **kwargs)
 
     monkeypatch.setattr(lhv_module, "_solve", recorded)
     for exp0 in local:
@@ -722,8 +724,9 @@ def test_a_witness_start_borrows_its_cached_inverse(monkeypatch):
     solve = lhv_module._solve
     calls = []
 
-    def recorded(*args, **kwargs):
-        calls.append((kwargs, solve(*args, **kwargs)))
+    def recorded(cost, matrix, rhs, **kwargs):
+        assert cost is lhv_module._NOISE_COST and matrix is lhv_module._NOISE_MATRIX
+        calls.append((kwargs, solve(cost, matrix, rhs, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(lhv_module, "_solve", recorded)
@@ -738,7 +741,7 @@ def test_a_witness_start_borrows_its_cached_inverse(monkeypatch):
         assert not inverse.flags.writeable
         # the same bits as a solve that factorizes the witness basis itself
         t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
-        fresh = solve(lhv_module._NOISE_MATRIX, t0, lhv_module._NOISE_COST, start=witness)
+        fresh = solve(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0, start=witness)
         same_solution(solution, fresh)
         assert np.array_equal(solution.inverse, fresh.inverse)
 
@@ -764,11 +767,12 @@ def test_a_class_whose_witness_solve_fails_starts_from_the_anchor(monkeypatch):
     solve = lhv_module._solve
     calls = []
 
-    def failing_once(*args, **kwargs):
+    def failing_once(cost, matrix, rhs, **kwargs):
+        assert cost is lhv_module._NOISE_COST and matrix is lhv_module._NOISE_MATRIX
         calls.append(kwargs["start"])
         if len(calls) == 1:
             raise SimplexFailure("basis matrix is singular")
-        return solve(*args, **kwargs)
+        return solve(cost, matrix, rhs, **kwargs)
 
     lhv_module._witness_basis.cache_clear()
     monkeypatch.setattr(lhv_module, "_solve", failing_once)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -546,6 +547,27 @@ def test_search_from_the_reference_start_keeps_the_optimum():
     )
     assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-6
     assert result.evaluations > 0
+
+
+@pytest.mark.parametrize("method", ["lp", "analytic"])
+def test_a_huge_finite_start_is_searched_from_its_phases_mod_2_pi(method):
+    # phases near the largest double are valid settings; the search reduces
+    # them mod 2 pi before pinning the gauge, so nothing overflows
+    alice = np.array([[1e308, -1e308, 3.0], [2e300, -5.5e200, 1.0]])
+    bob = np.array([[-1e308, 7.0, 1e308], [0.5, 1e307, -1e306]])
+    huge = PhaseSettings(alice, bob)
+    reduced = PhaseSettings(np.mod(alice, 2 * np.pi), np.mod(bob, 2 * np.pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = optimize(1, seed=3, method=method, initial_phases=huge)
+    expected = optimize(1, seed=3, method=method, initial_phases=reduced)
+    assert np.array_equal(result.best_settings.alice, expected.best_settings.alice)
+    assert np.array_equal(result.best_settings.bob, expected.best_settings.bob)
+    assert result.best_settings.relabel == expected.best_settings.relabel
+    assert (result.best_threshold, result.evaluations, result.lp_pivots) == (
+        expected.best_threshold, expected.evaluations, expected.lp_pivots
+    )
+    assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
 
 
 def test_analytic_restart_rediscovers_a_near_optimal_setting():

@@ -1,11 +1,17 @@
-import numpy as np
+import importlib
+import pkgutil
 
+import numpy as np
+import pytest
+
+import qutrit_ch
 from qutrit_ch.engine import (
     ExperimentProbabilities,
     experiment_probabilities,
     find_matching_relabeling,
 )
 from qutrit_ch.presets import (
+    REFERENCE_ALICE_PHASES,
     REFERENCE_NOISE_THRESHOLD,
     REFERENCE_RELABELING,
     reference_joint_tables,
@@ -42,3 +48,19 @@ def test_frozen_relabeling_is_the_lexicographically_first_match():
 def test_threshold_constant_matches_its_closed_form():
     assert REFERENCE_NOISE_THRESHOLD == (11.0 - 6.0 * np.sqrt(3.0)) / 2.0
     assert 0.30384 < REFERENCE_NOISE_THRESHOLD < 0.30385
+
+
+def test_no_module_level_array_is_writable():
+    # module tables are shared by every caller: writing one, such as
+    # REFERENCE_ALICE_PHASES[0, 1] = 0, would silently change later results
+    with pytest.raises(ValueError, match="read-only"):
+        REFERENCE_ALICE_PHASES[0, 1] = 0.0
+    arrays = 0
+    for info in pkgutil.iter_modules(qutrit_ch.__path__):
+        module = importlib.import_module(f"qutrit_ch.{info.name}")
+        for name, value in vars(module).items():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    arrays += 1
+                    assert not array.flags.writeable, f"{info.name}.{name}"
+    assert arrays > 20

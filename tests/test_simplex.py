@@ -90,6 +90,8 @@ def test_shape_validation():
         solve([1.0], [[1.0, 2.0]], [1.0])
     with pytest.raises(ValueError):
         solve([1.0, 2.0], [[1.0, 2.0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="eq_matrix must be two dimensional"):
+        solve([1.0, 2.0], [1.0, 2.0], [1.0])
 
 
 def test_agrees_with_reference_solver_on_random_problems():
@@ -446,10 +448,11 @@ def test_a_short_cold_solve_factorizes_at_most_twice(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_a_run_that_stops_at_its_periodic_refactorization_is_not_factorized_again(monkeypatch):
-    # phase 2 of this problem stops right after its REFACTOR_EVERY-th pivot,
-    # so that refactorization confirms the optimum: one factorization
-    # confirms phase 1 and the other is the periodic one
+def test_a_run_that_stops_at_its_periodic_refactorization_is_confirmed_afresh(monkeypatch):
+    # phase 2 of this problem stops right after its REFACTOR_EVERY-th pivot;
+    # its optimum is still confirmed on a factorization of its own, as every
+    # claimed optimum is: one factorization confirms phase 1, one is the
+    # periodic one and one confirms phase 2
     c, a, b = _random_feasible_problem(51, 10, 30)
     calls, pivots = [], []
     factorize, run = simplex_module._factorize, simplex_module._run
@@ -468,8 +471,10 @@ def test_a_run_that_stops_at_its_periodic_refactorization_is_not_factorized_agai
     sol = solve(c, a, b)
     assert sol.status == "optimal"
     assert pivots[-1] == simplex_module.REFACTOR_EVERY
-    assert len(calls) == 2
-    # the same x and B^-1, to the bit, as a second fresh confirmation gives
+    assert len(calls) == 3
+    # the confirmation factorizes the periodic one's basis matrix again
+    assert np.array_equal(calls[1][0], calls[2][0])
+    # the same x and B^-1, to the bit, as a fresh factorization gives
     basis = np.array(sol.basis)
     inverse, values, _ = simplex_module._confirmed(a, b, c, basis, None)
     assert simplex_module._primal_feasible(values, simplex_module._FEASIBILITY_DRIFT)
