@@ -233,7 +233,8 @@ def optimize(
     Restart r draws its starting point from a stream keyed by (seed, r),
     so results are reproducible and independent of evaluation interleaving.
     ``initial_phases`` replaces the random start of restart 0 only (the
-    relabeling field of the given settings is ignored; gauge is re-pinned).
+    relabeling field of the given settings is ignored; every start is
+    reduced mod 2 pi and its gauge re-pinned).
     A restart whose solve fails is skipped and counted in the result's
     ``failed_restarts``. Ties keep the earliest restart: a later one is
     kept only if it beats it by more than the method's roundoff,
