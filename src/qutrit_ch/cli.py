@@ -22,28 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (
-    IDENTITY_RELABELING,
-    VALIDATION_TOL,
-    PhaseSettings,
-    experiment_probabilities,
-)
-from .inequality import (
-    analytic_threshold,
-    ch_coefficients,
-    ch_decomposition,
-    ch_lhs,
-    deterministic_value,
-)
-from .atoms import ATOMS
-from .lhv import CERTIFICATE_TOL, min_noise_lp
-from .optimizer import GRADIENT_TOL, ROUNDOFF_ULPS, STEP_TOL, optimize
-from .presets import (
-    REFERENCE_ALICE_PHASES,
-    REFERENCE_BOB_PHASES,
-    REFERENCE_RELABELING,
-)
-from .simplex import SimplexFailure
+# each layer is read as a module attribute at call time, so a command
+# runs only the submodules it calls (see the package's __init__)
+from . import atoms, engine, inequality, lhv, optimizer, presets
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,7 +83,7 @@ def render_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _load_settings(path: str) -> tuple[PhaseSettings, str]:
+def _load_settings(path: str) -> tuple[engine.PhaseSettings, str]:
     """Parse a settings file; raises _InputError naming the offending field."""
     try:
         raw = Path(path).read_bytes()
@@ -138,8 +119,8 @@ def _load_settings(path: str) -> tuple[PhaseSettings, str]:
             raise _InputError(
                 f"settings file: field '{field}' must be 2 arrays of 3 numbers"
             )
-        phases[field] = np.array(value, dtype=float)
-    relabel = IDENTITY_RELABELING
+        phases[field] = value
+    relabel = engine.IDENTITY_RELABELING
     if doc.get("relabel") is not None:
         rel = doc["relabel"]
         if not isinstance(rel, dict):
@@ -148,21 +129,17 @@ def _load_settings(path: str) -> tuple[PhaseSettings, str]:
         for key in RELABEL_KEYS:
             if key not in rel:
                 raise _InputError(f"settings file: missing field 'relabel.{key}'")
-            perm = rel[key]
-            # True == 1, so booleans would otherwise pass the sorted check
-            if not (
-                isinstance(perm, list)
-                and not any(isinstance(entry, bool) for entry in perm)
-                and sorted(perm) == [1, 2, 3]
-            ):
+            # the engine's rule, checked per entry so that the message names it
+            try:
+                perms.append(engine._validate_permutation(rel[key]))
+            except (TypeError, ValueError):
                 raise _InputError(
                     f"settings file: field 'relabel.{key}' is not a permutation"
                     " of [1, 2, 3]"
                 )
-            perms.append(tuple(int(entry) for entry in perm))
         relabel = tuple(perms)
     try:
-        settings = PhaseSettings(phases["alice"], phases["bob"], relabel)
+        settings = engine.PhaseSettings(phases["alice"], phases["bob"], relabel)
     except ValueError as exc:
         raise _InputError(f"settings file: {exc}")
     return settings, "sha256:" + hashlib.sha256(raw).hexdigest()
@@ -187,7 +164,7 @@ def _noise_arg(args) -> float:
 def _cmd_probs(args):
     settings, digest = _load_settings(args.settings)
     noise = _noise_arg(args)
-    exp = experiment_probabilities(settings, noise)
+    exp = engine.experiment_probabilities(settings, noise)
     exp.validate()
     results = {
         "noise": noise,
@@ -195,28 +172,28 @@ def _cmd_probs(args):
         "alice_singles": exp.alice_singles,
         "bob_singles": exp.bob_singles,
     }
-    return EXIT_OK, digest, results, {"validation": VALIDATION_TOL}
+    return EXIT_OK, digest, results, {"validation": engine.VALIDATION_TOL}
 
 
 def _cmd_ch(args):
     settings, digest = _load_settings(args.settings)
     noise = _noise_arg(args)
-    exp = experiment_probabilities(settings, noise)
-    return EXIT_OK, digest, {"noise": noise, "lhs": ch_lhs(exp)}, {}
+    exp = engine.experiment_probabilities(settings, noise)
+    return EXIT_OK, digest, {"noise": noise, "lhs": inequality.ch_lhs(exp)}, {}
 
 
 def _cmd_threshold(args):
     settings, digest = _load_settings(args.settings)
-    exp0 = experiment_probabilities(settings)
+    exp0 = engine.experiment_probabilities(settings)
     if args.method == "analytic":
-        outcome = analytic_threshold(exp0)
+        outcome = inequality.analytic_threshold(exp0)
         results = {
             "method": "analytic",
             "threshold": outcome.value,
             "violated": outcome.violated,
         }
         return EXIT_OK, digest, results, {}
-    bound = min_noise_lp(exp0)
+    bound = lhv.min_noise_lp(exp0)
     results = {
         "method": "lp",
         "threshold": bound.f_min,
@@ -224,14 +201,14 @@ def _cmd_threshold(args):
         "iterations": bound.iterations,
         "start": bound.start,
     }
-    return EXIT_OK, digest, results, {"certificate_residual": CERTIFICATE_TOL}
+    return EXIT_OK, digest, results, {"certificate_residual": lhv.CERTIFICATE_TOL}
 
 
 def _cmd_coeffs(args):
-    coeffs = ch_coefficients()
+    coeffs = inequality.ch_coefficients()
     if args.csv:
         lines = ["a1,a2,b1,b2,coefficient"]
-        for atom, value in zip(ATOMS, coeffs):
+        for atom, value in zip(atoms.ATOMS, coeffs):
             a1, a2, b1, b2 = atom
             lines.append(f"{a1},{a2},{b1},{b2},{int(value)}")
         print("\n".join(lines))
@@ -244,9 +221,9 @@ def _cmd_coeffs(args):
 
 
 def _cmd_verify(args):
-    coeffs = ch_coefficients()
-    first, second, remainder = ch_decomposition()
-    recomputed = np.array([float(deterministic_value(atom)) for atom in ATOMS])
+    coeffs = inequality.ch_coefficients()
+    first, second, remainder = inequality.ch_decomposition()
+    recomputed = np.array([float(inequality.deterministic_value(atom)) for atom in atoms.ATOMS])
     census = {value: int(np.sum(coeffs == value)) for value in (0.0, -1.0, -2.0)}
     checks = [
         ("coefficients_nonpositive", bool(coeffs.max() <= 0.0)),
@@ -283,9 +260,9 @@ def _cmd_verify(args):
 
 def _cmd_preset(args):
     # the bare settings document, valid as --settings input elsewhere
-    print(render_json(
-        _settings_document(REFERENCE_ALICE_PHASES, REFERENCE_BOB_PHASES, REFERENCE_RELABELING)
-    ))
+    print(render_json(_settings_document(
+        presets.REFERENCE_ALICE_PHASES, presets.REFERENCE_BOB_PHASES, presets.REFERENCE_RELABELING
+    )))
     return None
 
 
@@ -294,7 +271,7 @@ def _cmd_optimize(args):
         raise _InputError(f"--restarts must be at least 1, got {args.restarts}")
     if args.seed < 0:
         raise _InputError(f"--seed must be nonnegative, got {args.seed}")
-    result = optimize(args.restarts, args.seed, method=args.method)
+    result = optimizer.optimize(args.restarts, args.seed, method=args.method)
     settings = result.best_settings
     results = {
         "method": args.method,
@@ -309,9 +286,9 @@ def _cmd_optimize(args):
         "best_settings": _settings_document(settings.alice, settings.bob, settings.relabel),
     }
     if args.method == "lp":
-        tolerances = {"gradient": GRADIENT_TOL, "step": STEP_TOL}
+        tolerances = {"gradient": optimizer.GRADIENT_TOL, "step": optimizer.STEP_TOL}
     else:
-        tolerances = {"sweep_ulps": ROUNDOFF_ULPS}
+        tolerances = {"sweep_ulps": optimizer.ROUNDOFF_ULPS}
     return EXIT_OK, None, results, tolerances
 
 
@@ -372,7 +349,8 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"qutrit-ch: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SimplexFailure, RuntimeError, ValueError) as exc:
+    # RuntimeError covers the simplex's SimplexFailure
+    except (RuntimeError, ValueError) as exc:
         print(f"qutrit-ch: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if outcome is None:

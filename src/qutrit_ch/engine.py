@@ -151,17 +151,22 @@ def singles(u: np.ndarray) -> np.ndarray:
     return _born_rule(u[None], u[None], 0.0)[1][0]
 
 
+def _validate_permutation(perm) -> tuple[int, int, int]:
+    """The ``PERMUTATIONS`` entry equal to ``perm``. Entries are compared
+    as given, so 1.5 or "1" is no outcome, and booleans, although
+    True == 1, are refused too."""
+    perm = tuple(perm)
+    if perm not in PERMUTATIONS or any(isinstance(x, (bool, np.bool_)) for x in perm):
+        raise ValueError(f"relabel entry {perm} is not a permutation of (1, 2, 3)")
+    return PERMUTATIONS[PERMUTATIONS.index(perm)]
+
+
 def _validate_relabeling(relabel) -> tuple[tuple[int, int, int], ...]:
-    """The ``PERMUTATIONS`` entries ``relabel`` lists, one per observable.
-    Entries are compared as given, so 1.5 or "1" is no outcome, and
-    booleans, although True == 1, are refused too."""
-    relabel = tuple(tuple(perm) for perm in relabel)
+    """The ``PERMUTATIONS`` entries ``relabel`` lists, one per observable."""
+    relabel = tuple(relabel)
     if len(relabel) != 4:
         raise ValueError("relabel must give one permutation per observable")
-    for perm in relabel:
-        if perm not in PERMUTATIONS or any(isinstance(x, (bool, np.bool_)) for x in perm):
-            raise ValueError(f"relabel entry {perm} is not a permutation of (1, 2, 3)")
-    return tuple(PERMUTATIONS[PERMUTATIONS.index(perm)] for perm in relabel)
+    return tuple(map(_validate_permutation, relabel))
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,8 +184,11 @@ class PhaseSettings:
 
     def __post_init__(self):
         # copy so freezing never makes a caller's own array read-only
-        alice = np.array(self.alice, dtype=float)
-        bob = np.array(self.bob, dtype=float)
+        try:
+            alice = np.array(self.alice, dtype=float)
+            bob = np.array(self.bob, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("phases must be finite") from None
         if alice.shape != (2, 3) or bob.shape != (2, 3):
             raise ValueError("each observer needs exactly two triples of phases")
         if not (np.isfinite(alice).all() and np.isfinite(bob).all()):

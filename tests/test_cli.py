@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import qutrit_ch.cli as cli
 from qutrit_ch.cli import main, render_json
 from qutrit_ch.engine import experiment_probabilities
 from qutrit_ch.inequality import ch_coefficients
@@ -121,7 +120,7 @@ def test_verify_command_passes_and_exits_zero(capsys):
 
 
 def test_verify_command_exit_code_on_failure(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ch_coefficients", lambda: np.zeros(81))
+    monkeypatch.setattr("qutrit_ch.inequality.ch_coefficients", lambda: np.zeros(81))
     code, out, _ = run(capsys, ["verify-appendix"])
     assert code == 3
     doc = json.loads(out)
@@ -189,6 +188,11 @@ def test_malformed_settings_files_name_the_field(tmp_path, capsys):
             '{"alice": [[0,NaN,0],[0,0,0]], "bob": [[0,0,0],[0,0,0]]}',
             "phases must be finite",
         ),
+        (
+            # a JSON integer beyond the float range, which float() overflows on
+            '{"alice": [[0,1' + "0" * 400 + ',0],[0,0,0]], "bob": [[0,0,0],[0,0,0]]}',
+            "phases must be finite",
+        ),
         ('{"bob": [[0,0,0],[0,0,0]]}', "'alice'"),
         ('{"alice": [[0,0],[0,0,0]], "bob": [[0,0,0],[0,0,0]]}', "'alice'"),
         (
@@ -234,7 +238,7 @@ def test_numerical_failures_exit_two(preset_file, capsys, monkeypatch):
     def broken(exp0):
         raise SimplexFailure("synthetic failure")
 
-    monkeypatch.setattr(cli, "min_noise_lp", broken)
+    monkeypatch.setattr("qutrit_ch.lhv.min_noise_lp", broken)
     code, _, err = run(capsys, ["threshold", "--settings", preset_file, "--method", "lp"])
     assert code == 2
     assert "numerical failure" in err

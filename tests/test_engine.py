@@ -118,6 +118,8 @@ def test_phase_settings_validation():
         PhaseSettings(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         PhaseSettings(np.full((2, 3), np.inf), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="phases must be finite"):
+        PhaseSettings(np.zeros((2, 3)), [[0, 10**400, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
         PhaseSettings(np.zeros((2, 3)), np.zeros((2, 3)), relabel=((1, 2, 2),) * 4)
     with pytest.raises(ValueError):
