@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -142,6 +141,8 @@ def _load_settings(path: str) -> tuple[engine.PhaseSettings, str]:
         settings = engine.PhaseSettings(phases["alice"], phases["bob"], relabel)
     except ValueError as exc:
         raise _InputError(f"settings file: {exc}")
+    import hashlib  # here, so that a command without a settings file skips it
+
     return settings, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 

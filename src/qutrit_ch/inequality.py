@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import INDICATOR_MATRIX
+# read at call time: CLASS_CH needs only the engine
+from . import atoms
 from .engine import FLAT_VECTOR, PERMUTATIONS, RELABEL_DESTINATIONS, ExperimentProbabilities
 
 # (alice_setting, bob_setting, alice_outcome, bob_outcome, sign),
@@ -125,7 +126,7 @@ def ch_coefficients() -> np.ndarray:
     or -2, which is the discrete form of the local bound: any convex mixture
     of strategies lands at or below zero.
     """
-    return CH_VECTOR @ INDICATOR_MATRIX
+    return CH_VECTOR @ atoms.INDICATOR_MATRIX
 
 
 def ch_decomposition() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,7 +147,7 @@ def ch_decomposition() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _functional_vector(JOINT_TERMS[4:8], (alice_at_1, bob_at_2)),
         _functional_vector(JOINT_TERMS[8:12], ()),
     )
-    first, second, remainder = (piece @ INDICATOR_MATRIX for piece in pieces)
+    first, second, remainder = (piece @ atoms.INDICATOR_MATRIX for piece in pieces)
     return first, second, remainder
 
 

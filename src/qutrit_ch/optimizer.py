@@ -69,8 +69,8 @@ from .engine import (
     relabeling_at,
 )
 from .inequality import CLASS_CH, CLASS_FIRSTS, analytic_threshold, noise_crossing
-from .lhv import NoiseBound, _min_noise_lp, min_noise_lp, threshold_gradient
-from .simplex import SimplexFailure
+# read at call time, so that an analytic search never executes the LP layers
+from . import lhv, simplex
 
 # Newton ascent, for the LP method
 GRADIENT_TOL = 1e-9
@@ -122,7 +122,7 @@ def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
     """
     exp0 = experiment_probabilities(settings)
     if method == "lp":
-        return min_noise_lp(exp0).f_min
+        return lhv.min_noise_lp(exp0).f_min
     if method == "analytic":
         return analytic_threshold(exp0).value
     raise ValueError(f"unknown method {method!r}")
@@ -254,7 +254,7 @@ def optimize(
     screened_trials = 0
     # the current restart's bound with the highest f_min, which seeds the
     # next solve
-    seed_bound: NoiseBound | None = None
+    seed_bound: lhv.NoiseBound | None = None
 
     # every single is 1/3, so the singles add a constant to each class value
     singles_share = FLAT_VECTOR[36:] @ CLASS_CH[36:]
@@ -282,13 +282,13 @@ def optimize(
             screened_trials += 1
             return -np.inf, None, None
         # valid by construction, so the input check is skipped
-        bound = _min_noise_lp(_kernel_box(joints), start=seed_bound)
+        bound = lhv._min_noise_lp(_kernel_box(joints), start=seed_bound)
         lp_starts[bound.start] = lp_starts.get(bound.start, 0) + 1
         lp_pivots += bound.iterations
         if seed_bound is None or bound.f_min >= seed_bound.f_min:
             seed_bound = bound
         # f = g / (1 + g) with g linear in the tables within the basis
-        gradient, hessian = derivatives(threshold_gradient(bound))
+        gradient, hessian = derivatives(lhv.threshold_gradient(bound))
         hessian -= (2.0 / (1.0 - bound.f_min)) * np.outer(gradient, gradient)
         return bound.f_min, gradient, hessian
 
@@ -319,7 +319,7 @@ def optimize(
                 _newton_ascent(relabeled_functional, x, enough=0.0)
                 value, gradient = _newton_ascent(lp_threshold, x)
                 norm = float(np.linalg.norm(gradient))
-        except SimplexFailure:
+        except simplex.SimplexFailure:
             failed_restarts += 1
             continue
         if best_x is None or value - best_val > tie_ulps * np.spacing(abs(best_val)):

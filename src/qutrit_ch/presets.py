@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import PhaseSettings
+# read at call time, so that reading a constant never executes the engine
+from . import engine
 
 REFERENCE_ALICE_PHASES = np.array(
     [[0.0, np.pi / 3, -np.pi / 3], [0.0, 0.0, 0.0]]
@@ -32,10 +33,10 @@ REFERENCE_RELABELING = ((1, 3, 2), (1, 3, 2), (1, 3, 2), (2, 1, 3))
 REFERENCE_NOISE_THRESHOLD = (11.0 - 6.0 * np.sqrt(3.0)) / 2.0
 
 
-def reference_settings(relabeled: bool = True) -> PhaseSettings:
+def reference_settings(relabeled: bool = True) -> engine.PhaseSettings:
     """The bundled optimal settings, with or without the frozen relabeling."""
     relabel = REFERENCE_RELABELING if relabeled else ((1, 2, 3),) * 4
-    return PhaseSettings(REFERENCE_ALICE_PHASES, REFERENCE_BOB_PHASES, relabel)
+    return engine.PhaseSettings(REFERENCE_ALICE_PHASES, REFERENCE_BOB_PHASES, relabel)
 
 
 def reference_joint_tables() -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qutrit_ch.engine as engine_module
+import qutrit_ch.lhv as lhv_module
 import qutrit_ch.optimizer as optimizer_module
 from qutrit_ch.atoms import INDICATOR_MATRIX, N_ATOMS
 from qutrit_ch.engine import (
@@ -284,14 +285,14 @@ def test_gradient_search_pivots_are_pinned():
 
 def test_each_lp_solve_starts_from_its_restarts_best_bound(monkeypatch):
     calls = []
-    solve = optimizer_module._min_noise_lp
+    solve = lhv_module._min_noise_lp
 
     def recorded(exp0, start=None):
         bound = solve(exp0, start=start)
         calls.append((start, bound.f_min))
         return bound
 
-    monkeypatch.setattr(optimizer_module, "_min_noise_lp", recorded)
+    monkeypatch.setattr(lhv_module, "_min_noise_lp", recorded)
     optimize(3, seed=2, method="lp")
     restarts = rejected = 0
     for start, f_min in calls:
@@ -310,7 +311,7 @@ def test_trials_rejected_without_an_lp_are_local(monkeypatch):
     # the screened trials: each violates no CGLMP inequality, and the LP
     # certifies it local
     joints, solved = [], []
-    kernel, solve = optimizer_module._fourier_kernel, optimizer_module._min_noise_lp
+    kernel, solve = optimizer_module._fourier_kernel, lhv_module._min_noise_lp
 
     def recorded_kernel(x):
         evaluation = kernel(x)
@@ -326,7 +327,7 @@ def test_trials_rejected_without_an_lp_are_local(monkeypatch):
         return any(np.shares_memory(exp0.tables, table) for exp0 in solved)
 
     monkeypatch.setattr(optimizer_module, "_fourier_kernel", recorded_kernel)
-    monkeypatch.setattr(optimizer_module, "_min_noise_lp", recorded_solve)
+    monkeypatch.setattr(lhv_module, "_min_noise_lp", recorded_solve)
     for seed in range(50):
         joints.clear()
         solved.clear()
@@ -349,7 +350,7 @@ def test_a_local_box_at_the_first_lp_is_still_scored_by_the_lp(monkeypatch):
     # is solved rather than screened
     ascend = optimizer_module._newton_ascent
     calls = []
-    solve = optimizer_module._min_noise_lp
+    solve = lhv_module._min_noise_lp
 
     def lp_only(fn, x, enough=np.inf):
         return (0.0, None) if enough == 0.0 else ascend(fn, x, enough)
@@ -360,7 +361,7 @@ def test_a_local_box_at_the_first_lp_is_still_scored_by_the_lp(monkeypatch):
         return bound
 
     monkeypatch.setattr(optimizer_module, "_newton_ascent", lp_only)
-    monkeypatch.setattr(optimizer_module, "_min_noise_lp", recorded)
+    monkeypatch.setattr(lhv_module, "_min_noise_lp", recorded)
     rng = np.random.default_rng(37)
     alice, bob = rng.uniform(0, 2 * np.pi, (2, 3))
     local = PhaseSettings([alice, alice], [bob, bob])
@@ -598,7 +599,7 @@ def test_failed_restarts_are_skipped(monkeypatch):
             raise SimplexFailure("synthetic failure")
         return _Stub(float(_relabel_maxed_scores(exp0).max()))
 
-    monkeypatch.setattr(optimizer_module, "_min_noise_lp", flaky)
+    monkeypatch.setattr(lhv_module, "_min_noise_lp", flaky)
     result = optimize(2, seed=11, method="lp")
     assert 0.0 <= result.best_threshold <= 1.0
     assert calls["n"] > 1
@@ -609,7 +610,7 @@ def test_raises_when_every_restart_fails(monkeypatch):
     def broken(exp0, start=None):
         raise SimplexFailure("synthetic failure")
 
-    monkeypatch.setattr(optimizer_module, "_min_noise_lp", broken)
+    monkeypatch.setattr(lhv_module, "_min_noise_lp", broken)
     with pytest.raises(RuntimeError):
         optimize(2, seed=13, method="lp")
 
