@@ -24,12 +24,13 @@ ATOMS: tuple[tuple[int, int, int, int], ...] = tuple(
 
 
 def atom_index(atom: tuple[int, int, int, int]) -> int:
-    """Position of an atom in the fixed odometer order."""
-    a1, a2, b1, b2 = atom
-    for v in atom:
-        if v not in (1, 2, 3):
-            raise ValueError(f"atom components must be in {{1,2,3}}, got {atom}")
-    return (a1 - 1) + 3 * (a2 - 1) + 9 * (b1 - 1) + 27 * (b2 - 1)
+    """Position of an atom in the fixed odometer order. Components are
+    compared as given, as the engine compares relabelings: 1.5 or "1" is
+    no outcome, and booleans, although True == 1, are refused too."""
+    atom = tuple(atom)
+    if atom not in ATOMS or any(isinstance(v, (bool, np.bool_)) for v in atom):
+        raise ValueError(f"atom components must be in {{1,2,3}}, got {atom}")
+    return ATOMS.index(atom)
 
 
 def atom_at(index: int) -> tuple[int, int, int, int]:
@@ -40,7 +41,7 @@ def atom_at(index: int) -> tuple[int, int, int, int]:
 # (36 joints, 6 alice, 6 bob singles). An alice or bob row is 1 on the atoms
 # whose observable takes that outcome, and a joint row of table (k, l) at
 # (a, b) is the product of alice's row (k, a) and bob's row (l, b). Read-only,
-# like the views below.
+# like its view below.
 _SINGLE = np.array(ATOMS).T[:, None] == np.arange(1, 4)[:, None]  # (4, 3, 81)
 _SINGLE.setflags(write=False)
 INDICATOR_MATRIX = np.concatenate([
@@ -52,8 +53,3 @@ INDICATOR_MATRIX.setflags(write=False)
 # the 36 joint-marginal equations, rows in (k, l, a, b) odometer order with
 # b fastest
 MARGINAL_MATRIX = INDICATOR_MATRIX[:36]
-# indicator tensors: JOINT_INDICATOR[k,l,a,b,i] == 1 iff atom i has a_{k+1}=a+1
-# and b_{l+1}=b+1; contracting a weight vector over the last axis marginalizes
-JOINT_INDICATOR = MARGINAL_MATRIX.reshape(2, 2, 3, 3, N_ATOMS)
-ALICE_INDICATOR = INDICATOR_MATRIX[36:42].reshape(2, 3, N_ATOMS)
-BOB_INDICATOR = INDICATOR_MATRIX[42:].reshape(2, 3, N_ATOMS)

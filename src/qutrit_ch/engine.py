@@ -99,8 +99,8 @@ def _check_noise(noise: float) -> float:
 
 
 def _clamp01(p: np.ndarray) -> np.ndarray:
-    """``p`` clipped to [0, 1] in place; raises if it strays beyond
-    ``_CLAMP_TOL`` or holds NaN."""
+    """``p`` clipped to [0, 1] in place and made read-only; raises if it
+    strays beyond ``_CLAMP_TOL`` or holds NaN."""
     low, high = p.min(), p.max()
     # NaN fails both comparisons and raises too
     if not (low >= -_CLAMP_TOL and high <= 1.0 + _CLAMP_TOL):
@@ -109,32 +109,27 @@ def _clamp01(p: np.ndarray) -> np.ndarray:
         )
     if low < 0.0 or high > 1.0:
         np.clip(p, 0.0, 1.0, out=p)
+    p.setflags(write=False)
     return p
 
 
-def _born_rule(
-    ua: np.ndarray, ub: np.ndarray, noise: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Statistics of validated analyzer stacks ua (m, 3, 3) and ub (n, 3, 3).
+def _born_rule(ua: np.ndarray, ub: np.ndarray, noise: float) -> np.ndarray:
+    """Statistics of validated analyzer stacks ua (m, 3, 3) and ub (n, 3, 3)
+    as one fresh, range-checked, read-only vector: the (m, n, 3, 3) joint tables, then
+    the (m, 3) and (n, 3) singles, each raveled. For m = n = 2 it is the
+    ``ExperimentProbabilities.vector()`` of the four setting pairs.
 
-    The (m, n, 3, 3) joint tables on the maximally entangled state mixed
-    with white noise are p[a, b] = (1 - noise) * |amp|^2 + noise / 9 with
-    amp = sum_m ua[a, m] * ub[b, m] / sqrt(3). The (m, 3) and (n, 3) singles
-    are sum_m |u[a, m]|^2 / 3, which is 1/3 for every unitary; they are
+    The joint tables on the maximally entangled state mixed with white noise
+    are p[a, b] = (1 - noise) * |amp|^2 + noise / 9 with
+    amp = sum_m ua[a, m] * ub[b, m] / sqrt(3). The singles are
+    sum_m |u[a, m]|^2 / 3, which is 1/3 for every unitary; they are
     computed rather than returned as a constant so that stays testable.
     """
-    m, n = len(ua), len(ub)
     amp = ua[:, None] @ np.swapaxes(ub, 1, 2)[None] / _SQRT3
     tables = (1.0 - noise) * np.abs(amp) ** 2 + noise / 9.0
     singles = np.sum(np.abs(np.concatenate([ua, ub])) ** 2, axis=2) / 3.0
     # one range check over all of them
-    p = _clamp01(np.concatenate([tables.ravel(), singles.ravel()]))
-    joints = 9 * m * n
-    return (
-        p[:joints].reshape(m, n, 3, 3),
-        p[joints : joints + 3 * m].reshape(m, 3),
-        p[joints + 3 * m :].reshape(n, 3),
-    )
+    return _clamp01(np.concatenate([tables.ravel(), singles.ravel()]))
 
 
 def joint_table(ua: np.ndarray, ub: np.ndarray, noise: float = 0.0) -> np.ndarray:
@@ -142,13 +137,13 @@ def joint_table(ua: np.ndarray, ub: np.ndarray, noise: float = 0.0) -> np.ndarra
     ua = _require_unitary(ua, "ua")
     ub = _require_unitary(ub, "ub")
     noise = _check_noise(noise)
-    return _born_rule(ua[None], ub[None], noise)[0][0, 0]
+    return _born_rule(ua[None], ub[None], noise)[:9].reshape(3, 3)
 
 
 def singles(u: np.ndarray) -> np.ndarray:
     """Single-observer outcome probabilities behind one analyzer."""
     u = _require_unitary(u, "u")
-    return _born_rule(u[None], u[None], 0.0)[1][0]
+    return _born_rule(u[None], u[None], 0.0)[9:12]
 
 
 def _validate_permutation(perm) -> tuple[int, int, int]:
@@ -169,6 +164,15 @@ def _validate_relabeling(relabel) -> tuple[tuple[int, int, int], ...]:
     return tuple(map(_validate_permutation, relabel))
 
 
+def _real_array(values) -> np.ndarray:
+    """``values`` as a fresh float array. Complex input raises ValueError,
+    where a float conversion would drop the imaginary part with a warning."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError("expected real numbers, got complex ones")
+    return values.astype(float)
+
+
 @dataclass(frozen=True, slots=True)
 class PhaseSettings:
     """Two phase triples per observer plus optional outcome relabelings.
@@ -183,10 +187,9 @@ class PhaseSettings:
     relabel: tuple = IDENTITY_RELABELING
 
     def __post_init__(self):
-        # copy so freezing never makes a caller's own array read-only
+        # copies, so freezing never makes a caller's own array read-only
         try:
-            alice = np.array(self.alice, dtype=float)
-            bob = np.array(self.bob, dtype=float)
+            alice, bob = _real_array(self.alice), _real_array(self.bob)
         except OverflowError:  # an integer beyond the float range
             raise ValueError("phases must be finite") from None
         if alice.shape != (2, 3) or bob.shape != (2, 3):
@@ -202,6 +205,12 @@ class PhaseSettings:
             object.__setattr__(self, "relabel", _validate_relabeling(self.relabel))
 
 
+def _views(vector: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joint tables, alice singles and bob singles of a 48-entry
+    vector, as views of it."""
+    return vector[:36].reshape(2, 2, 3, 3), vector[36:42].reshape(2, 3), vector[42:].reshape(2, 3)
+
+
 @dataclass(frozen=True)
 class ExperimentProbabilities:
     """All probabilities one run of the four-setting experiment predicts.
@@ -209,8 +218,9 @@ class ExperimentProbabilities:
     ``tables[k-1, l-1]`` is the 3x3 joint distribution for settings (k, l);
     ``alice_singles[k-1]`` and ``bob_singles[l-1]`` are the corresponding
     one-observer distributions. ``vector()`` lists all 48 probabilities in
-    one array: the 36 joints in ``tables.ravel()`` order, then the 6 alice
-    singles, then the 6 bob singles.
+    one read-only array: the 36 joints in ``tables.ravel()`` order, then the
+    6 alice singles, then the 6 bob singles. The box holds only that array;
+    the three fields are read-only views of it.
     """
 
     tables: np.ndarray  # (2, 2, 3, 3)
@@ -218,42 +228,38 @@ class ExperimentProbabilities:
     bob_singles: np.ndarray  # (2, 3)
 
     def __post_init__(self):
-        # copies, so freezing never makes a caller's own array read-only
-        tables = np.array(self.tables, dtype=float)
-        alice = np.array(self.alice_singles, dtype=float)
-        bob = np.array(self.bob_singles, dtype=float)
+        tables, alice, bob = map(_real_array, (self.tables, self.alice_singles, self.bob_singles))
         if tables.shape != (2, 2, 3, 3):
             raise ValueError(f"tables must have shape (2, 2, 3, 3), got {tables.shape}")
         if alice.shape != (2, 3) or bob.shape != (2, 3):
             raise ValueError("singles must have shape (2, 3) per observer")
-        for arr, name in ((tables, "tables"), (alice, "alice_singles"), (bob, "bob_singles")):
-            # tiny negatives from floating-point cancellation are clamped away
-            if arr.min() < 0.0:
-                arr[(arr < 0.0) & (arr >= -_CLAMP_TOL)] = 0.0
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        vector = np.concatenate([tables.ravel(), alice.ravel(), bob.ravel()])
+        # tiny negatives from floating-point cancellation are clamped away;
+        # a NaN passes the test too, so each entry is judged on its own
+        if not vector.min() >= 0.0:
+            vector[(vector < 0.0) & (vector >= -_CLAMP_TOL)] = 0.0
+        self._hold(vector)
+
+    def _hold(self, vector: np.ndarray) -> None:
+        vector.setflags(write=False)
+        object.__setattr__(self, "_vector", vector)
+        for name, view in zip(("tables", "alice_singles", "bob_singles"), _views(vector)):
+            object.__setattr__(self, name, view)
 
     @classmethod
-    def _adopt(
-        cls, tables: np.ndarray, alice_singles: np.ndarray, bob_singles: np.ndarray
-    ) -> "ExperimentProbabilities":
-        """Wrap arrays that no caller holds writable (fresh ones, or ones
-        already read-only), already shaped and with no tiny negatives left
-        to clamp, without copying or scanning them; they are frozen in
-        place. The public constructor copies and checks instead."""
+    def _adopt(cls, vector: np.ndarray) -> "ExperimentProbabilities":
+        """Wrap a 48-entry vector that no caller holds writable (a fresh
+        one, or one already read-only), with no tiny negatives left to
+        clamp, without copying or scanning it; it is frozen in place. The
+        public constructor copies and checks instead."""
         exp = object.__new__(cls)
-        for name, arr in (
-            ("tables", tables), ("alice_singles", alice_singles), ("bob_singles", bob_singles)
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(exp, name, arr)
+        exp._hold(vector)
         return exp
 
     def vector(self) -> np.ndarray:
-        """The 48 probabilities: tables, alice singles, bob singles, raveled."""
-        return np.concatenate(
-            [self.tables.ravel(), self.alice_singles.ravel(), self.bob_singles.ravel()]
-        )
+        """The 48 probabilities: tables, alice singles, bob singles, raveled.
+        The box's own read-only array, not a copy."""
+        return self._vector
 
     def validate(self) -> None:
         """Raise ValueError unless the entries are finite, the joints are
@@ -354,9 +360,7 @@ def apply_relabeling(exp: ExperimentProbabilities, relabel) -> ExperimentProbabi
     vec = np.empty(48)
     vec[_destinations(_validate_relabeling(relabel))] = exp.vector()
     # a permutation of entries that exp's constructor has already checked
-    return ExperimentProbabilities._adopt(
-        vec[:36].reshape(2, 2, 3, 3), vec[36:42].reshape(2, 3), vec[42:].reshape(2, 3)
-    )
+    return ExperimentProbabilities._adopt(vec)
 
 
 def mix_with_noise(exp: ExperimentProbabilities, noise: float) -> ExperimentProbabilities:
@@ -365,9 +369,7 @@ def mix_with_noise(exp: ExperimentProbabilities, noise: float) -> ExperimentProb
     no-signaling whenever ``exp`` is. Uniform singles stay uniform."""
     noise = _check_noise(noise)
     vec = (1.0 - noise) * exp.vector() + noise / _OUTCOME_COUNTS
-    return ExperimentProbabilities(
-        vec[:36].reshape(2, 2, 3, 3), vec[36:42].reshape(2, 3), vec[42:].reshape(2, 3)
-    )
+    return ExperimentProbabilities(*_views(vec))
 
 
 def experiment_probabilities(
@@ -377,8 +379,8 @@ def experiment_probabilities(
     ``settings.relabel``."""
     noise = _check_noise(noise)
     u = _observable_unitaries(np.concatenate([settings.alice, settings.bob]))
-    # _born_rule's arrays are fresh and range-checked
-    exp = ExperimentProbabilities._adopt(*_born_rule(u[:2], u[2:], noise))
+    # _born_rule's vector is fresh and range-checked
+    exp = ExperimentProbabilities._adopt(_born_rule(u[:2], u[2:], noise))
     if settings.relabel == IDENTITY_RELABELING:
         return exp
     return apply_relabeling(exp, settings.relabel)
@@ -430,7 +432,6 @@ def _fourier_kernel(phases: np.ndarray):
     phasors = np.exp(1j * (frequencies @ phases))
     # pairs (Re E_t, Im E_t) against the rows (Re C_t, -Im C_t)
     joints = _clamp01(phasors.view(float) @ stacked)
-    joints.setflags(write=False)
 
     def derivatives(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # column vectors, so that each weight of a stack takes the same path
@@ -446,11 +447,9 @@ def _fourier_kernel(phases: np.ndarray):
 
 def _kernel_box(joints: np.ndarray) -> ExperimentProbabilities:
     """The box of ``_fourier_kernel``'s joints, whose singles are exactly
-    1/3 on the maximally entangled state. Every array it adopts is already
-    read-only, so nothing is copied or scanned."""
-    return ExperimentProbabilities._adopt(
-        joints.reshape(2, 2, 3, 3), *FLAT_VECTOR[36:].reshape(2, 2, 3)
-    )
+    1/3 on the maximally entangled state: a fresh 48-entry copy, adopted
+    without a scan, since the joints are range-checked already."""
+    return ExperimentProbabilities._adopt(np.concatenate([joints, FLAT_VECTOR[36:]]))
 
 
 def find_matching_relabeling(

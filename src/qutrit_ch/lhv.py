@@ -61,12 +61,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import ALICE_INDICATOR, BOB_INDICATOR, JOINT_INDICATOR, MARGINAL_MATRIX, N_ATOMS
+from .atoms import INDICATOR_MATRIX, MARGINAL_MATRIX, N_ATOMS
 from .engine import (
     FLAT_VECTOR,
     RELABEL_DESTINATIONS,
     VALIDATION_TOL,
     ExperimentProbabilities,
+    _views,
     mix_with_noise,
 )
 from .inequality import CLASS_CH, CLASS_FIRSTS
@@ -165,11 +166,12 @@ class NoiseBound:
 
 
 def marginals_of(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Joint tables and both singles generated by strategy weights."""
+    """Joint tables and both singles generated by strategy weights, as
+    views of the one probability vector ``INDICATOR_MATRIX @ weights``."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (N_ATOMS,):
         raise ValueError(f"weights must have shape ({N_ATOMS},), got {w.shape}")
-    return JOINT_INDICATOR @ w, ALICE_INDICATOR @ w, BOB_INDICATOR @ w
+    return _views(INDICATOR_MATRIX @ w)
 
 
 def _feasibility(exp: ExperimentProbabilities):

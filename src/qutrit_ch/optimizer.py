@@ -240,11 +240,12 @@ def optimize(
     kept only if it beats it by more than the method's roundoff,
     ``ROUNDOFF_ULPS`` ulps for analytic and ``LP_ROUNDOFF_ULPS`` for lp.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    # booleans are refused although True == 1
+    if restarts < 1 or isinstance(restarts, (bool, np.bool_)):
+        raise ValueError("restarts must be an integer of at least 1")
     if method not in ("lp", "analytic"):
         raise ValueError(f"unknown method {method!r}")
-    if seed < 0:
+    if seed < 0 or isinstance(seed, (bool, np.bool_)):
         raise ValueError("seed must be a nonnegative integer")
 
     evaluations = 0

@@ -35,7 +35,7 @@ REFERENCE_NOISE_THRESHOLD = (11.0 - 6.0 * np.sqrt(3.0)) / 2.0
 
 def reference_settings(relabeled: bool = True) -> engine.PhaseSettings:
     """The bundled optimal settings, with or without the frozen relabeling."""
-    relabel = REFERENCE_RELABELING if relabeled else ((1, 2, 3),) * 4
+    relabel = REFERENCE_RELABELING if relabeled else engine.IDENTITY_RELABELING
     return engine.PhaseSettings(REFERENCE_ALICE_PHASES, REFERENCE_BOB_PHASES, relabel)
 
 

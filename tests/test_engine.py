@@ -66,7 +66,8 @@ def test_joint_table_is_normalized_for_random_settings():
         ub = observable_unitary(rng.uniform(0, 2 * np.pi, 3))
         noise = float(rng.uniform(0, 1))
         p = joint_table(ua, ub, noise)
-        assert p.shape == (3, 3)
+        assert p.shape == (3, 3) and not p.flags.writeable
+        assert not singles(ua).flags.writeable
         assert p.min() >= 0.0
         assert abs(p.sum() - 1.0) < 1e-12
 
@@ -141,6 +142,19 @@ def test_phase_settings_validation():
         ExperimentProbabilities(np.full((2, 2, 3, 3), 1.0 / 9.0), uniform, np.full(3, 1.0 / 3.0))
 
 
+def test_complex_input_is_refused_not_truncated():
+    # a float conversion would keep only the real part, with a warning
+    uniform = np.full((2, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError, match="got complex"):
+        PhaseSettings(np.zeros((2, 3)), np.zeros((2, 3)) + 1j)
+    with pytest.raises(ValueError, match="got complex"):
+        PhaseSettings([[0j, 0, 0], [0, 0, 0]], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="got complex"):
+        ExperimentProbabilities(np.full((2, 2, 3, 3), 1.0 / 9.0) + 0j, uniform, uniform)
+    with pytest.raises(ValueError, match="got complex"):
+        ExperimentProbabilities(np.full((2, 2, 3, 3), 1.0 / 9.0), uniform.tolist(), [[1j] * 3] * 2)
+
+
 def test_relabeled_settings_share_the_module_permutations():
     # validated relabelings hold PERMUTATIONS' own tuples, not copies of them
     relabel = [[2, 3, 1], np.array([1, 3, 2]), (3.0, 1.0, 2.0), (1, 2, 3)]
@@ -168,8 +182,39 @@ def test_experiment_probabilities_clamps_tiny_negatives():
     assert exp.tables[0, 0, 0, 0] == 0.0
 
 
+def test_every_box_is_one_read_only_vector():
+    # however a box is built, vector() is its stored read-only array and
+    # the three fields are views of it
+    rng = np.random.default_rng(5)
+    exp = experiment_probabilities(random_settings(rng))
+    relabeled = PhaseSettings(*rng.uniform(0, 2 * np.pi, (2, 2, 3)), ((2, 3, 1),) * 4)
+    boxes = {
+        "constructor": ExperimentProbabilities(
+            exp.tables.tolist(), exp.alice_singles, exp.bob_singles.copy()
+        ),
+        "experiment_probabilities": exp,
+        "relabeled settings": experiment_probabilities(relabeled),
+        "apply_relabeling": apply_relabeling(exp, ((2, 3, 1), (1, 2, 3), (3, 2, 1), (1, 3, 2))),
+        "mix_with_noise": mix_with_noise(exp, 0.25),
+        "_kernel_box": _kernel_box(_fourier_kernel(rng.uniform(0, 2 * np.pi, 12))[0]),
+    }
+    for how, box in boxes.items():
+        vector = box.vector()
+        assert vector is box.vector(), how
+        assert vector.shape == (48,) and not vector.flags.writeable, how
+        for name in ("tables", "alice_singles", "bob_singles"):
+            field = getattr(box, name)
+            assert np.shares_memory(field, vector) and not field.flags.writeable, how
+        assert np.array_equal(
+            np.concatenate([box.tables.ravel(), box.alice_singles.ravel(), box.bob_singles.ravel()]),
+            vector,
+        ), how
+        with pytest.raises(ValueError):
+            vector[0] = 0.5
+
+
 def test_born_rule_output_is_adopted_frozen_and_unchanged():
-    # experiment_probabilities wraps its fresh arrays without the public
+    # experiment_probabilities wraps its fresh vector without the public
     # constructor's copy and scan, which must not change a single byte
     rng = np.random.default_rng(11)
     for draw in range(300):

@@ -174,6 +174,10 @@ def test_optimize_validates_arguments():
         optimize(1, seed=-1)
     with pytest.raises(ValueError):
         optimize(1, seed=1, method="bogus")
+    # booleans are no counts or seeds, although True == 1
+    for restarts, seed in ((True, 1), (1, True), (1, False), (np.True_, 0)):
+        with pytest.raises(ValueError, match="must be .*integer"):
+            optimize(restarts, seed)
 
 
 def test_optimize_is_deterministic_and_self_consistent():
@@ -319,29 +323,32 @@ def test_trials_rejected_without_an_lp_are_local(monkeypatch):
         return evaluation
 
     def recorded_solve(exp0, start=None):
-        solved.append(exp0)
+        # a solve reads the box of the kernel evaluation just before it; an
+        # index, not a value, so that a repeated box is counted once
+        assert np.array_equal(exp0.tables.ravel(), joints[-1])
+        solved.append(len(joints) - 1)
         return solve(exp0, start=start)
-
-    def reaches_the_lp(table):
-        # the box a solve reads is a view of its evaluation's joints
-        return any(np.shares_memory(exp0.tables, table) for exp0 in solved)
 
     monkeypatch.setattr(optimizer_module, "_fourier_kernel", recorded_kernel)
     monkeypatch.setattr(lhv_module, "_min_noise_lp", recorded_solve)
+    every_screened = []
     for seed in range(50):
         joints.clear()
         solved.clear()
         result = optimize(1, seed=seed, method="lp")
-        first = next(i for i, table in enumerate(joints) if reaches_the_lp(table))
-        stage_2 = joints[first:]
-        screened = [_kernel_box(table) for table in stage_2 if not reaches_the_lp(table)]
+        assert len(set(solved)) == len(solved)
+        stage_2 = range(solved[0], len(joints))
+        screened = [_kernel_box(joints[i]) for i in stage_2 if i not in solved]
         assert len(screened) == result.screened_trials
         assert len(stage_2) == len(solved) + len(screened)
-        for box in screened:
-            assert (box.vector() @ CLASS_CH).max() <= 0.0
-            assert min_noise_lp(box).f_min == 0.0
+        every_screened += screened
         if seed == 2:
             assert result.screened_trials == 3
+    # unrecorded, since min_noise_lp solves through _min_noise_lp too
+    monkeypatch.undo()
+    for box in every_screened:
+        assert (box.vector() @ CLASS_CH).max() <= 0.0
+        assert min_noise_lp(box).f_min == 0.0
 
 
 def test_a_local_box_at_the_first_lp_is_still_scored_by_the_lp(monkeypatch):

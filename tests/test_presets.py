@@ -6,6 +6,7 @@ import pytest
 
 import qutrit_ch
 from qutrit_ch.engine import (
+    IDENTITY_RELABELING,
     ExperimentProbabilities,
     experiment_probabilities,
     find_matching_relabeling,
@@ -36,6 +37,11 @@ def test_closed_form_tables_are_proper_probabilities():
 def test_engine_reproduces_closed_form_through_frozen_relabeling():
     exp = experiment_probabilities(reference_settings())
     assert np.max(np.abs(exp.tables - reference_joint_tables())) < 1e-12
+
+
+def test_unrelabeled_reference_settings_use_the_engines_identity():
+    assert reference_settings(False).relabel is IDENTITY_RELABELING
+    assert reference_settings().relabel == REFERENCE_RELABELING
 
 
 def test_frozen_relabeling_is_the_lexicographically_first_match():
