@@ -115,9 +115,9 @@ def _clamp01(p: np.ndarray) -> np.ndarray:
 
 def _born_rule(ua: np.ndarray, ub: np.ndarray, noise: float) -> np.ndarray:
     """Statistics of validated analyzer stacks ua (m, 3, 3) and ub (n, 3, 3)
-    as one fresh, range-checked, read-only vector: the (m, n, 3, 3) joint tables, then
-    the (m, 3) and (n, 3) singles, each raveled. For m = n = 2 it is the
-    ``ExperimentProbabilities.vector()`` of the four setting pairs.
+    as one fresh, range-checked, read-only vector: the (m, n, 3, 3) joint
+    tables, then the (m, 3) and (n, 3) singles, each raveled. For m = n = 2
+    it is the ``ExperimentProbabilities.vector()`` of the four setting pairs.
 
     The joint tables on the maximally entangled state mixed with white noise
     are p[a, b] = (1 - noise) * |amp|^2 + noise / 9 with

@@ -188,10 +188,9 @@ def test_every_box_is_one_read_only_vector():
     rng = np.random.default_rng(5)
     exp = experiment_probabilities(random_settings(rng))
     relabeled = PhaseSettings(*rng.uniform(0, 2 * np.pi, (2, 2, 3)), ((2, 3, 1),) * 4)
+    bob = exp.bob_singles.copy()
     boxes = {
-        "constructor": ExperimentProbabilities(
-            exp.tables.tolist(), exp.alice_singles, exp.bob_singles.copy()
-        ),
+        "constructor": ExperimentProbabilities(exp.tables.tolist(), exp.alice_singles, bob),
         "experiment_probabilities": exp,
         "relabeled settings": experiment_probabilities(relabeled),
         "apply_relabeling": apply_relabeling(exp, ((2, 3, 1), (1, 2, 3), (3, 2, 1), (1, 3, 2))),
@@ -202,15 +201,14 @@ def test_every_box_is_one_read_only_vector():
         vector = box.vector()
         assert vector is box.vector(), how
         assert vector.shape == (48,) and not vector.flags.writeable, how
-        for name in ("tables", "alice_singles", "bob_singles"):
-            field = getattr(box, name)
+        fields = [getattr(box, name) for name in ("tables", "alice_singles", "bob_singles")]
+        for field in fields:
             assert np.shares_memory(field, vector) and not field.flags.writeable, how
-        assert np.array_equal(
-            np.concatenate([box.tables.ravel(), box.alice_singles.ravel(), box.bob_singles.ravel()]),
-            vector,
-        ), how
+        assert np.array_equal(np.concatenate([f.ravel() for f in fields]), vector), how
         with pytest.raises(ValueError):
             vector[0] = 0.5
+    # the constructor copied, so the caller's array stays its own
+    assert bob.flags.writeable and not np.shares_memory(bob, boxes["constructor"].vector())
 
 
 def test_born_rule_output_is_adopted_frozen_and_unchanged():
