@@ -65,8 +65,6 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, np.ndarray):
         return render_json(value.tolist(), indent)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
         body = ", ".join(render_json(item, indent) for item in value)
         return "[" + body + "]"
     if isinstance(value, bool):

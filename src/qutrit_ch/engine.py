@@ -173,7 +173,7 @@ def _real_array(values) -> np.ndarray:
     return values.astype(float)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PhaseSettings:
     """Two phase triples per observer plus optional outcome relabelings.
 
@@ -211,7 +211,7 @@ def _views(vector: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return vector[:36].reshape(2, 2, 3, 3), vector[36:42].reshape(2, 3), vector[42:].reshape(2, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentProbabilities:
     """All probabilities one run of the four-setting experiment predicts.
 

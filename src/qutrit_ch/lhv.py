@@ -39,12 +39,12 @@ certificate check read it, and bisection mixes it in with
 its optimal basis and inverse seed the simplex, which reports what became
 of them ("accepted", "repaired" or "cold", see ``simplex``). The matrix
 and cost are the same for every experiment, so an optimal basis stays
-dual feasible for all of them. A solve without one starts from its CGLMP
-class's ``_witness_basis`` if its largest relabeling class value
-(``inequality.CLASS_CH``) is positive, else from the flat box's basis,
-``_ANCHOR_BASIS``. The result does not depend on the start.
-If the cold solve fails too, ``min_noise_lp`` raises SimplexFailure
-naming the cause. The optimizer passes its bounds through
+dual feasible for all of them. A solve without one starts from the
+``_witness_basis`` of the box's top CGLMP class, the one whose relabeling
+class value (``inequality.CLASS_CH``) is largest, whatever its sign. The
+result does not depend on the start. If that class's witness solve fails,
+or the cold solve does too, ``min_noise_lp`` raises SimplexFailure naming
+the cause. The optimizer passes its bounds through
 ``_min_noise_lp``, which skips the input check: its boxes are
 ``engine._fourier_kernel``'s range-checked joints with singles of exactly
 1/3, valid by construction.
@@ -72,7 +72,7 @@ from .engine import (
 )
 from .inequality import CLASS_CH, CLASS_FIRSTS
 from .presets import reference_joint_tables
-from .simplex import SimplexFailure, _check_finite, _solve, simplex_solve
+from .simplex import SimplexFailure, _solve, simplex_solve
 
 BISECTION_STEPS = 40
 CERTIFICATE_TOL = 1e-7
@@ -97,10 +97,8 @@ _NOISE_MATRIX.setflags(write=False)
 _NOISE_COST = np.zeros(N_ATOMS + 1)
 _NOISE_COST[N_ATOMS] = 1.0
 _NOISE_COST.setflags(write=False)
-# checked once here, so each solve checks only its right-hand side
-_check_finite(eq_matrix=_NOISE_MATRIX, objective=_NOISE_COST)
-# the cold solve's optimal basis for the flat box: the start of every noise
-# LP that brings no basis. Its _basis_inverse is factorized by the first LP
+# the cold solve's optimal basis for the flat box: the start of each
+# _witness_basis solve. Its _basis_inverse is factorized by the first LP
 # that needs it, so other processes make no LAPACK call.
 _ANCHOR_BASIS = (9, 41, 43, 42, 65, 51, 21, 38, 61, 59, 40, 66, 25, 47, 19, 69,
                  56, 64, 18, 58, 0, 48, 60, 23, 46)
@@ -127,21 +125,19 @@ def _witness_box(top: int) -> np.ndarray:
 
 
 @functools.cache
-def _witness_basis(top: int) -> tuple[int, ...] | None:
+def _witness_basis(top: int) -> tuple[int, ...]:
     """The noise LP's optimal basis at class ``top``'s witness box, solved
-    from the anchor on first use, or None if that solve fails: a function
-    of the class alone. Every solve it starts borrows its cached
-    ``_basis_inverse`` (not the witness solve's carried inverse, so the
-    results are those of a fresh factorization), and none factorizes it."""
+    from the anchor on first use: a function of the class alone. A failed
+    solve raises SimplexFailure and is not cached. Every solve it starts
+    borrows its cached ``_basis_inverse`` (not the witness solve's carried
+    inverse, so the results are those of a fresh factorization), and none
+    factorizes it."""
     t0 = _witness_box(top)[INDEPENDENT_ROWS]
-    try:
-        return _solve(_NOISE_COST, _NOISE_MATRIX, t0, start=_ANCHOR_BASIS,
-                      inverse=_basis_inverse(_ANCHOR_BASIS)).basis
-    except SimplexFailure:
-        return None
+    return _solve(_NOISE_COST, _NOISE_MATRIX, t0, start=_ANCHOR_BASIS,
+                  inverse=_basis_inverse(_ANCHOR_BASIS)).basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseBound:
     """Least noise fraction admitting a local model, with its certificate.
 
@@ -152,8 +148,8 @@ class NoiseBound:
     is the LP's optimal basis and ``inverse`` its read-only basis inverse;
     together they seed the next ``min_noise_lp`` call, and both are None
     for bisection. ``start`` is what became of the start basis (by default
-    the one the box's CGLMP class picks): "accepted", "repaired" or "cold"
-    (always "cold" for bisection).
+    the witness basis of the box's top CGLMP class): "accepted",
+    "repaired" or "cold" (always "cold" for bisection).
     """
 
     f_min: float
@@ -218,7 +214,7 @@ def min_noise_lp(
     f_min = g / (1 + g) with weights u / (1 + g) (their sum of 1 follows
     from the rows of table (0, 0)). ``start``, the bound of a nearby
     experiment, lends its basis and inverse to the simplex in place of the
-    basis that exp0's CGLMP class picks (see the module docstring); the
+    witness basis of exp0's top CGLMP class (see the module docstring); the
     result is the same either way. If the solver gives up,
     this raises SimplexFailure naming the cause; ``min_noise_bisection``
     stays the independent cross-check. The returned certificate always
@@ -233,17 +229,12 @@ def _min_noise_lp(
 ) -> NoiseBound:
     """``min_noise_lp`` for tables already known to be valid."""
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
-    if start is not None and start.basis is not None:
-        basis, inverse = start.basis, start.inverse
-    else:
-        basis, inverse = _ANCHOR_BASIS, _basis_inverse(_ANCHOR_BASIS)
-        values = exp0.vector() @ CLASS_CH
-        top = int(values.argmax())
-        if values[top] > 0.0 and _witness_basis(top) is not None:
-            basis = _witness_basis(top)
-            inverse = _basis_inverse(basis)
-    _check_finite(eq_rhs=t0)
     try:
+        if start is not None and start.basis is not None:
+            basis, inverse = start.basis, start.inverse
+        else:
+            basis = _witness_basis(int((exp0.vector() @ CLASS_CH).argmax()))
+            inverse = _basis_inverse(basis)
         solution = _solve(_NOISE_COST, _NOISE_MATRIX, t0, start=basis, inverse=inverse)
     except SimplexFailure as exc:
         raise SimplexFailure(f"noise minimization LP failed: {exc}") from exc

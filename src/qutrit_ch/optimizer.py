@@ -89,7 +89,7 @@ FREE_INDICES.setflags(write=False)
 _FREE_BLOCK = np.ix_(FREE_INDICES, FREE_INDICES)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class OptimizationResult:
     """Best settings found, their score, and the search's bookkeeping.
 

@@ -78,7 +78,7 @@ class SimplexFailure(RuntimeError):
     linearly dependent rows)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Solver outcome; x, objective_value, basis and inverse are None when
     infeasible.

@@ -40,10 +40,12 @@ def test_render_json_round_trips_floats_exactly():
 def test_render_json_handles_arrays_and_scalars():
     doc = json.loads(render_json({"a": np.arange(3), "b": np.float64(0.5), "c": None, "d": True}))
     assert doc == {"a": [0, 1, 2], "b": 0.5, "c": None, "d": True}
+    assert render_json([]) == render_json(()) == "[]"
+    assert render_json({"a": []}) == '{\n  "a": []\n}'
 
 
 def test_preset_is_a_loadable_settings_file(preset_file):
-    doc = json.loads(open(preset_file).read())
+    doc = json.loads(Path(preset_file).read_text())
     assert set(doc) == {"alice", "bob", "relabel"}
     ref = reference_settings()
     assert np.array_equal(np.array(doc["alice"]), ref.alice)

@@ -615,23 +615,28 @@ def test_criterion_9_fallbacks_are_solved_by_a_repaired_warm_start(previous, fai
     assert abs(f_cold - warm.f_min) < 1e-12
 
 
-def test_the_flat_box_accepts_the_anchor_basis_as_it_stands():
+def test_the_flat_box_accepts_the_anchor_basis_as_it_stands(monkeypatch):
     flat = mix_with_noise(experiment_probabilities(reference_settings()), 1.0)
     t0 = flat.tables.reshape(36)[INDEPENDENT_ROWS]
     problem = (lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
     # the literal anchor is the basis the two-phase solve finds for the flat box
     assert simplex_solve(*problem).basis == lhv_module._ANCHOR_BASIS
-    bound = min_noise_lp(flat)
-    assert bound.start == "accepted"
-    assert bound.iterations == 0
-    assert bound.basis == lhv_module._ANCHOR_BASIS
-    assert bound.f_min == 0.0
     anchor_inverse = lhv_module._basis_inverse(lhv_module._ANCHOR_BASIS)
+    anchored = simplex_solve(*problem, start=lhv_module._ANCHOR_BASIS, inverse=anchor_inverse)
+    assert (anchored.start, anchored.iterations) == ("accepted", 0)
+    assert anchored.basis == lhv_module._ANCHOR_BASIS
+    assert anchored.objective_value == 0.0
     assert not anchor_inverse.flags.writeable
     with pytest.raises(ValueError):
         anchor_inverse[0, 0] = 0.0
     footprint = lhv_module._NOISE_MATRIX[:, list(lhv_module._ANCHOR_BASIS)]
     assert np.max(np.abs(anchor_inverse @ footprint - np.eye(25))) <= INVERSE_TOL
+    # every class value of the flat box ties, so its own bound starts at
+    # class 0's witness basis
+    witness = lhv_module._witness_basis(0)
+    starts = recorded_starts(monkeypatch)
+    assert min_noise_lp(flat).f_min == 0.0
+    assert starts == [witness]
 
 
 def anchored_box(kind, rng):
@@ -657,10 +662,10 @@ def anchored_box(kind, rng):
 def test_the_class_keyed_start_gives_the_anchored_bound(kind, seed):
     exp0 = anchored_box(kind, np.random.default_rng(seed))
     keyed = min_noise_lp(exp0)
-    # the flat box's bound carries the anchor basis and its inverse
-    anchor = min_noise_lp(mix_with_noise(exp0, 1.0))
-    assert anchor.basis == lhv_module._ANCHOR_BASIS
-    anchored = min_noise_lp(exp0, start=anchor)
+    anchor = lhv_module._ANCHOR_BASIS
+    anchored = min_noise_lp(
+        exp0, start=replace(keyed, basis=anchor, inverse=lhv_module._basis_inverse(anchor))
+    )
     assert keyed.start in ("accepted", "repaired")
     assert abs(keyed.f_min - anchored.f_min) <= 1e-12
     assert abs(keyed.f_min - scipy_min_noise(exp0)) < 1e-9
@@ -689,13 +694,20 @@ def test_every_class_witness_box_has_that_class_alone_on_top():
     assert (bound.start, bound.iterations) == ("accepted", 0)
 
 
-def test_only_a_violating_box_starts_from_its_class_witness_basis(monkeypatch):
-    rng = np.random.default_rng(37)
-    local = [anchored_box(kind, rng) for kind in ("dirichlet", "one setting")]
-    local.append(mix_with_noise(experiment_probabilities(reference_settings()), 0.5))
-    violating = experiment_probabilities(reference_settings(relabeled=False))
-    top = int((violating.vector() @ CLASS_CH).argmax())
-    witness = lhv_module._witness_basis(top)
+def test_every_witness_solve_gives_a_basis_its_box_accepts():
+    for top in range(len(CLASS_FIRSTS)):
+        basis = lhv_module._witness_basis(top)
+        assert len(basis) == 25
+        t0 = lhv_module._witness_box(top)[INDEPENDENT_ROWS]
+        solution = lhv_module._solve(
+            lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0,
+            start=basis, inverse=lhv_module._basis_inverse(basis),
+        )
+        assert (solution.start, solution.iterations, solution.basis) == ("accepted", 0, basis)
+
+
+def recorded_starts(monkeypatch):
+    """The start basis of every noise LP solved from here on."""
     starts = []
     solve = lhv_module._solve
 
@@ -706,12 +718,29 @@ def test_only_a_violating_box_starts_from_its_class_witness_basis(monkeypatch):
         return solve(cost, matrix, rhs, **kwargs)
 
     monkeypatch.setattr(lhv_module, "_solve", recorded)
-    for exp0 in local:
-        assert (exp0.vector() @ CLASS_CH).max() <= 0.0
+    return starts
+
+
+def test_every_box_without_a_start_starts_from_its_top_class_witness_basis(monkeypatch):
+    rng = np.random.default_rng(37)
+    local = [anchored_box(kind, rng) for kind in ("dirichlet", "one setting")]
+    local.append(mix_with_noise(experiment_probabilities(reference_settings()), 0.5))
+    local.append(mix_with_noise(experiment_probabilities(reference_settings()), 1.0))
+    paper = experiment_probabilities(reference_settings(relabeled=False))
+    violating = [paper] + [
+        apply_relabeling(paper, tuple(PERMUTATIONS[i] for i in rng.integers(0, 6, size=4)))
+        for _ in range(4)
+    ]
+    values = [exp0.vector() @ CLASS_CH for exp0 in local + violating]
+    assert [v.max() > 0.0 for v in values] == [False] * len(local) + [True] * len(violating)
+    tops = [int(v.argmax()) for v in values]
+    witnesses = [lhv_module._witness_basis(top) for top in tops]
+    # a local box's witness basis is not the flat box's
+    assert lhv_module._ANCHOR_BASIS not in witnesses
+    starts = recorded_starts(monkeypatch)
+    for exp0 in local + violating:
         min_noise_lp(exp0)
-    min_noise_lp(violating)
-    assert starts == [lhv_module._ANCHOR_BASIS] * len(local) + [witness]
-    assert witness != lhv_module._ANCHOR_BASIS
+    assert starts == witnesses
 
 
 def test_a_witness_start_borrows_its_cached_inverse(monkeypatch):
@@ -761,9 +790,9 @@ def test_the_keyed_start_does_not_depend_on_earlier_solves():
     same_bound(min_noise_lp(exp0), first)
 
 
-def test_a_class_whose_witness_solve_fails_starts_from_the_anchor(monkeypatch):
+def test_a_failed_witness_solve_raises_and_is_not_cached(monkeypatch):
     exp0 = experiment_probabilities(reference_settings())
-    anchored = min_noise_lp(exp0, start=min_noise_lp(mix_with_noise(exp0, 1.0)))
+    expected = min_noise_lp(exp0)
     solve = lhv_module._solve
     calls = []
 
@@ -777,13 +806,18 @@ def test_a_class_whose_witness_solve_fails_starts_from_the_anchor(monkeypatch):
     lhv_module._witness_basis.cache_clear()
     monkeypatch.setattr(lhv_module, "_solve", failing_once)
     try:
-        bound = min_noise_lp(exp0)
-        assert lhv_module._witness_basis(0) is None
+        with pytest.raises(
+            SimplexFailure, match="^noise minimization LP failed: basis matrix is singular$"
+        ):
+            min_noise_lp(exp0)
+        assert lhv_module._witness_basis.cache_info().currsize == 0
+        # the next call solves the witness box again, then the box itself
+        same_bound(min_noise_lp(exp0), expected)
     finally:
         lhv_module._witness_basis.cache_clear()
-    # the witness solve failed, and the box's own solve began at the anchor
-    assert calls == [lhv_module._ANCHOR_BASIS] * 2
-    same_bound(bound, anchored)
+    # the preset is class 0's witness box, so its bound's basis is that
+    # class's witness basis
+    assert calls == [lhv_module._ANCHOR_BASIS] * 2 + [expected.basis]
 
 
 @pytest.mark.parametrize("kind", ["quantum", "one setting", "reference"])

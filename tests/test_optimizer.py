@@ -649,3 +649,47 @@ def test_neither_search_calls_the_born_rule(monkeypatch):
         assert analytic.evaluations == ANALYTIC_SEARCH_EVALUATIONS[seed]
         for result in (lp, analytic):
             assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
+
+
+def test_the_ascent_gives_up_where_every_trial_falls():
+    # the claimed gradient points uphill, but every move from x0 falls
+    x0 = np.zeros(12)
+    x0[[0, 3, 6, 9]] = [0.1, 0.2, 0.3, 0.4]
+    trials = []
+
+    def falling(x):
+        trials.append(x.copy())
+        return -np.sum((x - x0) ** 2), np.ones(12), -2.0 * np.eye(12)
+
+    x = x0.copy()
+    value, gradient = optimizer_module._newton_ascent(falling, x)
+    # x is restored and the starting value and gradient are returned
+    assert np.array_equal(x, x0)
+    assert value == 0.0 and np.array_equal(gradient, np.ones(8))
+    # the Newton direction is 0.5 per free phase, and each trial halves the
+    # step until it is shorter than STEP_TOL
+    for k, trial in enumerate(trials[1:]):
+        expected = x0.copy()
+        expected[FREE_INDICES] = 0.5 * 0.5**k
+        assert np.array_equal(trial, expected)
+    shortest = 0.5 ** (len(trials) - 2) * np.linalg.norm(np.full(8, 0.5))
+    assert shortest >= optimizer_module.STEP_TOL > shortest / 2
+
+
+def test_the_ascent_follows_the_gradient_where_the_hessian_is_zero():
+    slopes = np.arange(1.0, 13.0)
+    trials = []
+
+    def linear(x):
+        trials.append(x.copy())
+        return slopes @ x, slopes.copy(), np.zeros((12, 12))
+
+    x = np.zeros(12)
+    value, gradient = optimizer_module._newton_ascent(linear, x, enough=1000.0)
+    # each full step along the free gradient gains |slopes[FREE_INDICES]|^2 = 484,
+    # so the third passes enough
+    assert [trial @ slopes for trial in trials] == [0.0, 484.0, 968.0, 1452.0]
+    assert value == 1452.0 and np.array_equal(gradient, slopes[FREE_INDICES])
+    expected = np.zeros(12)
+    expected[FREE_INDICES] = 3 * slopes[FREE_INDICES]
+    assert np.array_equal(x, expected)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qutrit_ch
@@ -113,3 +114,19 @@ def test_every_public_name_is_its_home_modules_object():
     assert set(qutrit_ch.__all__) <= set(dir(qutrit_ch))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         qutrit_ch.no_such_name
+
+
+def test_equal_but_separate_results_compare_by_identity_and_hash():
+    exp0 = qutrit_ch.experiment_probabilities(qutrit_ch.reference_settings())
+    lp = (np.ones(1), np.ones((1, 1)), np.ones(1))
+    pairs = [
+        (qutrit_ch.reference_settings(), qutrit_ch.reference_settings()),
+        (exp0, qutrit_ch.experiment_probabilities(qutrit_ch.reference_settings())),
+        (qutrit_ch.min_noise_lp(exp0), qutrit_ch.min_noise_lp(exp0)),
+        (qutrit_ch.simplex.simplex_solve(*lp), qutrit_ch.simplex.simplex_solve(*lp)),
+        (qutrit_ch.optimize(1, 7, "analytic"), qutrit_ch.optimize(1, 7, "analytic")),
+    ]
+    for first, second in pairs:
+        # their array fields hold equal entries, but equality is identity
+        assert first != second and first == first
+        assert len({first, second, first}) == 2
