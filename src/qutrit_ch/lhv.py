@@ -43,8 +43,8 @@ dual feasible for all of them. A solve without one starts from the
 ``_witness_basis`` of the box's top CGLMP class, the one whose relabeling
 class value (``inequality.CLASS_CH``) is largest, whatever its sign. The
 result does not depend on the start. If that class's witness solve fails,
-or the cold solve does too, ``min_noise_lp`` raises SimplexFailure naming
-the cause. The optimizer passes its bounds through
+or a warm solve fails and its cold fallback too, ``min_noise_lp`` raises
+SimplexFailure naming the cause. The optimizer passes its bounds through
 ``_min_noise_lp``, which skips the input check: its boxes are
 ``engine._fourier_kernel``'s range-checked joints with singles of exactly
 1/3, valid by construction.
