@@ -92,6 +92,9 @@ def _require_unitary(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def _check_noise(noise: float) -> float:
+    # booleans are refused although True == 1
+    if isinstance(noise, (bool, np.bool_)):
+        raise ValueError(f"noise fraction must be a number, got {noise!r}")
     noise = float(noise)
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise fraction must lie in [0, 1], got {noise}")
@@ -424,7 +427,9 @@ def _fourier_kernel(phases: np.ndarray):
     c = (C w) E; ``derivatives(w)`` returns its gradient -K^T Im c and
     Hessian -K^T diag(Re c) K. Along raw phase i, w @ joints is
     A + Re(H e^{it}), H the sum of 2 E_t (C w)_t over the 4 rows with
-    K_ti = 1; ``harmonic(i, C @ W)`` returns the H of every column of W.
+    K_ti = 1, ``rows[i]``; ``harmonic(i, D_i)`` returns the H of every column
+    of W for D_i = (C @ W)[rows[i]], those 4 rows of C @ W, so a caller that
+    keeps C @ W gathered per phase passes a slice and nothing is copied.
     """
     if not np.isfinite(phases).all():
         raise ValueError("phases must be finite")
@@ -439,8 +444,8 @@ def _fourier_kernel(phases: np.ndarray):
         hessian = (frequencies.T * terms.real[..., None, :]) @ frequencies
         return -(frequencies.T @ terms.imag[..., None])[..., 0], -hessian
 
-    def harmonic(index: int, product: np.ndarray) -> np.ndarray:
-        return 2.0 * (phasors[rows[index]] @ product[rows[index]])
+    def harmonic(index: int, gathered: np.ndarray) -> np.ndarray:
+        return 2.0 * (phasors[rows[index]] @ gathered)
 
     return joints, derivatives, harmonic
 

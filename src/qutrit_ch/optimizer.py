@@ -21,19 +21,22 @@ at the largest of the 432 functional values.
 Both methods read every box from its Fourier table
 (``engine._fourier_kernel``), never from the Born rule: class values as
 joints @ CLASS_CH[:36] plus the constant share of the singles, which are
-all 1/3. Only the LP solves and the final relabeling pick wrap the joints
-in an ``ExperimentProbabilities`` (``engine._kernel_box``).
+all 1/3 (the module constants ``_CLASS_JOINTS`` and ``_SINGLES_SHARE``).
+Only the LP solves and the final relabeling pick wrap the joints in an
+``ExperimentProbabilities`` (``engine._kernel_box``).
 
 The analytic method runs coordinate-wise ascent on the largest class value.
-Along one phase t every class value is A + Re(H e^{it}) (as in Rotosolve,
-Ostaszewski, Grant & Benedetti, Quantum 5, 391 (2021)), with H from 4 terms
-of the table (the kernel's ``harmonic``) and
-A = value - Re H. So one evaluation, at t = -arg H_c for the c with the
-largest A_c + |H_c|, reaches the line's exact maximum; it is kept unless
-the largest class value falls. A sweep over the free phases that raises it
-by at most ``ROUNDOFF_ULPS`` ulps ends the restart, and its noise is
-crossed once, at the end. The best restart's relabeling and threshold are
-read from its box.
+Along phase i every class value is A + Re(H e^{it}) (as in Rotosolve,
+Ostaszewski, Grant & Benedetti, Quantum 5, 391 (2021)), with
+A = value - Re H and H the kernel's ``harmonic(i, _class_product()[i])``:
+its 4 phasors for phase i times C @ CLASS_CH[:36] at the same 4 rows. That
+product is built once per process as a read-only per-phase table
+(12, 4, 432), so a step slices it and copies nothing. One evaluation, at
+t = -arg H_c for the c with the largest A_c + |H_c|, reaches the line's
+exact maximum; it is kept unless the largest class value falls. A sweep
+over the free phases that raises it by at most ``ROUNDOFF_ULPS`` ulps ends
+the restart, and its noise is crossed once, at the end. The best restart's
+relabeling and threshold are read from its box.
 
 The LP method runs a modified Newton ascent on f_min. Within one LP basis
 f = g / (1 + g) with g the dual ``lhv.threshold_gradient`` reads times the
@@ -54,6 +57,7 @@ reported as a first-order certificate.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +91,15 @@ CURVATURE_FLOOR = 1e-3  # relative to the largest curvature
 FREE_INDICES = np.array([1, 2, 4, 5, 7, 8, 10, 11])
 FREE_INDICES.setflags(write=False)
 _FREE_BLOCK = np.ix_(FREE_INDICES, FREE_INDICES)
+# as Python ints, which index an array faster than numpy's
+_FREE_PHASES = tuple(FREE_INDICES.tolist())
+
+# the class values of a box on the maximally entangled state are
+# joints @ _CLASS_JOINTS + _SINGLES_SHARE: every single is 1/3, so the singles
+# add a constant to each class value
+_CLASS_JOINTS = CLASS_CH[:36]
+_SINGLES_SHARE = FLAT_VECTOR[36:] @ CLASS_CH[36:]
+_SINGLES_SHARE.setflags(write=False)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -136,10 +149,16 @@ def _relabel_maxed_scores(exp0) -> np.ndarray:
 
 @functools.cache
 def _class_product() -> np.ndarray:
-    """C @ CLASS_CH[:36] (25, 432) for ``engine._fourier_table``'s C, built
-    on first use; numpy's complex-by-real matmul is slow at this size."""
-    coefficients, weights = _fourier_table()[1], CLASS_CH[:36]
-    return coefficients.real @ weights + 1j * (coefficients.imag @ weights)
+    """The product C @ _CLASS_JOINTS (25, 432) of ``engine._fourier_table``'s
+    C, gathered per phase at the table's rows as a read-only (12, 4, 432)
+    table: entry i holds the 4 rows with K = 1 for phase i, the argument of
+    ``harmonic(i, ...)``. Built on first use; numpy's complex-by-real matmul
+    is slow at this size."""
+    _, coefficients, rows, _ = _fourier_table()
+    product = coefficients.real @ _CLASS_JOINTS + 1j * (coefficients.imag @ _CLASS_JOINTS)
+    table = product[rows]
+    table.setflags(write=False)
+    return table
 
 
 def _coordinate_ascent(fn, x: np.ndarray) -> float:
@@ -149,18 +168,20 @@ def _coordinate_ascent(fn, x: np.ndarray) -> float:
     fn(x) returns the 432 class values and ``engine._fourier_kernel``'s
     ``harmonic``.
     """
+    table = _class_product()
     values, harmonic = fn(x)
     current = values.max()
     while True:
         sweep_start = current
-        for index in FREE_INDICES:
-            harmonics = harmonic(index, _class_product())
+        for index in _FREE_PHASES:
+            harmonics = harmonic(index, table[index])
             best = (values - harmonics.real + np.abs(harmonics)).argmax()
             origin = x[index]
             x[index] = origin - np.angle(harmonics[best])
             trial, trial_harmonic = fn(x)
-            if trial.max() >= current:
-                values, harmonic, current = trial, trial_harmonic, trial.max()
+            peak = trial.max()
+            if peak >= current:
+                values, harmonic, current = trial, trial_harmonic, peak
             else:
                 x[index] = origin
         if current - sweep_start <= ROUNDOFF_ULPS * np.spacing(abs(sweep_start)):
@@ -222,6 +243,21 @@ def _pin_gauge(phases: np.ndarray) -> np.ndarray:
     return triples.ravel()
 
 
+def _integer(value, least: int, message: str) -> int:
+    """``value`` as a Python int of at least ``least``, or ValueError(message).
+    Booleans are refused although True == 1, and so is whatever
+    ``operator.index`` refuses, such as 1.5, 2.0 or "3"."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if value >= least:
+                return value
+    raise ValueError(message)
+
+
 def optimize(
     restarts: int,
     seed: int,
@@ -240,13 +276,10 @@ def optimize(
     kept only if it beats it by more than the method's roundoff,
     ``ROUNDOFF_ULPS`` ulps for analytic and ``LP_ROUNDOFF_ULPS`` for lp.
     """
-    # booleans are refused although True == 1
-    if restarts < 1 or isinstance(restarts, (bool, np.bool_)):
-        raise ValueError("restarts must be an integer of at least 1")
+    restarts = _integer(restarts, 1, "restarts must be an integer of at least 1")
     if method not in ("lp", "analytic"):
         raise ValueError(f"unknown method {method!r}")
-    if seed < 0 or isinstance(seed, (bool, np.bool_)):
-        raise ValueError("seed must be a nonnegative integer")
+    seed = _integer(seed, 0, "seed must be a nonnegative integer")
 
     evaluations = 0
     failed_restarts = 0
@@ -257,28 +290,25 @@ def optimize(
     # next solve
     seed_bound: lhv.NoiseBound | None = None
 
-    # every single is 1/3, so the singles add a constant to each class value
-    singles_share = FLAT_VECTOR[36:] @ CLASS_CH[36:]
-
     def class_values(x: np.ndarray) -> tuple:
         nonlocal evaluations
         evaluations += 1
         joints, _, harmonic = _fourier_kernel(x)
-        return joints @ CLASS_CH[:36] + singles_share, harmonic
+        return joints @ _CLASS_JOINTS + _SINGLES_SHARE, harmonic
 
     def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
         joints, derivatives, _ = _fourier_kernel(x)
-        values = joints @ CLASS_CH[:36] + singles_share
+        values = joints @ _CLASS_JOINTS + _SINGLES_SHARE
         best = int(values.argmax())
-        return float(values[best]), *derivatives(CLASS_CH[:36, best])
+        return float(values[best]), *derivatives(_CLASS_JOINTS[:, best])
 
     def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         nonlocal evaluations, lp_pivots, screened_trials, seed_bound
         evaluations += 1
         joints, derivatives, _ = _fourier_kernel(x)
-        if seed_bound is not None and (joints @ CLASS_CH[:36] + singles_share).max() <= 0.0:
+        if seed_bound is not None and (joints @ _CLASS_JOINTS + _SINGLES_SHARE).max() <= 0.0:
             # rejected unsolved: the line search never accepts -inf
             screened_trials += 1
             return -np.inf, None, None

@@ -80,6 +80,17 @@ def test_joint_table_rejects_non_unitary_and_bad_noise():
         joint_table(u, u, noise=1.5)
     with pytest.raises(ValueError):
         joint_table(u, u, noise=-0.1)
+    # booleans are no noise fraction, although True == 1 would mix in all noise
+    settings = PhaseSettings(np.zeros((2, 3)), np.zeros((2, 3)))
+    exp = experiment_probabilities(settings)
+    for noise in (True, False, np.True_):
+        for call in (
+            lambda: joint_table(u, u, noise),
+            lambda: experiment_probabilities(settings, noise),
+            lambda: mix_with_noise(exp, noise),
+        ):
+            with pytest.raises(ValueError, match="noise fraction must be a number"):
+                call()
 
 
 def test_joint_table_depends_only_on_outcome_sum_class():

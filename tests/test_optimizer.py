@@ -15,6 +15,7 @@ from qutrit_ch.engine import (
     ExperimentProbabilities,
     PhaseSettings,
     _fourier_kernel,
+    _fourier_table,
     _kernel_box,
     apply_relabeling,
     experiment_probabilities,
@@ -128,6 +129,22 @@ def test_one_crossing_of_the_largest_class_value_is_the_best_score():
         assert best == _relabel_maxed_scores(exp0).max()
 
 
+def test_the_class_product_is_gathered_per_phase_at_the_kernels_rows():
+    # entry i is C @ CLASS_CH[:36] at the 4 rows the kernel's harmonic
+    # reads for phase i, to the bit, with the real and imaginary parts each
+    # taken by a real product
+    frequencies, coefficients, rows, _ = _fourier_table()
+    product = coefficients.real @ CLASS_CH[:36] + 1j * (coefficients.imag @ CLASS_CH[:36])
+    table = _class_product()
+    assert table.shape == (12, 4, 432) and table.dtype == complex
+    assert not table.flags.writeable
+    assert _class_product() is table  # built once per process
+    for index in range(12):
+        assert np.array_equal(table[index], product[rows[index]])
+        # the 4 rows are those whose frequency is 1 at this phase
+        assert np.array_equal(np.flatnonzero(frequencies[:, index] == 1.0), rows[index])
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(
     st.lists(st.floats(-10.0, 10.0), min_size=12, max_size=12),
@@ -135,12 +152,14 @@ def test_one_crossing_of_the_largest_class_value_is_the_best_score():
 )
 def test_the_kernels_harmonic_gives_every_value_along_a_phase(phases, offsets):
     # along raw phase i every class value is A + Re(H e^{it}), with H the
-    # Fourier kernel's harmonic(i, C @ CLASS_CH[:36]) and A = value - Re H;
-    # so the largest peak max_c A_c + |H_c| is the line's maximum, at
-    # t = -arg H_c. The Born rule's values along the line are the oracle
+    # Fourier kernel's harmonic(i, table[i]) on the per-phase class product
+    # and A = value - Re H; so the largest peak max_c A_c + |H_c| is the
+    # line's maximum, at t = -arg H_c. The Born rule's values along the line
+    # are the oracle
     grid = np.arange(720) * (2.0 * np.pi / 720)
     x = np.array(phases)
     harmonic = _fourier_kernel(x)[2]
+    table = _class_product()
     values = experiment_probabilities(_phase_settings(x)).vector() @ CLASS_CH
     for index in range(12):
         line = x.copy()
@@ -149,7 +168,7 @@ def test_the_kernels_harmonic_gives_every_value_along_a_phase(phases, offsets):
             line[index] = x[index] + t
             return experiment_probabilities(_phase_settings(line)).vector() @ CLASS_CH
 
-        classes = harmonic(index, _class_product())
+        classes = harmonic(index, table[index])
         assert classes.shape == (432,)
         constant = values - classes.real
         for t in offsets:
@@ -178,6 +197,16 @@ def test_optimize_validates_arguments():
     for restarts, seed in ((True, 1), (1, True), (1, False), (np.True_, 0)):
         with pytest.raises(ValueError, match="must be .*integer"):
             optimize(restarts, seed)
+    # nor is anything operator.index refuses, however integral its value
+    for bad in (1.5, 2.0, "3", float("nan"), np.float64(3.0)):
+        with pytest.raises(ValueError, match="restarts must be an integer of at least 1"):
+            optimize(bad, 1)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            optimize(1, bad)
+    # numpy integers are integers
+    result = optimize(np.int64(1), np.int64(2), "analytic")
+    assert result.seed == 2 and type(result.seed) is int
+    assert result.evaluations == ANALYTIC_SEARCH_EVALUATIONS[2]
 
 
 def test_optimize_is_deterministic_and_self_consistent():

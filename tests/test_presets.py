@@ -11,6 +11,7 @@ from qutrit_ch.engine import (
     experiment_probabilities,
     find_matching_relabeling,
 )
+from qutrit_ch.lhv import _ANCHOR_BASIS
 from qutrit_ch.presets import (
     REFERENCE_ALICE_PHASES,
     REFERENCE_NOISE_THRESHOLD,
@@ -70,3 +71,28 @@ def test_no_module_level_array_is_writable():
                     arrays += 1
                     assert not array.flags.writeable, f"{info.name}.{name}"
     assert arrays > 20
+
+
+def test_every_cached_builder_hands_out_read_only_arrays():
+    # a functools.cache builder hands every caller the same object: writing
+    # into it, such as optimizer._class_product()[0, 0] = 9, would silently
+    # change every later call in the process
+    arguments = {"_basis_inverse": (_ANCHOR_BASIS,), "_witness_basis": (0,)}
+    builders = {}
+    for info in pkgutil.iter_modules(qutrit_ch.__path__):
+        module = importlib.import_module(f"qutrit_ch.{info.name}")
+        for name, value in vars(module).items():
+            if callable(value) and hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                builders[f"{info.name}.{name}"] = value(*arguments.get(name, ()))
+    assert set(builders) == {
+        "engine._fourier_table", "lhv._basis_inverse", "lhv._witness_basis", "optimizer._class_product",
+    }
+    arrays = 0
+    for name, built in builders.items():
+        for item in built if isinstance(built, tuple) else (built,):
+            if isinstance(item, np.ndarray):
+                arrays += 1
+                assert not item.flags.writeable, name
+    assert arrays == 6
+    with pytest.raises(ValueError, match="read-only"):
+        builders["optimizer._class_product"][0, 0] = 9.0
