@@ -280,7 +280,6 @@ def _cmd_optimize(args):
         "evaluations": result.evaluations,
         "lp_evaluations": sum(result.lp_starts.values()),
         "lp_pivots": result.lp_pivots,
-        "screened_trials": result.screened_trials,
         "gradient_norm": result.gradient_norm,
         "best_settings": _settings_document(settings.alice, settings.bob, settings.relabel),
     }

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,14 +92,18 @@ def _require_unitary(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
+def _real_number(value) -> bool:
+    """Whether ``value`` is a real number: booleans are not, although
+    True == 1, and neither are strings, None or complex numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 def _check_noise(noise: float) -> float:
-    # booleans are refused although True == 1
-    if isinstance(noise, (bool, np.bool_)):
-        raise ValueError(f"noise fraction must be a number, got {noise!r}")
-    noise = float(noise)
-    if not 0.0 <= noise <= 1.0:
+    if not _real_number(noise):
+        raise ValueError(f"noise fraction must be a real number, got {noise!r}")
+    if not 0 <= noise <= 1:
         raise ValueError(f"noise fraction must lie in [0, 1], got {noise}")
-    return noise
+    return float(noise)
 
 
 def _clamp01(p: np.ndarray) -> np.ndarray:
@@ -168,12 +173,19 @@ def _validate_relabeling(relabel) -> tuple[tuple[int, int, int], ...]:
 
 
 def _real_array(values) -> np.ndarray:
-    """``values`` as a fresh float array. Complex input raises ValueError,
-    where a float conversion would drop the imaginary part with a warning."""
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
+    """``values`` as a fresh float array. Complex, string and boolean
+    entries raise ValueError, where a float conversion would drop an
+    imaginary part with a warning, parse a string or read True as 1."""
+    array = np.asarray(values)
+    if np.iscomplexobj(array):
         raise ValueError("expected real numbers, got complex ones")
-    return values.astype(float)
+    # numpy reads True among integers as 1, so a sequence's entries are
+    # checked as given
+    if (array.dtype.kind not in "iuf" or not isinstance(values, np.ndarray)) and not all(
+        map(_real_number, np.asarray(values, dtype=object).flat)
+    ):
+        raise ValueError(f"expected real numbers, got {values!r}")
+    return array.astype(float)
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -41,10 +41,12 @@ of them ("accepted", "repaired" or "cold", see ``simplex``). The matrix
 and cost are the same for every experiment, so an optimal basis stays
 dual feasible for all of them. A solve without one starts from the
 ``_witness_basis`` of the box's top CGLMP class, the one whose relabeling
-class value (``inequality.CLASS_CH``) is largest, whatever its sign. The
-result does not depend on the start. If that class's witness solve fails,
-or a warm solve fails and its cold fallback too, ``min_noise_lp`` raises
-SimplexFailure naming the cause. The optimizer passes its bounds through
+class value (``inequality.CLASS_CH``) is largest, whatever its sign: the
+noise LP's optimal basis at the paper's box, its atom columns relabeled
+as that class's witness box relabels the paper's box, so no LP is solved
+to find it. The result does not depend on the start. If a solve fails,
+and its cold fallback too, ``min_noise_lp`` raises SimplexFailure naming
+the cause. The optimizer passes its bounds through
 ``_min_noise_lp``, which skips the input check: its boxes are
 ``engine._fourier_kernel``'s range-checked joints with singles of exactly
 1/3, valid by construction.
@@ -71,7 +73,6 @@ from .engine import (
     mix_with_noise,
 )
 from .inequality import CLASS_CH, CLASS_FIRSTS
-from .presets import reference_joint_tables
 from .simplex import SimplexFailure, _solve, simplex_solve
 
 BISECTION_STEPS = 40
@@ -97,11 +98,11 @@ _NOISE_MATRIX.setflags(write=False)
 _NOISE_COST = np.zeros(N_ATOMS + 1)
 _NOISE_COST[N_ATOMS] = 1.0
 _NOISE_COST.setflags(write=False)
-# the cold solve's optimal basis for the flat box: the start of each
-# _witness_basis solve. Its _basis_inverse is factorized by the first LP
-# that needs it, so other processes make no LAPACK call.
-_ANCHOR_BASIS = (9, 41, 43, 42, 65, 51, 21, 38, 61, 59, 40, 66, 25, 47, 19, 69,
-                 56, 64, 18, 58, 0, 48, 60, 23, 46)
+# the noise LP's optimal basis at the paper's box
+# (``presets.reference_joint_tables``), class 0's witness box; every
+# _witness_basis is a relabeling of it
+_PAPER_BASIS = (13, 1, 36, 28, 77, 81, 39, 74, 12, 7, 15, 62, 42, 47, 22, 69,
+                29, 80, 27, 71, 4, 48, 70, 23, 50)
 
 
 @functools.cache
@@ -113,28 +114,22 @@ def _basis_inverse(basis: tuple[int, ...]) -> np.ndarray:
     return inverse
 
 
-def _witness_box(top: int) -> np.ndarray:
-    """The paper's closed-form optimal box read through the first
-    relabeling of class ``top``, where that class alone is largest, as
-    ``ExperimentProbabilities.vector()``."""
-    tables = reference_joint_tables()
-    paper = np.concatenate(
-        [tables.ravel(), tables[:, 0].sum(axis=2).ravel(), tables[0].sum(axis=1).ravel()]
-    )
-    return paper[RELABEL_DESTINATIONS[CLASS_FIRSTS[top]]]
-
-
 @functools.cache
 def _witness_basis(top: int) -> tuple[int, ...]:
-    """The noise LP's optimal basis at class ``top``'s witness box, solved
-    from the anchor on first use: a function of the class alone. A failed
-    solve raises SimplexFailure and is not cached. Every solve it starts
-    borrows its cached ``_basis_inverse`` (not the witness solve's carried
-    inverse, so the results are those of a fresh factorization), and none
-    factorizes it."""
-    t0 = _witness_box(top)[INDEPENDENT_ROWS]
-    return _solve(_NOISE_COST, _NOISE_MATRIX, t0, start=_ANCHOR_BASIS,
-                  inverse=_basis_inverse(_ANCHOR_BASIS)).basis
+    """An optimal basis of the noise LP at class ``top``'s witness box, the
+    paper's box read through the first relabeling of that class, where that
+    class alone is largest; no LP is solved.
+
+    The witness box is the paper's vector gathered at that relabeling's
+    ``RELABEL_DESTINATIONS`` row D. Column j of ``INDICATOR_MATRIX[D]`` is
+    the indicator column of one atom, which gives each observable o the
+    outcome a where row 36 + 3o + a of that column is 1. So the gather
+    carries the paper's local model on atom j to that atom, and
+    ``_PAPER_BASIS`` to the basis returned here; g keeps its column. Every
+    solve it starts borrows its cached ``_basis_inverse``."""
+    singles = INDICATOR_MATRIX[RELABEL_DESTINATIONS[CLASS_FIRSTS[top], 36:]]
+    atoms = 3 ** np.arange(4) @ singles.reshape(4, 3, N_ATOMS).argmax(axis=1)
+    return tuple(int(atoms[j]) if j < N_ATOMS else j for j in _PAPER_BASIS)
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,20 +38,21 @@ over the free phases that raises it by at most ``ROUNDOFF_ULPS`` ulps ends
 the restart, and its noise is crossed once, at the end. The best restart's
 relabeling and threshold are read from its box.
 
-The LP method runs a modified Newton ascent on f_min. Within one LP basis
-f = g / (1 + g) with g the dual ``lhv.threshold_gradient`` reads times the
-tables, so the kernel's ``derivatives`` give its exact gradient and Hessian
-from the raw phases. f_min and its gradient are 0 where the box is local, so
-each restart first ascends the largest relabeled functional value,
-max_c (CH read through relabeling c) @ p, until it is positive. Every
-reported score is a certified LP value. After each restart's first solve,
-a trial box that violates no CGLMP inequality (no class value above 0) is
-rejected without an LP, as -inf. Each solve warm-starts from the
-bound with the highest f_min so far in its restart, so a trial the line
-search rejects seeds nothing. Each restart's first solve brings no start,
-so it starts from the box's CGLMP class (see ``lhv.min_noise_lp``), and
-restarts stay independent. The best restart's final gradient norm is
-reported as a first-order certificate.
+The LP method runs one modified Newton ascent on one objective. Within one
+LP basis f = g / (1 + g) with g the dual ``lhv.threshold_gradient`` reads
+times the tables, so the kernel's ``derivatives`` give f_min's exact
+gradient and Hessian from the raw phases. f_min and its gradient are 0
+where the box is local, so a box with no positive class value is scored
+without an LP by its top class value, with that class's gradient and
+Hessian: a score of at most 0, so of at most any LP value, that leads off
+that plateau. Every other box is scored by its certified LP value, and a
+restart whose ascent ends on the plateau reports the LP value of its end,
+so every reported score is an LP value.
+Each solve warm-starts from the bound with the highest f_min so far in its
+restart, so a trial the line search rejects seeds nothing. Each restart's
+first solve brings no start, so it starts from the box's CGLMP class (see
+``lhv.min_noise_lp``), and restarts stay independent. The best restart's
+final gradient norm is reported as a first-order certificate.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ class OptimizationResult:
     ``failed_restarts`` counts the restarts skipped after a SimplexFailure.
     ``lp_starts`` counts the LP evaluations by start outcome ("accepted",
     "repaired" or "cold", see ``lhv.NoiseBound``) and ``lp_pivots`` sums
-    their simplex pivots; ``screened_trials`` counts the line-search trials
-    rejected without an LP. They are empty and 0 for the analytic method.
+    their simplex pivots; every other evaluation but the failed solve of
+    each failed restart was scored by its top class value, without an LP.
+    They are empty and 0 for the analytic method.
     ``gradient_norm`` is the norm of the LP threshold's gradient over the 8
     free phases at the best settings, small at a local maximum; it is None
     for the analytic method.
@@ -124,7 +126,6 @@ class OptimizationResult:
     lp_starts: dict[str, int] = field(default_factory=dict)
     gradient_norm: float | None = None
     lp_pivots: int = 0
-    screened_trials: int = 0
 
 
 def threshold_objective(settings: PhaseSettings, method: str = "lp") -> float:
@@ -188,7 +189,7 @@ def _coordinate_ascent(fn, x: np.ndarray) -> float:
             return float(current)
 
 
-def _newton_ascent(fn, x: np.ndarray, enough: float = np.inf) -> tuple[float, np.ndarray]:
+def _newton_ascent(fn, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize fn over the free phases of x in place; returns the value and
     the free-phase gradient at the final x.
 
@@ -200,13 +201,13 @@ def _newton_ascent(fn, x: np.ndarray, enough: float = np.inf) -> tuple[float, np
     condition or moves the value by at most ``ROUNDOFF_ULPS`` ulps, all a
     gain below rounding can show, or by at most ``LP_ROUNDOFF_ULPS`` ulps to
     a gradient norm at most ``GRADIENT_TOL``, an optimum that the LP's
-    roundoff hides. The ascent stops once the value exceeds
-    ``enough``, the gradient norm is at most ``GRADIENT_TOL``, or no step
-    of at least ``STEP_TOL`` radians is accepted.
+    roundoff hides. The ascent stops once the gradient norm is at most
+    ``GRADIENT_TOL``, or once no step of at least ``STEP_TOL`` radians is
+    accepted.
     """
     value, gradient, hessian = fn(x)
     gradient = gradient[FREE_INDICES]
-    while value <= enough and np.linalg.norm(gradient) > GRADIENT_TOL:
+    while np.linalg.norm(gradient) > GRADIENT_TOL:
         curvatures, axes = np.linalg.eigh(-hessian[_FREE_BLOCK])
         curvatures = np.abs(curvatures)
         if curvatures.max() > 0.0:
@@ -285,7 +286,6 @@ def optimize(
     failed_restarts = 0
     lp_starts: dict[str, int] = {}
     lp_pivots = 0
-    screened_trials = 0
     # the current restart's bound with the highest f_min, which seeds the
     # next solve
     seed_bound: lhv.NoiseBound | None = None
@@ -296,22 +296,16 @@ def optimize(
         joints, _, harmonic = _fourier_kernel(x)
         return joints @ _CLASS_JOINTS + _SINGLES_SHARE, harmonic
 
-    def relabeled_functional(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        nonlocal evaluations
+    def lp_threshold(x: np.ndarray, certify: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
+        nonlocal evaluations, lp_pivots, seed_bound
         evaluations += 1
         joints, derivatives, _ = _fourier_kernel(x)
         values = joints @ _CLASS_JOINTS + _SINGLES_SHARE
-        best = int(values.argmax())
-        return float(values[best]), *derivatives(_CLASS_JOINTS[:, best])
-
-    def lp_threshold(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        nonlocal evaluations, lp_pivots, screened_trials, seed_bound
-        evaluations += 1
-        joints, derivatives, _ = _fourier_kernel(x)
-        if seed_bound is not None and (joints @ _CLASS_JOINTS + _SINGLES_SHARE).max() <= 0.0:
-            # rejected unsolved: the line search never accepts -inf
-            screened_trials += 1
-            return -np.inf, None, None
+        top = int(values.argmax())
+        if values[top] <= 0.0 and not certify:
+            # f_min and its gradient are 0 on this plateau: the top class
+            # value, at most 0 and so at most any LP value, leads off it
+            return float(values[top]), *derivatives(_CLASS_JOINTS[:, top])
         # valid by construction, so the input check is skipped
         bound = lhv._min_noise_lp(_kernel_box(joints), start=seed_bound)
         lp_starts[bound.start] = lp_starts.get(bound.start, 0) + 1
@@ -344,11 +338,11 @@ def optimize(
             if method == "analytic":
                 value = noise_crossing(_coordinate_ascent(class_values, x))
             else:
-                # f_min is 0 wherever the box is local, so the LP's gradient
-                # is too; the largest relabeled functional value leads off
-                # that plateau first
-                _newton_ascent(relabeled_functional, x, enough=0.0)
                 value, gradient = _newton_ascent(lp_threshold, x)
+                if value <= 0.0:
+                    # the ascent ended on the plateau: report its LP value
+                    value, gradient, _ = lp_threshold(x, certify=True)
+                    gradient = gradient[FREE_INDICES]
                 norm = float(np.linalg.norm(gradient))
         except simplex.SimplexFailure:
             failed_restarts += 1
@@ -366,5 +360,5 @@ def optimize(
     settings = PhaseSettings(best_x[:6].reshape(2, 3), best_x[6:].reshape(2, 3), relabel)
     return OptimizationResult(
         settings, float(best_val), evaluations, seed, failed_restarts, lp_starts,
-        best_norm, lp_pivots, screened_trials,
+        best_norm, lp_pivots,
     )

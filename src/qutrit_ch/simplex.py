@@ -55,6 +55,7 @@ start outcomes:
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -325,7 +326,8 @@ def simplex_solve(
     linearly dependent") and running past the iteration cap (default
     10 * (rows + columns)) all raise instead of returning, since none of
     them carries a usable certificate. Data of the wrong shape or with a
-    non-finite entry raises ValueError naming the array.
+    non-finite entry raises ValueError naming the array, and so does a
+    ``start`` entry that is not an integer.
 
     ``start`` is an optional basis, one column index per row, typically the
     ``basis`` of an earlier solution of a nearby problem, and ``inverse``
@@ -346,6 +348,12 @@ def simplex_solve(
     if cost.shape != (n_vars,):
         raise ValueError("objective length does not match eq_matrix columns")
     _check_finite(eq_matrix=matrix, eq_rhs=rhs, objective=cost)
+    # a column index is not truncated from 0.7, nor read from True
+    if start is not None and not all(
+        isinstance(entry, numbers.Integral) and not isinstance(entry, (bool, np.bool_))
+        for entry in np.asarray(start, dtype=object).flat
+    ):
+        raise ValueError(f"start entries must be integers, got {start!r}")
     return _solve(cost, matrix, rhs, max_iterations, start, inverse)
 
 

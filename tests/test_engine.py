@@ -80,17 +80,26 @@ def test_joint_table_rejects_non_unitary_and_bad_noise():
         joint_table(u, u, noise=1.5)
     with pytest.raises(ValueError):
         joint_table(u, u, noise=-0.1)
-    # booleans are no noise fraction, although True == 1 would mix in all noise
+    # booleans are no noise fraction, although True == 1 would mix in all
+    # noise, and neither is anything but a real number: "0.5" is not parsed
     settings = PhaseSettings(np.zeros((2, 3)), np.zeros((2, 3)))
     exp = experiment_probabilities(settings)
-    for noise in (True, False, np.True_):
+    for noise in (True, False, np.True_, "0.5", None, 0.5j, np.complex128(0.5), [0.5]):
         for call in (
             lambda: joint_table(u, u, noise),
             lambda: experiment_probabilities(settings, noise),
             lambda: mix_with_noise(exp, noise),
         ):
-            with pytest.raises(ValueError, match="noise fraction must be a number"):
+            with pytest.raises(ValueError, match="noise fraction must be a real number"):
                 call()
+    for noise in (float("nan"), 2, 10**400, -np.inf):
+        with pytest.raises(ValueError, match=r"noise fraction must lie in \[0, 1\]"):
+            mix_with_noise(exp, noise)
+    # integers and numpy scalars are real numbers
+    for noise in (0, 1, np.int64(1), np.float32(0.5)):
+        mixed = experiment_probabilities(settings, noise)
+        assert np.array_equal(mixed.vector(), experiment_probabilities(settings, float(noise)).vector())
+        assert np.array_equal(mix_with_noise(exp, noise).vector(), mix_with_noise(exp, float(noise)).vector())
 
 
 def test_joint_table_depends_only_on_outcome_sum_class():
@@ -164,6 +173,41 @@ def test_complex_input_is_refused_not_truncated():
         ExperimentProbabilities(np.full((2, 2, 3, 3), 1.0 / 9.0) + 0j, uniform, uniform)
     with pytest.raises(ValueError, match="got complex"):
         ExperimentProbabilities(np.full((2, 2, 3, 3), 1.0 / 9.0), uniform.tolist(), [[1j] * 3] * 2)
+
+
+def test_string_and_boolean_entries_are_refused_not_read_as_numbers():
+    # a float conversion would parse "1" and read True as 1, also where
+    # numpy holds True among integers as 1
+    uniform = np.full((2, 3), 1.0 / 3.0)
+    tables = np.full((2, 2, 3, 3), 1.0 / 9.0)
+    with_true = tables.tolist()
+    with_true[0][0][0][0] = True
+    for bad in (
+        [["0", "1", "2"], [0, 0, 0]],
+        [[True, False, True], [0, 0, 0]],
+        [[0, 1, 2], [np.True_, 0, 0]],
+        np.zeros((2, 3), dtype=bool),
+        np.array([["0", "1", "2"], ["0", "0", "0"]]),
+        [[0, None, 0], [0, 0, 0]],
+    ):
+        for alice, bob in ((bad, np.zeros((2, 3))), (np.zeros((2, 3)), bad)):
+            with pytest.raises(ValueError, match="expected real numbers, got"):
+                PhaseSettings(alice, bob)
+    for bad in (tables.astype(str), tables.astype(bool), with_true):
+        with pytest.raises(ValueError, match="expected real numbers, got"):
+            ExperimentProbabilities(bad, uniform, uniform)
+    with pytest.raises(ValueError, match="expected real numbers, got"):
+        ExperimentProbabilities(tables, [["1", 0, 0], [1, 0, 0]], uniform)
+    # NaN and an integer beyond the float range keep their own message
+    for bad in ([[0, float("nan"), 0], [0, 0, 0]], [[0, 10**400, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            PhaseSettings(bad, np.zeros((2, 3)))
+    # integers, numpy scalars and object arrays of numbers are still read
+    settings = PhaseSettings([[0, 1, np.int64(2)], [np.float32(0.5), 0, 0]], np.zeros((2, 3), dtype=object))
+    assert np.array_equal(settings.alice, [[0.0, 1.0, 2.0], [0.5, 0.0, 0.0]])
+    assert settings.alice.dtype == settings.bob.dtype == float
+    box = ExperimentProbabilities(tables.tolist(), uniform.tolist(), uniform.astype(object))
+    assert np.array_equal(box.vector(), np.concatenate([tables.ravel(), uniform.ravel(), uniform.ravel()]))
 
 
 def test_relabeled_settings_share_the_module_permutations():

@@ -1,9 +1,13 @@
 import hashlib
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 EVIDENCE = ROOT / "tools" / "evidence.py"
@@ -42,11 +46,41 @@ def test_digests_name_every_set_and_repeat_exactly():
         "optimize(20, 7, analytic)",
         "min_noise_lp f_min, default_rng(2026) x3",
         "min_noise_lp bounds, default_rng(2026) x3",
+        "lhv_weights, default_rng(2026) x3",
+        "simplex_solve, default_rng(7) x600",
+        "atom tables",
     ]
     assert all(SHA256.fullmatch(value) for value in first.values())
     assert len(set(first.values())) == len(first)
     second = _figures(_evidence("digests", "--seeds", "2", "--boxes", "3").stdout)
     assert second == first
+    # the LP and atom sets do not depend on --seeds or --boxes
+    other = _figures(_evidence("digests", "--seeds", "1", "--boxes", "4").stdout)
+    for name in ("simplex_solve, default_rng(7) x600", "atom tables"):
+        assert other[name] == first[name]
+    assert other["lhv_weights, default_rng(2026) x4"] != first["lhv_weights, default_rng(2026) x3"]
+
+
+def test_the_random_lps_are_solved_cold_then_warm_with_and_without_the_inverse():
+    spec = importlib.util.spec_from_file_location("evidence", EVIDENCE)
+    evidence = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(evidence)
+    calls = []
+
+    def recorded(cost, matrix, rhs, **start):
+        calls.append((matrix.shape, rhs, start))
+        return types.SimpleNamespace(basis=tuple(range(len(rhs))), inverse=np.eye(len(rhs)))
+
+    results = evidence._random_lps(recorded, 50)
+    assert len(results) == len(calls) == 150
+    for (shape, rhs, cold), (moved_shape, moved, warm), (_, again, carried) in zip(
+        calls[::3], calls[1::3], calls[2::3]
+    ):
+        assert 2 <= shape[0] <= 10 and 2 * shape[0] <= shape[1] <= 2 * shape[0] + 4
+        assert cold == {} and moved_shape == shape
+        assert not np.array_equal(moved, rhs) and np.array_equal(again, moved)
+        assert warm == {"start": tuple(range(shape[0]))}
+        assert set(carried) == {"start", "inverse"}
 
 
 def test_cli_bytes_hash_each_output_without_its_wall_time():

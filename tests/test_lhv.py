@@ -11,6 +11,7 @@ from qutrit_ch.atoms import INDICATOR_MATRIX, MARGINAL_MATRIX, N_ATOMS, atom_ind
 from qutrit_ch.engine import (
     ExperimentProbabilities,
     PERMUTATIONS,
+    RELABEL_DESTINATIONS,
     PhaseSettings,
     apply_relabeling,
     experiment_probabilities,
@@ -27,7 +28,7 @@ from qutrit_ch.lhv import (
     min_noise_lp,
 )
 from qutrit_ch.optimizer import optimize
-from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_settings
+from qutrit_ch.presets import REFERENCE_NOISE_THRESHOLD, reference_joint_tables, reference_settings
 from qutrit_ch.simplex import INVERSE_TOL, LpSolution, SimplexFailure, simplex_solve
 
 
@@ -615,28 +616,12 @@ def test_criterion_9_fallbacks_are_solved_by_a_repaired_warm_start(previous, fai
     assert abs(f_cold - warm.f_min) < 1e-12
 
 
-def test_the_flat_box_accepts_the_anchor_basis_as_it_stands(monkeypatch):
+def flat_basis():
+    """The two-phase solve's optimal basis for the flat box, which no box
+    without a start of its own starts from."""
     flat = mix_with_noise(experiment_probabilities(reference_settings()), 1.0)
     t0 = flat.tables.reshape(36)[INDEPENDENT_ROWS]
-    problem = (lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
-    # the literal anchor is the basis the two-phase solve finds for the flat box
-    assert simplex_solve(*problem).basis == lhv_module._ANCHOR_BASIS
-    anchor_inverse = lhv_module._basis_inverse(lhv_module._ANCHOR_BASIS)
-    anchored = simplex_solve(*problem, start=lhv_module._ANCHOR_BASIS, inverse=anchor_inverse)
-    assert (anchored.start, anchored.iterations) == ("accepted", 0)
-    assert anchored.basis == lhv_module._ANCHOR_BASIS
-    assert anchored.objective_value == 0.0
-    assert not anchor_inverse.flags.writeable
-    with pytest.raises(ValueError):
-        anchor_inverse[0, 0] = 0.0
-    footprint = lhv_module._NOISE_MATRIX[:, list(lhv_module._ANCHOR_BASIS)]
-    assert np.max(np.abs(anchor_inverse @ footprint - np.eye(25))) <= INVERSE_TOL
-    # every class value of the flat box ties, so its own bound starts at
-    # class 0's witness basis
-    witness = lhv_module._witness_basis(0)
-    starts = recorded_starts(monkeypatch)
-    assert min_noise_lp(flat).f_min == 0.0
-    assert starts == [witness]
+    return simplex_solve(lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0).basis
 
 
 def anchored_box(kind, rng):
@@ -662,7 +647,7 @@ def anchored_box(kind, rng):
 def test_the_class_keyed_start_gives_the_anchored_bound(kind, seed):
     exp0 = anchored_box(kind, np.random.default_rng(seed))
     keyed = min_noise_lp(exp0)
-    anchor = lhv_module._ANCHOR_BASIS
+    anchor = flat_basis()
     anchored = min_noise_lp(
         exp0, start=replace(keyed, basis=anchor, inverse=lhv_module._basis_inverse(anchor))
     )
@@ -684,9 +669,19 @@ def same_bound(first, second):
     assert np.array_equal(first.certificate, second.certificate)
 
 
+def witness_box(top):
+    """The paper's closed-form optimal box read through the first
+    relabeling of class ``top``, as ``ExperimentProbabilities.vector()``."""
+    tables = reference_joint_tables()
+    paper = np.concatenate(
+        [tables.ravel(), tables[:, 0].sum(axis=2).ravel(), tables[0].sum(axis=1).ravel()]
+    )
+    return paper[RELABEL_DESTINATIONS[CLASS_FIRSTS[top]]]
+
+
 def test_every_class_witness_box_has_that_class_alone_on_top():
     for top in range(len(CLASS_FIRSTS)):
-        values = lhv_module._witness_box(top) @ CLASS_CH
+        values = witness_box(top) @ CLASS_CH
         assert values[top] > 0.0
         assert np.delete(values, top).max() < values[top]
     # the preset is class 0's witness box, so its own LP needs no pivot
@@ -694,16 +689,41 @@ def test_every_class_witness_box_has_that_class_alone_on_top():
     assert (bound.start, bound.iterations) == ("accepted", 0)
 
 
-def test_every_witness_solve_gives_a_basis_its_box_accepts():
-    for top in range(len(CLASS_FIRSTS)):
-        basis = lhv_module._witness_basis(top)
-        assert len(basis) == 25
-        t0 = lhv_module._witness_box(top)[INDEPENDENT_ROWS]
+PAPER_BASIS = (13, 1, 36, 28, 77, 81, 39, 74, 12, 7, 15, 62, 42, 47, 22, 69, 29, 80, 27, 71, 4, 48,
+               70, 23, 50)
+
+
+def test_every_relabeled_witness_basis_is_accepted_at_its_box(monkeypatch):
+    # no LP is solved to find a witness basis
+    lhv_module._witness_basis.cache_clear()
+    monkeypatch.setattr(lhv_module, "_solve", None)
+    monkeypatch.setattr(lhv_module, "simplex_solve", None)
+    bases = [lhv_module._witness_basis(top) for top in range(len(CLASS_FIRSTS))]
+    monkeypatch.undo()
+    assert bases[0] == PAPER_BASIS
+    values = []
+    for top, basis in enumerate(bases):
+        # column j of the relabeled indicators is atom basis[k]'s indicator
+        # column, where j = PAPER_BASIS[k]; g keeps its column
+        relabeled = INDICATOR_MATRIX[RELABEL_DESTINATIONS[CLASS_FIRSTS[top]]]
+        assert basis.index(N_ATOMS) == PAPER_BASIS.index(N_ATOMS)
+        for j, moved in zip(PAPER_BASIS, basis):
+            if j < N_ATOMS:
+                assert np.array_equal(INDICATOR_MATRIX[:, moved], relabeled[:, j])
+        inverse = lhv_module._basis_inverse(basis)
+        assert not inverse.flags.writeable
+        footprint = lhv_module._NOISE_MATRIX[:, list(basis)]
+        assert np.max(np.abs(inverse @ footprint - np.eye(25))) <= INVERSE_TOL
+        t0 = witness_box(top)[INDEPENDENT_ROWS]
         solution = lhv_module._solve(
-            lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0,
-            start=basis, inverse=lhv_module._basis_inverse(basis),
+            lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0, start=basis, inverse=inverse,
         )
         assert (solution.start, solution.iterations, solution.basis) == ("accepted", 0, basis)
+        values.append(solution.objective_value)
+    # every witness box is a relabeling of the paper's, so its g is the
+    # paper's f / (1 - f)
+    paper_g = REFERENCE_NOISE_THRESHOLD / (1.0 - REFERENCE_NOISE_THRESHOLD)
+    assert np.max(np.abs(np.array(values) - paper_g)) <= 1e-14
 
 
 def recorded_starts(monkeypatch):
@@ -736,7 +756,7 @@ def test_every_box_without_a_start_starts_from_its_top_class_witness_basis(monke
     tops = [int(v.argmax()) for v in values]
     witnesses = [lhv_module._witness_basis(top) for top in tops]
     # a local box's witness basis is not the flat box's
-    assert lhv_module._ANCHOR_BASIS not in witnesses
+    assert flat_basis() not in witnesses
     starts = recorded_starts(monkeypatch)
     for exp0 in local + violating:
         min_noise_lp(exp0)
@@ -748,7 +768,7 @@ def test_a_witness_start_borrows_its_cached_inverse(monkeypatch):
     boxes = [experiment_probabilities(random_settings(rng)) for _ in range(30)]
     boxes = [exp0 for exp0 in boxes if (exp0.vector() @ CLASS_CH).max() > 0.0]
     for exp0 in boxes:
-        # the witness solve itself runs here, before the recording starts
+        # the witness basis is built here, before the recording starts
         lhv_module._witness_basis(int((exp0.vector() @ CLASS_CH).argmax()))
     solve = lhv_module._solve
     calls = []
@@ -790,36 +810,6 @@ def test_the_keyed_start_does_not_depend_on_earlier_solves():
     same_bound(min_noise_lp(exp0), first)
 
 
-def test_a_failed_witness_solve_raises_and_is_not_cached(monkeypatch):
-    exp0 = experiment_probabilities(reference_settings())
-    expected = min_noise_lp(exp0)
-    solve = lhv_module._solve
-    calls = []
-
-    def failing_once(cost, matrix, rhs, **kwargs):
-        assert cost is lhv_module._NOISE_COST and matrix is lhv_module._NOISE_MATRIX
-        calls.append(kwargs["start"])
-        if len(calls) == 1:
-            raise SimplexFailure("basis matrix is singular")
-        return solve(cost, matrix, rhs, **kwargs)
-
-    lhv_module._witness_basis.cache_clear()
-    monkeypatch.setattr(lhv_module, "_solve", failing_once)
-    try:
-        with pytest.raises(
-            SimplexFailure, match="^noise minimization LP failed: basis matrix is singular$"
-        ):
-            min_noise_lp(exp0)
-        assert lhv_module._witness_basis.cache_info().currsize == 0
-        # the next call solves the witness box again, then the box itself
-        same_bound(min_noise_lp(exp0), expected)
-    finally:
-        lhv_module._witness_basis.cache_clear()
-    # the preset is class 0's witness box, so its bound's basis is that
-    # class's witness basis
-    assert calls == [lhv_module._ANCHOR_BASIS] * 2 + [expected.basis]
-
-
 @pytest.mark.parametrize("kind", ["quantum", "one setting", "reference"])
 def test_an_iteration_cap_below_the_repair_raises(kind):
     if kind == "reference":
@@ -828,7 +818,8 @@ def test_an_iteration_cap_below_the_repair_raises(kind):
         exp0 = anchored_box(kind, np.random.default_rng(31))
     t0 = exp0.tables.reshape(36)[INDEPENDENT_ROWS]
     problem = (lhv_module._NOISE_COST, lhv_module._NOISE_MATRIX, t0)
-    basis, inverse = lhv_module._ANCHOR_BASIS, lhv_module._basis_inverse(lhv_module._ANCHOR_BASIS)
+    basis = flat_basis()
+    inverse = lhv_module._basis_inverse(basis)
     repaired = simplex_solve(*problem, start=basis, inverse=inverse)
     assert repaired.start == "repaired"
     assert repaired.iterations > 1

@@ -221,7 +221,7 @@ def test_optimize_is_deterministic_and_self_consistent():
     assert first.seed == 3
     assert first.failed_restarts == 0
     assert first.lp_starts == {}  # no LP is solved by the analytic method
-    assert first.screened_trials == 0
+    assert first.lp_pivots == 0
     assert first.gradient_norm is None
     assert 0.0 <= first.best_threshold <= 1.0
     # re-evaluating the returned settings reproduces the reported score
@@ -231,7 +231,7 @@ def test_optimize_is_deterministic_and_self_consistent():
 
 def test_restarts_that_tie_to_roundoff_keep_the_earliest():
     # at seed 7 the analytic restart 10 ends 2 ulps above restart 0, and the
-    # lp restart 1 ends 3 ulps above it: roundoff, not a better optimum
+    # lp restarts 1 and 12 end 4 ulps above it: roundoff, not a better optimum
     for method in ("analytic", "lp"):
         first = optimize(1, seed=7, method=method)
         result = optimize(20, seed=7, method=method)
@@ -248,9 +248,9 @@ def test_a_later_restart_is_kept_once_it_beats_the_roundoff(monkeypatch):
     beats = 2 * LP_ROUNDOFF_ULPS + 1
     ends = iter([value + k * ulp for k in (0, LP_ROUNDOFF_ULPS, beats, beats + LP_ROUNDOFF_ULPS)])
 
-    def ascent(fn, x, enough=np.inf):
-        # the plateau climb, then the restart's end value
-        return (0.0 if enough == 0.0 else next(ends)), np.zeros(len(FREE_INDICES))
+    def ascent(fn, x):
+        # each restart's end value
+        return next(ends), np.zeros(len(FREE_INDICES))
 
     monkeypatch.setattr(optimizer_module, "_newton_ascent", ascent)
     result = optimize(4, seed=5, method="lp")
@@ -284,10 +284,11 @@ def test_lp_search_is_deterministic_with_warm_started_solves():
 
 
 # evaluations and LP evaluations of optimize(1, seed, "lp"), the restarts
-# of the search-lp benchmark; the first evaluations of a restart ascend the
-# relabeled functional and solve no LP, and seed 2's three trials that
-# violate no CGLMP inequality are rejected without one
-GRADIENT_SEARCH_FIXTURES = {2: (12, 8), 9: (8, 6)}
+# of the search-lp benchmark; a box that violates no CGLMP inequality, such
+# as seed 2's three rejected trials, is scored by its top class value without
+# an LP. A separate ascent of that value to the first violating box, which
+# the LP ascent then evaluated again, took one more evaluation per restart
+GRADIENT_SEARCH_FIXTURES = {2: (11, 8), 9: (7, 6)}
 
 
 def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
@@ -306,8 +307,10 @@ def test_gradient_search_reaches_the_paper_threshold_in_few_evaluations():
 # the simplex pivots of those LP evaluations; seeding each solve from the
 # last evaluation's bound, rejected trials included, took 161, starting
 # each restart from the flat box's basis instead of its class's took 122,
-# and solving the LPs of the trials that violate no CGLMP inequality took 77
-GRADIENT_SEARCH_PIVOTS = {2: 14, 9: 5}
+# solving the LPs of the trials that violate no CGLMP inequality took 77,
+# and starting from a class's solved witness basis instead of the relabeled
+# paper basis took 19
+GRADIENT_SEARCH_PIVOTS = {2: 17, 9: 5}
 
 
 def test_gradient_search_pivots_are_pinned():
@@ -340,9 +343,9 @@ def test_each_lp_solve_starts_from_its_restarts_best_bound(monkeypatch):
 
 
 def test_trials_rejected_without_an_lp_are_local(monkeypatch):
-    # a restart's kernel boxes after its first LP solve that reach no LP are
-    # the screened trials: each violates no CGLMP inequality, and the LP
-    # certifies it local
+    # every kernel box that reaches no LP, a rejected trial or a step on the
+    # plateau, is scored by its top class value: each violates no CGLMP
+    # inequality, and the LP certifies it local
     joints, solved = [], []
     kernel, solve = optimizer_module._fourier_kernel, lhv_module._min_noise_lp
 
@@ -360,43 +363,43 @@ def test_trials_rejected_without_an_lp_are_local(monkeypatch):
 
     monkeypatch.setattr(optimizer_module, "_fourier_kernel", recorded_kernel)
     monkeypatch.setattr(lhv_module, "_min_noise_lp", recorded_solve)
-    every_screened = []
+    unsolved = []
     for seed in range(50):
         joints.clear()
         solved.clear()
         result = optimize(1, seed=seed, method="lp")
-        assert len(set(solved)) == len(solved)
-        stage_2 = range(solved[0], len(joints))
-        screened = [_kernel_box(joints[i]) for i in stage_2 if i not in solved]
-        assert len(screened) == result.screened_trials
-        assert len(stage_2) == len(solved) + len(screened)
-        every_screened += screened
+        assert len(set(solved)) == len(solved) == sum(result.lp_starts.values())
+        assert len(joints) == result.evaluations
+        unsolved += [_kernel_box(joints[i]) for i in range(len(joints)) if i not in solved]
         if seed == 2:
-            assert result.screened_trials == 3
+            # its start violates a CGLMP inequality, and 3 trials do not
+            assert solved[0] == 0
+            assert result.evaluations - len(solved) == 3
+    assert len(unsolved) > 0
     # unrecorded, since min_noise_lp solves through _min_noise_lp too
     monkeypatch.undo()
-    for box in every_screened:
+    for box in unsolved:
         assert (box.vector() @ CLASS_CH).max() <= 0.0
         assert min_noise_lp(box).f_min == 0.0
 
 
 def test_a_local_box_at_the_first_lp_is_still_scored_by_the_lp(monkeypatch):
-    # one setting per side makes every box local; with the functional's
-    # ascent skipped, the LP ascent starts there, and its first evaluation
-    # is solved rather than screened
-    ascend = optimizer_module._newton_ascent
+    # one setting per side makes the start local; with the ascent stopped at
+    # its first evaluation, the restart ends on a box with no positive class
+    # value, and its reported score and gradient are the LP's
     calls = []
     solve = lhv_module._min_noise_lp
 
-    def lp_only(fn, x, enough=np.inf):
-        return (0.0, None) if enough == 0.0 else ascend(fn, x, enough)
+    def stopped(fn, x):
+        value, gradient, _ = fn(x)
+        return value, gradient[FREE_INDICES]
 
     def recorded(exp0, start=None):
         bound = solve(exp0, start=start)
         calls.append((start, bound.f_min))
         return bound
 
-    monkeypatch.setattr(optimizer_module, "_newton_ascent", lp_only)
+    monkeypatch.setattr(optimizer_module, "_newton_ascent", stopped)
     monkeypatch.setattr(lhv_module, "_min_noise_lp", recorded)
     rng = np.random.default_rng(37)
     alice, bob = rng.uniform(0, 2 * np.pi, (2, 3))
@@ -405,8 +408,9 @@ def test_a_local_box_at_the_first_lp_is_still_scored_by_the_lp(monkeypatch):
     result = optimize(1, seed=37, method="lp", initial_phases=local)
     assert calls == [(None, 0.0)]
     assert result.best_threshold == 0.0
-    assert result.evaluations == 1 == sum(result.lp_starts.values())
-    assert result.screened_trials == 0
+    # the class value's evaluation, then the LP's at the same box
+    assert result.evaluations == 2
+    assert sum(result.lp_starts.values()) == 1
     assert result.gradient_norm == 0.0
 
 
@@ -454,9 +458,9 @@ def test_criterion_9_search_reaches_the_paper_threshold_to_1e_12():
     assert result.failed_restarts == 0
     assert "cold" not in result.lp_starts
     assert abs(result.best_threshold - REFERENCE_NOISE_THRESHOLD) < 1e-12
-    # Newton steps on the exact Hessian: 206 evaluations, where BFGS took 469
+    # Newton steps on the exact Hessian: 186 evaluations, where BFGS took 469
     assert result.evaluations <= 250
-    # 305 pivots, where solving the trials that violate no CGLMP inequality
+    # 331 pivots, where solving the trials that violate no CGLMP inequality
     # took 799, and starting each restart from the flat box's basis 1315
     assert result.lp_pivots <= 350
     assert result.gradient_norm <= GRADIENT_TOL
@@ -711,14 +715,16 @@ def test_the_ascent_follows_the_gradient_where_the_hessian_is_zero():
 
     def linear(x):
         trials.append(x.copy())
-        return slopes @ x, slopes.copy(), np.zeros((12, 12))
+        value = slopes @ x
+        # flat from 1000 on, where the gradient test stops the ascent
+        return value, slopes * (value < 1000.0), np.zeros((12, 12))
 
     x = np.zeros(12)
-    value, gradient = optimizer_module._newton_ascent(linear, x, enough=1000.0)
+    value, gradient = optimizer_module._newton_ascent(linear, x)
     # each full step along the free gradient gains |slopes[FREE_INDICES]|^2 = 484,
-    # so the third passes enough
+    # so the third reaches the flat top
     assert [trial @ slopes for trial in trials] == [0.0, 484.0, 968.0, 1452.0]
-    assert value == 1452.0 and np.array_equal(gradient, slopes[FREE_INDICES])
+    assert value == 1452.0 and np.array_equal(gradient, np.zeros(8))
     expected = np.zeros(12)
     expected[FREE_INDICES] = 3 * slopes[FREE_INDICES]
     assert np.array_equal(x, expected)

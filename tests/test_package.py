@@ -30,7 +30,7 @@ assert main(sys.argv[1:]) == 0
 """ + REPORT
 
 ANALYTIC = {"cli", "engine", "inequality"}
-LP = ANALYTIC | {"atoms", "lhv", "presets", "simplex"}
+LP = ANALYTIC | {"atoms", "lhv", "simplex"}
 
 
 def _probe(code: str, *argv: str) -> tuple[bool, set[str]]:
@@ -70,6 +70,12 @@ def _probe(code: str, *argv: str) -> tuple[bool, set[str]]:
             ANALYTIC | {"optimizer"},
             None,
             id="optimize",
+        ),
+        pytest.param(
+            ["optimize", "--restarts", "1", "--seed", "7", "--method", "lp"],
+            LP | {"optimizer"},
+            None,
+            id="optimize-lp",
         ),
     ],
 )

@@ -11,7 +11,7 @@ from qutrit_ch.engine import (
     experiment_probabilities,
     find_matching_relabeling,
 )
-from qutrit_ch.lhv import _ANCHOR_BASIS
+from qutrit_ch.lhv import _PAPER_BASIS
 from qutrit_ch.presets import (
     REFERENCE_ALICE_PHASES,
     REFERENCE_NOISE_THRESHOLD,
@@ -77,7 +77,7 @@ def test_every_cached_builder_hands_out_read_only_arrays():
     # a functools.cache builder hands every caller the same object: writing
     # into it, such as optimizer._class_product()[0, 0] = 9, would silently
     # change every later call in the process
-    arguments = {"_basis_inverse": (_ANCHOR_BASIS,), "_witness_basis": (0,)}
+    arguments = {"_basis_inverse": (_PAPER_BASIS,), "_witness_basis": (0,)}
     builders = {}
     for info in pkgutil.iter_modules(qutrit_ch.__path__):
         module = importlib.import_module(f"qutrit_ch.{info.name}")

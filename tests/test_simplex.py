@@ -237,6 +237,21 @@ def test_unusable_starts_fall_back_to_the_cold_solve():
         assert sol.start == "cold"
 
 
+def test_start_entries_that_are_not_integers_are_refused():
+    # 0.7 would be truncated to column 0 and accepted, True read as column 1
+    for start in ([0.7], [True], [np.True_], ["1"], [None], [1.0], np.array([0.0]), [[0.7]]):
+        with pytest.raises(ValueError, match="start entries must be integers"):
+            solve([1, 1], [[1, 1]], [1], start=start)
+    # integers of any kind are columns, and a start of the wrong shape, with
+    # a repeated column or out of range still falls back to the cold solve
+    cold = solve([1, 1], [[1, 1]], [1])
+    for start in ([0], (np.int64(1),), np.array([1], dtype=np.uint8)):
+        assert solve([1, 1], [[1, 1]], [1], start=start).start == "accepted"
+    for start in ([], [0, 0], [2], [-1], [[0]], np.zeros((1, 1), dtype=int)):
+        sol = solve([1, 1], [[1, 1]], [1], start=start)
+        assert (sol.start, sol.basis, sol.iterations) == ("cold", cold.basis, cold.iterations)
+
+
 def test_a_start_that_lost_primal_feasibility_is_repaired():
     # the optimal basis of a problem stays dual feasible when only its
     # right-hand side moves, so dual pivots repair it

@@ -16,9 +16,15 @@ can be compared with diff.
   (physical_lines, as wc -l counts them).
 - digests: a sha256 over every field of the results of each set: one-restart
   searches optimize(1, s) for s below --seeds and the 20-restart
-  optimize(20, 7), each by both methods, and min_noise_lp on --boxes boxes
-  from default_rng(2026) (uniform phases, a noise in U[0, 0.35] and a random
-  outcome relabeling each), its f_min alone and every field of its bound.
+  optimize(20, 7), each by both methods; min_noise_lp on --boxes boxes from
+  default_rng(2026) (uniform phases, a noise in U[0, 0.35] and a random
+  outcome relabeling each), its f_min alone and every field of its bound,
+  and lhv_weights on the same boxes; 600 random LPs from default_rng(7)
+  (2-10 rows, twice as many columns plus up to 4, a feasible right-hand
+  side and a positive cost), each solved cold by simplex_solve and then
+  warm from the cold basis at a moved right-hand side, once without and
+  once with the cold solve's inverse; and the atom tables (ATOMS,
+  INDICATOR_MATRIX and MARGINAL_MATRIX).
 - cli-bytes: a sha256 of the standard output of each CLI command, run as
   python3 -m qutrit_ch.cli with the paper-preset settings file, with every
   wall_time_seconds line removed; COMMAND names select some of them.
@@ -42,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 TREE = Path(__file__).resolve().parents[1]
+RANDOM_LPS = 600
 # run with the paper-preset settings file as --settings where marked
 CLI_COMMANDS = {
     "paper-preset": (["paper-preset"], False),
@@ -112,13 +119,32 @@ def _digest(values) -> str:
     return hasher.hexdigest()
 
 
+def _random_lps(solve, count: int) -> list:
+    """A cold and two warm solutions of each of ``count`` random LPs."""
+    rng = np.random.default_rng(7)
+    results = []
+    for _ in range(count):
+        rows = int(rng.integers(2, 11))
+        columns = 2 * rows + int(rng.integers(0, 5))
+        matrix = rng.normal(size=(rows, columns))
+        rhs = matrix @ np.abs(rng.normal(size=columns))
+        cost = np.abs(rng.normal(size=columns))
+        moved = rhs + matrix @ rng.uniform(0.0, 0.1, columns)
+        cold = solve(cost, matrix, rhs)
+        results += [cold, solve(cost, matrix, moved, start=cold.basis),
+                    solve(cost, matrix, moved, start=cold.basis, inverse=cold.inverse)]
+    return results
+
+
 def digests(tree: Path, seeds: int, boxes: int) -> dict[str, str]:
     """sha256 of each bit-identity set, computed in this process from the
     package under ``tree``."""
     sys.path.insert(0, str(tree / "src"))
+    from qutrit_ch.atoms import ATOMS, INDICATOR_MATRIX, MARGINAL_MATRIX
     from qutrit_ch.engine import PhaseSettings, experiment_probabilities, relabeling_at
-    from qutrit_ch.lhv import min_noise_lp
+    from qutrit_ch.lhv import lhv_weights, min_noise_lp
     from qutrit_ch.optimizer import optimize
+    from qutrit_ch.simplex import simplex_solve
 
     out = {}
     for method in ("lp", "analytic"):
@@ -126,14 +152,18 @@ def digests(tree: Path, seeds: int, boxes: int) -> dict[str, str]:
             optimize(1, s, method) for s in range(seeds))
         out[f"optimize(20, 7, {method})"] = _digest([optimize(20, 7, method)])
     rng = np.random.default_rng(2026)
-    bounds = []
+    exps = []
     for _ in range(boxes):
         phases = rng.uniform(0.0, 2.0 * np.pi, (2, 2, 3))
         noise = rng.uniform(0.0, 0.35)
         settings = PhaseSettings(*phases, relabeling_at(int(rng.integers(6**4))))
-        bounds.append(min_noise_lp(experiment_probabilities(settings, noise)))
+        exps.append(experiment_probabilities(settings, noise))
+    bounds = [min_noise_lp(exp) for exp in exps]
     out[f"min_noise_lp f_min, default_rng(2026) x{boxes}"] = _digest(b.f_min for b in bounds)
     out[f"min_noise_lp bounds, default_rng(2026) x{boxes}"] = _digest(bounds)
+    out[f"lhv_weights, default_rng(2026) x{boxes}"] = _digest(lhv_weights(exp) for exp in exps)
+    out[f"simplex_solve, default_rng(7) x{RANDOM_LPS}"] = _digest(_random_lps(simplex_solve, RANDOM_LPS))
+    out["atom tables"] = _digest([ATOMS, INDICATOR_MATRIX, MARGINAL_MATRIX])
     return out
 
 
